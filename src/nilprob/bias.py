@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraParams, lie3_closed, lie4_closed
+from .algebra import AlgebraParams
 from ._batch import BatchAlg
 from .errors import CapExceededError, DimensionMismatchError, ExpressionShapeError
 from .fieldlin import FpVector, check_prime, matrix_rank
@@ -32,7 +32,7 @@ class MultilinearMap:
     """Multilinear F : F_p^{d_1} x ... x F_p^{d_k} -> F_p^{e}.
 
     Backed either by a dense coefficient tensor of shape dims + (e,) or by a
-    closed-form evaluator (with an optional vectorized variant).
+    vectorized closed-form evaluator.
     """
 
     def __init__(
@@ -41,15 +41,14 @@ class MultilinearMap:
         dims: tuple[int, ...],
         cod_dim: int,
         tensor: np.ndarray | None = None,
-        fn: Callable[..., tuple[int, ...]] | None = None,
         batch_fn: Callable[..., np.ndarray] | None = None,
         name: str = "",
     ):
         check_prime(p)
         if len(dims) < 1 or len(dims) > 4:
             raise ValueError("arity must be between 1 and 4")
-        if (tensor is None) == (fn is None):
-            raise ValueError("exactly one of tensor / fn must be given")
+        if (tensor is None) == (batch_fn is None):
+            raise ValueError("exactly one of tensor / batch_fn must be given")
         if tensor is not None:
             tensor = np.asarray(tensor, dtype=np.int64) % p
             if tensor.shape != tuple(dims) + (cod_dim,):
@@ -60,7 +59,6 @@ class MultilinearMap:
         self.dims = tuple(dims)
         self.cod_dim = cod_dim
         self.tensor = tensor
-        self.fn = fn
         self.batch_fn = batch_fn
         self.name = name
 
@@ -99,19 +97,10 @@ class MultilinearMap:
         self._check_args(arrays)
         if self.batch_fn is not None:
             return np.asarray(self.batch_fn(*arrays)) % self.p
-        if self.tensor is not None:
-            cur = np.tensordot(arrays[0] % self.p, self.tensor, axes=(1, 0)) % self.p
-            for arr in arrays[1:]:
-                cur = np.einsum("nd,nd...->n...", arr % self.p, cur) % self.p
-            return cur
-        n = arrays[0].shape[0]
-        out = np.zeros((n, self.cod_dim), dtype=np.int64)
-        for i in range(n):
-            vecs = tuple(
-                FpVector(self.p, tuple(int(v) for v in arr[i])) for arr in arrays
-            )
-            out[i] = self.fn(*vecs)  # type: ignore[misc]
-        return out % self.p
+        cur = np.tensordot(arrays[0] % self.p, self.tensor, axes=(1, 0)) % self.p
+        for arr in arrays[1:]:
+            cur = np.einsum("nd,nd...->n...", arr % self.p, cur) % self.p
+        return cur
 
     def image_span_dim(self) -> int:
         """Dimension of the span of the image (the subgroup the image
@@ -374,12 +363,7 @@ def family_quad_map(params: AlgebraParams) -> MultilinearMap:
     def batch(x: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         return eng.lie4(x, y, z, w)[:, None]
 
-    def scalar(x: FpVector, y: FpVector, z: FpVector, w: FpVector) -> tuple[int, ...]:
-        return (lie4_closed(params, x, y, z, w),)
-
-    return MultilinearMap(
-        params.p, (d, d, d, d), 1, fn=scalar, batch_fn=batch, name="quad-bracket"
-    )
+    return MultilinearMap(params.p, (d, d, d, d), 1, batch_fn=batch, name="quad-bracket")
 
 
 def family_trilinear_map(params: AlgebraParams) -> MultilinearMap:
@@ -390,12 +374,7 @@ def family_trilinear_map(params: AlgebraParams) -> MultilinearMap:
     def batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         return eng.lie3(x, y, z)
 
-    def scalar(x: FpVector, y: FpVector, z: FpVector) -> tuple[int, ...]:
-        return lie3_closed(params, x, y, z).coords
-
-    return MultilinearMap(
-        params.p, (d, d, d), d, fn=scalar, batch_fn=batch, name="triple-bracket"
-    )
+    return MultilinearMap(params.p, (d, d, d), d, batch_fn=batch, name="triple-bracket")
 
 
 def _product_map(p: int, negate: bool = False) -> MultilinearMap:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bias, stats, structure
 from .algebra import AlgebraParams
-from .errors import CapExceededError, NilprobError
+from .errors import CapExceededError, NilprobError, UsageError
 from .fieldlin import load_form
 from .groups import AlgebraGroup, GroupElement, TableGroup, load_cayley_table
 from .stats import DEFAULT_SEED
@@ -53,13 +53,16 @@ def _thread_count(flag: int | None) -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            raise SystemExit(f"bad NILPROB_THREADS value: {env!r}")
+            raise UsageError(f"bad NILPROB_THREADS value: {env!r}") from None
     return os.cpu_count() or 1
 
 
 def _resolve_table(source: str) -> TableGroup:
     if source.startswith("corpus:"):
-        return corpus_group(source.split(":", 1)[1])
+        try:
+            return corpus_group(source.split(":", 1)[1])
+        except KeyError as exc:
+            raise UsageError(exc.args[0]) from None
     return load_cayley_table(source)
 
 
@@ -175,8 +178,8 @@ def _parse_s_elements(args: argparse.Namespace, G) -> list:
 
         return [GroupElement.from_l1(from_text(G.params, ln)) for ln in lines]
     if args.s != "identity":
-        raise SystemExit(f"unsupported --s value {args.s!r}; use 'identity' or --s-file")
-    return [G.identity if isinstance(G, AlgebraGroup) else 0]
+        raise UsageError(f"unsupported --s value {args.s!r}; use 'identity' or --s-file")
+    return [G.identity]
 
 
 def _cmd_cover(args: argparse.Namespace) -> tuple[int, dict, dict]:
@@ -288,7 +291,7 @@ def _cmd_bias(args: argparse.Namespace) -> tuple[int, dict, dict]:
             "bound_holds": bool(holds),
         }
         return (EXIT_OK if holds else EXIT_VERIFICATION_FAILED), info, report
-    raise SystemExit("bias: pass --verify-quad or --trilinear-bound")
+    raise UsageError("bias: pass --verify-quad or --trilinear-bound")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,14 +378,7 @@ def run(config: RunConfig) -> int:
     t0 = time.perf_counter()
     args = config.args
     args.threads_resolved = config.threads
-    try:
-        code, info, report = _COMMANDS[config.command](args)
-    except CapExceededError as exc:
-        sys.stderr.write(f"cap exceeded: {exc}\n")
-        return EXIT_CAP
-    except (NilprobError, OSError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    code, info, report = _COMMANDS[config.command](args)
     payload = _payload(config, info, report)
     payload["elapsed_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
     _emit(payload, config)
@@ -392,14 +388,21 @@ def run(config: RunConfig) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        args=args,
-        threads=_thread_count(args.threads),
-        out_format=args.format,
-        output=args.output,
-    )
-    return run(config)
+    try:
+        config = RunConfig(
+            command=args.command,
+            args=args,
+            threads=_thread_count(args.threads),
+            out_format=args.format,
+            output=args.output,
+        )
+        return run(config)
+    except CapExceededError as exc:
+        sys.stderr.write(f"cap exceeded: {exc}\n")
+        return EXIT_CAP
+    except (NilprobError, OSError, ValueError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

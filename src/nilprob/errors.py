@@ -13,6 +13,10 @@ class ParamsMismatchError(NilprobError, ValueError):
     """Algebra or group elements belong to different parameter sets."""
 
 
+class UsageError(NilprobError, ValueError):
+    """The command line asks for something invalid (CLI exit code 2)."""
+
+
 class CapExceededError(NilprobError, RuntimeError):
     """An exhaustive computation was refused because it exceeds its cap."""
 

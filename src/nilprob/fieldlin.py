@@ -73,19 +73,6 @@ class FpVector:
         c %= self.p
         return FpVector(self.p, tuple(a * c % self.p for a in self.coords))
 
-    def pack_bits(self) -> int:
-        """Pack an F_2 vector into an int bitset (bit i = coordinate i)."""
-        if self.p != 2:
-            raise ValueError("pack_bits requires p = 2")
-        bits = 0
-        for i, c in enumerate(self.coords):
-            bits |= c << i
-        return bits
-
-    @staticmethod
-    def unpack_bits(bits: int, dim: int) -> "FpVector":
-        return FpVector(2, tuple((bits >> i) & 1 for i in range(dim)))
-
 
 @dataclass(frozen=True)
 class BilinearForm:
@@ -231,36 +218,6 @@ def slice_kernel(f: BilinearForm, x: FpVector) -> list[FpVector]:
         raise DimensionMismatchError("slice_kernel: vector does not match form")
     row = [sum(xi * f.coeffs[i][j] for i, xi in enumerate(x.coords)) % f.p for j in range(f.dim)]
     return nullspace([row], f.p, f.dim)
-
-
-# Packed-bit fast path over F_2.  Semantics match the generic routines and
-# are tested for equality against them.
-
-
-def gf2_rank(rows: list[int], ncols: int) -> int:
-    """Rank over GF(2) of rows given as int bitsets."""
-    work = rows[:]
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if (work[i] >> col) & 1), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(len(work)):
-            if i != r and (work[i] >> col) & 1:
-                work[i] ^= work[r]
-        r += 1
-        if r == len(work):
-            break
-    return r
-
-
-def gf2_span(basis: list[int]) -> list[int]:
-    """All 2^k combinations of k packed basis vectors (with repeats collapsed)."""
-    span = [0]
-    for b in basis:
-        span += [v ^ b for v in span]
-    return sorted(set(span))
 
 
 # Form file I/O.  Text format: line 1 "p d", then d lines of d residues.

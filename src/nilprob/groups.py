@@ -5,6 +5,11 @@ the family use the fact that conjugation by a fixed element is linear on L1,
 so each generator contributes one matrix and orbits close under matrix
 application.  Cayley-table groups are validated on load and cache their
 inverse array and conjugacy classes.
+
+Both group types share a set of stack operations (`all_elements`, `repeat`,
+`commutators`, `identity_mask`, `distinct`, `centralizer_orders`,
+`sample_batch`), so statistics are written once for both.  A stack is a
+`Batch` of L1-parts for the family and an index array for tables.
 """
 
 from __future__ import annotations
@@ -116,6 +121,9 @@ class GroupElement:
             self._hash = hash((self.r1, self.r2, self.r3, self.c4))
         return self._hash
 
+    def __lt__(self, other: "GroupElement") -> bool:
+        return self.coords() < other.coords()
+
     def __repr__(self) -> str:
         return f"GroupElement(coords={self.coords()!r})"
 
@@ -203,9 +211,7 @@ class AlgebraGroup:
         basis = eng.from_coords(np.eye(m, dtype=np.int64))
         mats = np.empty((len(self.generators), m, m), dtype=np.int64)
         for k, gen in enumerate(self.generators):
-            one = eng.from_elements([gen.l1_part()])
-            t = Batch(*(np.repeat(arr, m, axis=0) for arr in one))
-            conj = eng.conjugate(basis, t)
+            conj = eng.conjugate(basis, self.repeat(gen, m))
             mats[k] = eng.coords(conj).T % self.params.p
         return mats
 
@@ -227,25 +233,46 @@ class AlgebraGroup:
         return conjugate(g, by)
 
     def random_elements(self, rng: np.random.Generator, count: int) -> list[GroupElement]:
-        stack = self.batch.random_l1(rng, count)
-        flat = self.batch.coords(stack)
+        return self._to_elements(self.batch.coords(self.sample_batch(rng, count)))
+
+    def _to_elements(self, flat: np.ndarray) -> list[GroupElement]:
         return [GroupElement.from_coords(self.params, tuple(int(v) for v in row)) for row in flat]
 
     def elements(self, cap: int = DEFAULT_ENUM_CAP) -> Iterator[GroupElement]:
         """All elements in lexicographic coordinate order (small groups only)."""
+        return iter(self._to_elements(self.batch.coords(self.all_elements(cap))))
+
+    def all_elements(self, cap: int = DEFAULT_ENUM_CAP) -> Batch:
+        """Every element, in lexicographic coordinate order."""
         if self.order > cap:
             raise CapExceededError(f"group order {self.order} exceeds enumeration cap {cap}")
         p, m = self.params.p, self.dim_l1
-        flat = [0] * m
-        while True:
-            yield GroupElement.from_coords(self.params, flat)
-            i = m - 1
-            while i >= 0 and flat[i] == p - 1:
-                flat[i] = 0
-                i -= 1
-            if i < 0:
-                return
-            flat[i] += 1
+        digits = np.arange(self.order)[:, None] // p ** np.arange(m - 1, -1, -1) % p
+        return self.batch.from_coords(digits)
+
+    def repeat(self, g: GroupElement, n: int) -> Batch:
+        return self.batch.from_coords(np.tile(np.array(g.coords(), dtype=np.int64), (n, 1)))
+
+    def commutators(self, a: Batch, b: Batch) -> Batch:
+        return self.batch.commutator(a, b)
+
+    def identity_mask(self, a: Batch) -> np.ndarray:
+        return self.batch.is_identity(a)
+
+    def distinct(self, a: Batch) -> tuple[list[GroupElement], np.ndarray]:
+        """Distinct elements of a stack in coordinate order, and the position
+        of each stack entry among them."""
+        keys, pos = np.unique(
+            self.batch.coords(a).astype(np.uint8), axis=0, return_inverse=True
+        )
+        return self._to_elements(keys), pos.reshape(-1)
+
+    def centralizer_orders(self, a: Batch) -> np.ndarray:
+        elems, pos = self.distinct(a)
+        return np.array([self.centralizer_order(g) for g in elems], dtype=np.int64)[pos]
+
+    def sample_batch(self, rng: np.random.Generator, count: int) -> Batch:
+        return self.batch.random_l1(rng, count)
 
     def _orbit_coords(self, start: np.ndarray, cap: int) -> set[bytes]:
         p = self.params.p
@@ -311,9 +338,6 @@ class AlgebraGroup:
             classes.append((g, size))
         self._classes = classes
         return classes
-
-    def sample_batch(self, rng: np.random.Generator, count: int) -> Batch:
-        return self.batch.random_l1(rng, count)
 
 
 class TableGroup:
@@ -387,8 +411,7 @@ class TableGroup:
         return int(self.inv_table[a])
 
     def commutator(self, a: int, b: int) -> int:
-        t = self.table
-        return int(t[t[self.inv_table[a], self.inv_table[b]], t[a, b]])
+        return int(self.commutators(a, b))
 
     def long_commutator(self, elems: Sequence[int]) -> int:
         if len(elems) < 2:
@@ -404,6 +427,34 @@ class TableGroup:
 
     def elements(self) -> range:
         return range(self.order)
+
+    def random_elements(self, rng: np.random.Generator, count: int) -> list[int]:
+        return [int(v) for v in self.sample_batch(rng, count)]
+
+    def all_elements(self, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+        if self.order > cap:
+            raise CapExceededError(f"group order {self.order} exceeds enumeration cap {cap}")
+        return np.arange(self.order)
+
+    def repeat(self, g: int, n: int) -> np.ndarray:
+        return np.full(n, g, dtype=np.int64)
+
+    def commutators(self, a, b) -> np.ndarray:
+        """[a, b] = a^-1 b^-1 a b entrywise; index arrays broadcast like numpy."""
+        t, inv = self.table, self.inv_table
+        return t[t[inv[a], inv[b]], t[a, b]]
+
+    def identity_mask(self, a: np.ndarray) -> np.ndarray:
+        return a == 0
+
+    def distinct(self, a: np.ndarray) -> tuple[list[int], np.ndarray]:
+        values, pos = np.unique(a, return_inverse=True)
+        return [int(v) for v in values], pos.reshape(-1)
+
+    def centralizer_orders(self, a: np.ndarray) -> np.ndarray:
+        self._ensure_classes()
+        assert self._class_sizes is not None
+        return self.order // self._class_sizes[a]
 
     def conjugacy_orbit(self, g: int, cap: int | None = None) -> set[int]:
         t = self.table

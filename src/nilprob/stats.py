@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import beta as _beta
 
 from .errors import CapExceededError
-from .groups import AlgebraGroup, GroupElement, TableGroup, subgroup_table
+from .groups import AlgebraGroup, TableGroup, subgroup_table
 
 DEFAULT_SEED = 1729
 D1_CAP = 1 << 16
@@ -102,44 +102,19 @@ def d2_exact(G: Group, cap: int = D2_CAP) -> StatReport:
     if G.order > cap:
         raise CapExceededError(f"|G| = {G.order} exceeds d2 cap {cap}")
     order = G.order
+    elems = G.all_elements(cap)
     total = 0
-    if isinstance(G, TableGroup):
-        t, inv = G.table, G.inv_table
-        idx = np.arange(order)
-        sizes = np.array([G.class_size(g) for g in range(order)], dtype=np.int64)
-        cent = order // sizes
-        for rep, size in G.conjugacy_classes():
-            comms = t[t[inv[rep], inv[idx]], t[rep, idx]]
-            total += size * int(cent[comms].sum())
-    else:
-        eng = G.batch
-        elems = list(G.elements(cap))
-        flat = np.array([e.coords() for e in elems], dtype=np.int64)
-        stack = eng.from_coords(flat)
-        for rep, size in G.conjugacy_classes(cap):
-            rep_stack = eng.from_coords(np.tile(np.array(rep.coords(), dtype=np.int64), (order, 1)))
-            comms = eng.coords(eng.commutator(rep_stack, stack)).astype(np.uint8)
-            row = 0
-            for key, cnt in zip(*np.unique(comms, axis=0, return_counts=True)):
-                g = GroupElement.from_coords(G.params, tuple(int(v) for v in key))
-                row += int(cnt) * (order // G.class_size(g))
-            total += size * row
+    for rep, size in G.conjugacy_classes():
+        comms = G.commutators(G.repeat(rep, order), elems)
+        total += size * int(G.centralizer_orders(comms).sum())
     return StatReport("exact", Fraction(total, order**3), elapsed_s=time.perf_counter() - t0)
 
 
 def _mc_chunk_hits(G: Group, k: int, size: int, rng: np.random.Generator) -> int:
-    if isinstance(G, TableGroup):
-        t, inv = G.table, G.inv_table
-        acc = G.sample_batch(rng, size)
-        for _ in range(k):
-            nxt = G.sample_batch(rng, size)
-            acc = t[t[inv[acc], inv[nxt]], t[acc, nxt]]
-        return int(np.count_nonzero(acc == 0))
-    eng = G.batch
     acc = G.sample_batch(rng, size)
     for _ in range(k):
-        acc = eng.commutator(acc, G.sample_batch(rng, size))
-    return int(np.count_nonzero(eng.is_identity(acc)))
+        acc = G.commutators(acc, G.sample_batch(rng, size))
+    return int(np.count_nonzero(G.identity_mask(acc)))
 
 
 def dk_monte_carlo(
@@ -189,42 +164,22 @@ def conjugacy_norm(G: Group, g) -> float:
 
 
 def commutator_set(G: Group, cap: int = COVER_PAIR_CAP) -> list:
-    """The full set Comm(G, G) of commutator values.
+    """The full set Comm(G, G) of commutator values, in element order.
 
-    Table groups enumerate all pairs (requires |G|^2 <= cap).  Family groups
-    take commutators of class representatives against everything and close
-    under conjugation.
+    Requires |G|^2 <= cap.  Takes commutators of class representatives
+    against everything and closes under conjugation: [x^g, y] = [x, y^(g^-1)]^g,
+    so every commutator is conjugate to one with a representative on the left.
     """
-    if isinstance(G, TableGroup):
-        if G.order**2 > cap:
-            raise CapExceededError(f"|G|^2 = {G.order ** 2} exceeds cap {cap}")
-        t, inv = G.table, G.inv_table
-        a = np.repeat(np.arange(G.order), G.order)
-        b = np.tile(np.arange(G.order), G.order)
-        comms = t[t[inv[a], inv[b]], t[a, b]]
-        return [int(x) for x in np.unique(comms)]
     if G.order**2 > cap:
         raise CapExceededError(f"|G|^2 = {G.order ** 2} exceeds cap {cap}")
-    eng = G.batch
-    elems = list(G.elements())
-    flat = np.array([e.coords() for e in elems], dtype=np.int64)
-    stack = eng.from_coords(flat)
-    seen: set[bytes] = set()
-    base: list[GroupElement] = []
+    elems = G.all_elements()
+    base = set()
     for rep, _ in G.conjugacy_classes():
-        rep_stack = eng.from_coords(np.tile(np.array(rep.coords(), dtype=np.int64), (G.order, 1)))
-        comms = eng.coords(eng.commutator(rep_stack, stack)).astype(np.uint8)
-        for key in np.unique(comms, axis=0):
-            kb = key.tobytes()
-            if kb not in seen:
-                seen.add(kb)
-                base.append(GroupElement.from_coords(G.params, tuple(int(v) for v in key)))
-    # conjugation closure: commutator values of arbitrary pairs are conjugates
-    # of values on class-representative pairs
-    out: set[GroupElement] = set()
+        base.update(G.distinct(G.commutators(G.repeat(rep, G.order), elems))[0])
+    out = set()
     for g in base:
         out |= G.conjugacy_orbit(g)
-    return sorted(out, key=lambda e: e.coords())
+    return sorted(out)
 
 
 def _in_ball_s(G: Group, x, s, n: int) -> bool:
@@ -258,12 +213,8 @@ def covering_check(
     rng = np.random.default_rng(seed)
     checked = 0
     for _ in range(samples):
-        if isinstance(G, TableGroup):
-            g, h = (int(v) for v in rng.integers(0, G.order, size=2))
-            c = G.commutator(g, h)
-        else:
-            g, h = G.random_elements(rng, 2)
-            c = G.commutator(g, h)
+        g, h = G.random_elements(rng, 2)
+        c = G.commutator(g, h)
         if not any(_in_ball_s(G, c, s, n) for s in S):
             return CoveringWitness(n, S, Fraction(checked, samples), c, False, samples)
         checked += 1
@@ -278,6 +229,8 @@ def covering_minimal_S(
 ) -> CoveringWitness:
     """Greedy ball cover of Comm(G,G) by translates B*s with s a commutator
     value; exact minimum confirmed when there are few distinct ball classes."""
+    if n < 1:
+        raise ValueError("covering bound n must be >= 1")
     comms = commutator_set(G, cap)
     universe = set(range(len(comms)))
     balls = []
@@ -285,8 +238,6 @@ def covering_minimal_S(
         covered = frozenset(i for i, c in enumerate(comms) if _in_ball_s(G, c, s, n))
         balls.append(covered)
 
-    if n < 1:
-        raise ValueError("covering bound n must be >= 1")
     chosen: list[int] = []
     uncovered = set(universe)
     while uncovered:

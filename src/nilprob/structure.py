@@ -77,11 +77,9 @@ def _check_cap(G: TableGroup, cap: int) -> None:
 
 
 def _commutator_values(G: TableGroup, sub: Iterable[int], full: Iterable[int]) -> set[int]:
-    t, inv = G.table, G.inv_table
     a = np.fromiter(sub, dtype=np.int64)
     b = np.fromiter(full, dtype=np.int64)
-    comms = t[t[inv[a][:, None], inv[b][None, :]], t[a[:, None], b[None, :]]]
-    return set(int(x) for x in np.unique(comms))
+    return set(int(x) for x in np.unique(G.commutators(a[:, None], b[None, :])))
 
 
 def lower_central_series(G: TableGroup, cap: int = SERIES_CAP) -> SeriesReport:
@@ -104,9 +102,8 @@ def upper_central_series(G: TableGroup, cap: int = SERIES_CAP) -> SeriesReport:
     """Z_0 = 1, Z_{i+1}/Z_i = center of G/Z_i, until stabilization."""
     _check_cap(G, cap)
     m = G.order
-    t, inv = G.table, G.inv_table
     idx = np.arange(m)
-    comm = t[t[inv[:, None], inv[None, :]], t[idx[:, None], idx[None, :]]]
+    comm = G.commutators(idx[:, None], idx[None, :])
     terms = [frozenset({0})]
     while True:
         in_z = np.zeros(m, dtype=bool)
@@ -178,11 +175,10 @@ def engel_degree(G: TableGroup, max_l: int = 10) -> int | None:
     """Least l <= max_l with [x, y, y, ..., y] = 1 (y repeated l times) for
     all x, y; None when no such l exists below the limit."""
     m = G.order
-    t, inv = G.table, G.inv_table
     idx = np.arange(m)
     worst = 0
     for y in range(m):
-        step = t[t[inv[idx], inv[y]], t[idx, y]]     # x -> [x, y]
+        step = G.commutators(idx, y)                 # x -> [x, y]
         cur = step.copy()                            # [x, 1 y]
         l = 1
         while cur.any() and l < max_l:
@@ -374,7 +370,7 @@ def neumann_extract(
     norms = _norm_table(G, norm)
     a_arr = np.array(a_list, dtype=np.int64)
     b_arr = np.array(b_list, dtype=np.int64)
-    comm = t[t[inv[a_arr][:, None], inv[b_arr][None, :]], t[a_arr[:, None], b_arr[None, :]]]
+    comm = G.commutators(a_arr[:, None], b_arr[None, :])
     small = norms[comm] <= C
 
     total = small.size
@@ -392,7 +388,7 @@ def neumann_extract(
 
     h_arr = np.array(sorted(H), dtype=np.int64)
     k_arr = np.array(sorted(K), dtype=np.int64)
-    comm_hk = t[t[inv[h_arr][:, None], inv[k_arr][None, :]], t[h_arr[:, None], k_arr[None, :]]]
+    comm_hk = G.commutators(h_arr[:, None], k_arr[None, :])
     nm = norms[comm_hk]
     D = _measured_level(nm)
     radius = 4 * D + 1
@@ -467,7 +463,7 @@ def neumann_converse(
     norms = _norm_table(G, norm)
     h_arr = np.array(sorted(set(H)), dtype=np.int64)
     k_arr = np.array(sorted(set(K)), dtype=np.int64)
-    comm_hk = t[t[inv[h_arr][:, None], inv[k_arr][None, :]], t[h_arr[:, None], k_arr[None, :]]]
+    comm_hk = G.commutators(h_arr[:, None], k_arr[None, :])
     comm_vals = [int(x) for x in np.unique(comm_hk)]
     centers: list[int] = []
     for c in comm_vals:
@@ -478,7 +474,7 @@ def neumann_converse(
     cover_ok = len(centers) <= C and index_H <= C and index_K <= C
 
     idx = np.arange(G.order)
-    comm_all = t[t[inv[idx][:, None], inv[idx][None, :]], t[idx[:, None], idx[None, :]]]
+    comm_all = G.commutators(idx[:, None], idx[None, :])
     hits = int((norms[comm_all] <= 2 * C).sum())
     prob = Fraction(hits, G.order**2)
     floor = Fraction(1, math.ceil(C**3)) if C >= 1 else Fraction(0)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .groups import TableGroup, format_cayley_table
+from .groups import TableGroup
 
 CORPUS_NAMES = (
     "trivial",
@@ -147,15 +147,3 @@ def corpus_path(name: str) -> Path:
     if name not in CORPUS_NAMES:
         raise KeyError(f"unknown corpus group {name!r}")
     return Path(str(resources.files("nilprob").joinpath("corpus", f"{name}.tbl")))
-
-
-def write_corpus(directory: "str | Path") -> list[Path]:
-    """Write every corpus table as a .tbl file; returns the paths written."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in CORPUS_NAMES:
-        path = directory / f"{name}.tbl"
-        path.write_text(format_cayley_table(corpus_group(name)))
-        written.append(path)
-    return written

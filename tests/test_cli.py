@@ -142,6 +142,28 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
+    def test_unknown_corpus_name_is_two(self, capsys):
+        code = main(["d1", "--table", "corpus:nope", "--exact"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "'nope'" in err and "'heis27'" in err
+
+    def test_bias_without_mode_is_two(self, capsys):
+        code = main(["bias", "--p", "2", "--n", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: bias:")
+
+    def test_bad_threads_env_is_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("NILPROB_THREADS", "many")
+        code = main(["d1", "--table", "corpus:q8", "--exact"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: bad NILPROB_THREADS")
+
+    def test_unsupported_s_value_is_two(self, capsys):
+        code = main(["cover", "--table", "corpus:s3", "--n-bound", "1", "--s", "foo"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: unsupported --s")
+
 
 class TestOutput:
     def test_json_deterministic_modulo_elapsed(self, capsys):

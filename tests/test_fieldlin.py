@@ -10,8 +10,6 @@ from nilprob.fieldlin import (
     antisymm_part,
     form_eval,
     format_form,
-    gf2_rank,
-    gf2_span,
     hyperbolic_form,
     is_nondegenerate,
     load_form,
@@ -185,30 +183,6 @@ class TestHyperbolicForm:
     def test_bad_prime(self):
         with pytest.raises(ValueError):
             hyperbolic_form(4, 1)
-
-
-class TestPackedBits:
-    def test_pack_unpack_roundtrip(self):
-        rng = random.Random(2)
-        for _ in range(50):
-            v = FpVector(2, tuple(rng.randrange(2) for _ in range(9)))
-            assert FpVector.unpack_bits(v.pack_bits(), 9) == v
-
-    def test_gf2_rank_matches_generic(self):
-        rng = random.Random(3)
-        for _ in range(40):
-            d = rng.randrange(1, 7)
-            rows = [[rng.randrange(2) for _ in range(d)] for _ in range(rng.randrange(1, 7))]
-            packed = [FpVector(2, tuple(r)).pack_bits() for r in rows]
-            assert gf2_rank(packed, d) == matrix_rank(rows, 2)
-
-    def test_gf2_span_size(self):
-        basis = [0b001, 0b010]
-        assert gf2_span(basis) == [0, 1, 2, 3]
-
-    def test_pack_requires_p2(self):
-        with pytest.raises(ValueError):
-            FpVector(3, (1, 2)).pack_bits()
 
 
 class TestNullspace:

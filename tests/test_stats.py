@@ -142,6 +142,15 @@ class TestMonteCarlo:
         rep = stats.dk_monte_carlo(S3, 1, 200_000, seed=4)
         assert rep.ci_low <= exact <= rep.ci_high
 
+    def test_table_group_thread_count_does_not_change_report(self):
+        A4 = corpus_group("a4")
+        samples = 3 * stats.MC_CHUNK + 17
+        a = stats.dk_monte_carlo(A4, 2, samples, seed=11, threads=1)
+        b = stats.dk_monte_carlo(A4, 2, samples, seed=11, threads=2)
+        key = lambda r: (r.value, r.ci_low, r.ci_high, r.samples, r.seed)
+        assert key(a) == key(b)
+        assert a.value == 0.5541614748887476    # the seeded draws stay fixed
+
     def test_validation(self, family21):
         with pytest.raises(ValueError):
             stats.dk_monte_carlo(family21, 0, 10)
@@ -200,6 +209,19 @@ class TestConjugacyNorm:
         assert stats.conjugacy_norm(Q8, i) == pytest.approx(math.log(2))
 
 
+class TestCommutatorSet:
+    def test_table_matches_all_pairs(self, corpus_groups):
+        groups = dict(corpus_groups)
+        groups["d4xq8"] = direct_product(corpus_groups["d4"], corpus_groups["q8"])
+        for name, G in groups.items():
+            brute = sorted({G.commutator(x, y) for x in G.elements() for y in G.elements()})
+            assert stats.commutator_set(G) == brute, name
+
+    def test_cap(self):
+        with pytest.raises(CapExceededError):
+            stats.commutator_set(corpus_group("a4"), cap=143)
+
+
 class TestCovering:
     def test_family_bound8_identity(self, family21):
         w = stats.covering_check(family21, 8, [family21.identity])
@@ -224,6 +246,13 @@ class TestCovering:
         assert w.ok and not w.exhaustive
         assert w.checked == 500
 
+    def test_sampled_table_seeded(self):
+        A4 = corpus_group("a4")
+        w = stats.covering_check(A4, 3, [0], mode="sampled", samples=500, seed=3)
+        assert (w.ok, w.exhaustive, w.checked, w.counterexample) == (True, False, 500, None)
+        w = stats.covering_check(A4, 1, [0], mode="sampled", samples=500, seed=3)
+        assert (w.checked, w.counterexample, w.verified_fraction) == (500, 8, 0)
+
     def test_monotone_in_n_and_s(self, corpus_groups):
         # a passing check never turns failing when n grows or S gains elements
         for name in ("s3", "d4", "q8", "a4"):
@@ -245,6 +274,13 @@ class TestCovering:
         assert w.ok
         assert w.S == [family21.identity]
         assert w.exact_minimum is True
+
+    def test_minimal_s_rejects_bound_zero(self):
+        with pytest.raises(ValueError):
+            stats.covering_minimal_S(corpus_group("s3"), 0)
+        # checked before any commutator work, so a tiny pair cap never trips
+        with pytest.raises(ValueError):
+            stats.covering_minimal_S(corpus_group("s3"), 0, cap=1)
 
     def test_minimal_s_abelian(self):
         w = stats.covering_minimal_S(corpus_group("c4"), 1)
