@@ -173,7 +173,11 @@ def _parse_s_elements(args: argparse.Namespace, G) -> list:
     if args.s_file:
         lines = [ln.strip() for ln in open(args.s_file) if ln.strip()]
         if isinstance(G, TableGroup):
-            return [int(ln) for ln in lines]
+            indices = [int(ln) for ln in lines]
+            bad = next((i for i in indices if not 0 <= i < G.order), None)
+            if bad is not None:
+                raise UsageError(f"--s-file index {bad} outside [0, {G.order})")
+            return indices
         from .algebra import from_text
 
         return [GroupElement.from_l1(from_text(G.params, ln)) for ln in lines]

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DimensionMismatchError
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
@@ -176,6 +178,41 @@ def matrix_rank(rows: Sequence[Sequence[int]], p: int) -> int:
     if not rows:
         return 0
     return len(rref(rows, p)[0])
+
+
+def rank_stack(mats: np.ndarray, p: int) -> np.ndarray:
+    """Ranks mod p of a stack (N, r, c) of matrices, by one elimination loop
+    over columns that steps every matrix of the stack at once.
+
+    A row that has supplied a pivot is marked used instead of being swapped
+    to the top, so the rank is the number of used rows.  Used rows and the
+    columns left of the current one are never read again, so they are not
+    kept up to date (the pivot row clears itself).
+    """
+    check_prime(p)
+    a = np.asarray(mats) % p
+    if a.shape[2] > a.shape[1]:
+        a = a.transpose(0, 2, 1)          # rank(A) = rank(A^T): loop the short side
+    # int8 holds every intermediate: entries and factors lie in [0, p), p <= 7
+    a = a.astype(np.int8, order="C")
+    n, nrows, ncols = a.shape
+    inverse = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=np.int8)
+    used = np.zeros((n, nrows), dtype=bool)
+    idx = np.arange(n)
+    for col in range(ncols):
+        column = a[:, :, col]
+        candidates = (column != 0) & ~used
+        has = candidates.any(axis=1)
+        if not has.any():
+            continue
+        pivot = candidates.argmax(axis=1)
+        used[idx[has], pivot[has]] = True
+        rest = a[:, :, col + 1 :]
+        pivot_row = rest[idx, pivot]
+        factors = column * inverse[column[idx, pivot]][:, None] % p * candidates
+        rest -= factors[:, :, None] * pivot_row[:, None, :]
+        rest %= p
+    return used.sum(axis=1)
 
 
 def nullspace(rows: Sequence[Sequence[int]], p: int, ncols: int) -> list[FpVector]:

@@ -1,15 +1,19 @@
 """Group arithmetic: the class-4 family G = 1 + L1 and Cayley-table groups.
 
-Family elements are stored by the L1-part a of 1 + a.  Conjugacy orbits in
-the family use the fact that conjugation by a fixed element is linear on L1,
-so each generator contributes one matrix and orbits close under matrix
-application.  Cayley-table groups are validated on load and cache their
-inverse array and conjugacy classes.
+Family elements are stored by the L1-part a of 1 + a.  Family class sizes
+come from linear algebra: 1+t commutes with 1+a exactly when at = ta, so the
+centralizer of 1+a is 1 + ker(ad_a) and its class has p^rank(ad_a) elements,
+where ad_a = [a, .] on L1.  Listing the members of an orbit uses the fact
+that conjugation by a fixed element is linear on L1, so each generator
+contributes one matrix and orbits close under matrix application.
+Cayley-table groups are validated on load and cache their inverse array and
+conjugacy classes.
 
 Both group types share a set of stack operations (`all_elements`, `repeat`,
-`commutators`, `identity_mask`, `distinct`, `centralizer_orders`,
-`sample_batch`), so statistics are written once for both.  A stack is a
-`Batch` of L1-parts for the family and an index array for tables.
+`stack`, `commutators`, `quotients`, `identity_mask`, `distinct`,
+`class_sizes`, `sample_batch`), so statistics are written once for both.
+A stack is a `Batch` of L1-parts for the family and an index array for
+tables.
 """
 
 from __future__ import annotations
@@ -33,9 +37,11 @@ from .errors import (
     OrbitOverflowError,
     ParamsMismatchError,
 )
+from .fieldlin import rank_stack
 
 DEFAULT_ORBIT_CAP = 1 << 16
 DEFAULT_ENUM_CAP = 1 << 14
+_AD_CHUNK_ENTRIES = 1 << 22   # ad-matrix entries per rank_stack call, bounds memory
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -173,9 +179,9 @@ def conjugate(g: GroupElement, by: GroupElement) -> GroupElement:
 class AlgebraGroup:
     """The family group G = 1 + L1 for a fixed parameter set.
 
-    Immutable after construction; cached data (conjugation matrices, class
-    sizes, class list) is built idempotently and is safe for concurrent
-    readers afterwards.
+    Immutable after construction; cached data (the ad structure tensor,
+    conjugation matrices, class list) is built idempotently and is safe for
+    concurrent readers afterwards.
     """
 
     def __init__(self, params: AlgebraParams, orbit_cap: int = DEFAULT_ORBIT_CAP):
@@ -184,7 +190,6 @@ class AlgebraGroup:
         self.dim_l1 = params.dim_l1
         self.order = params.p ** self.dim_l1
         self.identity = GroupElement.identity(params)
-        self._class_size_cache: dict[tuple[int, ...], int] = {}
         self._classes: list[tuple[GroupElement, int]] | None = None
 
     @cached_property
@@ -201,6 +206,20 @@ class AlgebraGroup:
             flat[i] = 1
             out.append(GroupElement.from_coords(self.params, flat))
         return out
+
+    @cached_property
+    def _ad_tensor(self) -> np.ndarray:
+        """(m, r, c): slice k is the matrix of ad_{e_k} = [e_k, .] on the
+        basis of L1, cut to the r rows and c columns that are nonzero for some
+        k (brackets land in grades 2..4, and the grade-4 line is central)."""
+        eng, m = self.batch, self.dim_l1
+        eye = np.eye(m, dtype=np.int64)
+        brackets = eng.lie_bracket(
+            eng.from_coords(np.repeat(eye, m, axis=0)), eng.from_coords(np.tile(eye, (m, 1)))
+        )
+        tensor = eng.coords(brackets).reshape(m, m, m).transpose(0, 2, 1)
+        rows, cols = tensor.any(axis=(0, 2)), tensor.any(axis=(0, 1))
+        return np.ascontiguousarray(tensor[:, rows][:, :, cols])
 
     @cached_property
     def _conj_matrices(self) -> np.ndarray:
@@ -253,8 +272,16 @@ class AlgebraGroup:
     def repeat(self, g: GroupElement, n: int) -> Batch:
         return self.batch.from_coords(np.tile(np.array(g.coords(), dtype=np.int64), (n, 1)))
 
+    def stack(self, elems: Sequence[GroupElement]) -> Batch:
+        flat = np.array([g.coords() for g in elems], dtype=np.int64)
+        return self.batch.from_coords(flat.reshape(len(elems), self.dim_l1))
+
     def commutators(self, a: Batch, b: Batch) -> Batch:
         return self.batch.commutator(a, b)
+
+    def quotients(self, a: Batch, b: Batch) -> Batch:
+        """a b^-1 entrywise."""
+        return self.batch.grp_mul(a, self.batch.grp_inv(b))
 
     def identity_mask(self, a: Batch) -> np.ndarray:
         return self.batch.is_identity(a)
@@ -267,9 +294,22 @@ class AlgebraGroup:
         )
         return self._to_elements(keys), pos.reshape(-1)
 
-    def centralizer_orders(self, a: Batch) -> np.ndarray:
-        elems, pos = self.distinct(a)
-        return np.array([self.centralizer_order(g) for g in elems], dtype=np.int64)[pos]
+    def class_sizes(self, a: Batch) -> np.ndarray:
+        """|(1+a)^G| = p^rank(ad_a) for every entry of the stack.
+
+        int64 while the group order fits it (so order // sizes does too),
+        Python ints otherwise.
+        """
+        p, tensor = self.params.p, self._ad_tensor
+        m, r, c = tensor.shape
+        flat = self.batch.coords(a)
+        chunk = max(1, _AD_CHUNK_ENTRIES // max(1, r * c))
+        ranks = np.concatenate([
+            rank_stack((flat[i : i + chunk] @ tensor.reshape(m, r * c)).reshape(-1, r, c), p)
+            for i in range(0, max(len(flat), 1), chunk)
+        ])
+        dtype = np.int64 if self.order < 1 << 63 else object
+        return np.array(p, dtype=dtype) ** ranks.astype(dtype)
 
     def sample_batch(self, rng: np.random.Generator, count: int) -> Batch:
         return self.batch.random_l1(rng, count)
@@ -304,17 +344,8 @@ class AlgebraGroup:
             out.add(GroupElement.from_coords(self.params, tuple(int(v) for v in flat)))
         return out
 
-    def class_size(self, g: GroupElement, cap: int | None = None) -> int:
-        key = g.coords()
-        size = self._class_size_cache.get(key)
-        if size is None:
-            cap = self.orbit_cap if cap is None else cap
-            orbit = self._orbit_coords(np.array(key, dtype=np.int64), cap)
-            size = len(orbit)
-            for member in orbit:
-                flat = np.frombuffer(member, dtype=np.uint8)
-                self._class_size_cache[tuple(int(v) for v in flat)] = size
-        return size
+    def class_size(self, g: GroupElement) -> int:
+        return int(self.class_sizes(self.stack([g]))[0])
 
     def centralizer_order(self, g: GroupElement) -> int:
         return self.order // self.class_size(g)
@@ -333,9 +364,7 @@ class AlgebraGroup:
                 continue
             orbit = self._orbit_coords(np.array(g.coords(), dtype=np.int64), self.orbit_cap)
             seen |= orbit
-            size = len(orbit)
-            self._class_size_cache.setdefault(g.coords(), size)
-            classes.append((g, size))
+            classes.append((g, len(orbit)))
         self._classes = classes
         return classes
 
@@ -439,10 +468,17 @@ class TableGroup:
     def repeat(self, g: int, n: int) -> np.ndarray:
         return np.full(n, g, dtype=np.int64)
 
+    def stack(self, elems: Sequence[int]) -> np.ndarray:
+        return np.array(elems, dtype=np.int64)
+
     def commutators(self, a, b) -> np.ndarray:
         """[a, b] = a^-1 b^-1 a b entrywise; index arrays broadcast like numpy."""
         t, inv = self.table, self.inv_table
         return t[t[inv[a], inv[b]], t[a, b]]
+
+    def quotients(self, a, b) -> np.ndarray:
+        """a b^-1 entrywise."""
+        return self.table[a, self.inv_table[b]]
 
     def identity_mask(self, a: np.ndarray) -> np.ndarray:
         return a == 0
@@ -451,10 +487,10 @@ class TableGroup:
         values, pos = np.unique(a, return_inverse=True)
         return [int(v) for v in values], pos.reshape(-1)
 
-    def centralizer_orders(self, a: np.ndarray) -> np.ndarray:
+    def class_sizes(self, a) -> np.ndarray:
         self._ensure_classes()
         assert self._class_sizes is not None
-        return self.order // self._class_sizes[a]
+        return self._class_sizes[a]
 
     def conjugacy_orbit(self, g: int, cap: int | None = None) -> set[int]:
         t = self.table
@@ -487,9 +523,7 @@ class TableGroup:
         return self._classes
 
     def class_size(self, g: int) -> int:
-        self._ensure_classes()
-        assert self._class_sizes is not None
-        return int(self._class_sizes[g])
+        return int(self.class_sizes(g))
 
     def centralizer_order(self, g: int) -> int:
         """Exact loop: count h with gh = hg."""

@@ -25,6 +25,7 @@ DEFAULT_SEED = 1729
 D1_CAP = 1 << 16
 D2_CAP = 1 << 10
 COVER_PAIR_CAP = 1 << 24
+COVER_CHUNK = 1 << 12
 MC_CHUNK = 1 << 16
 
 Group = Union[AlgebraGroup, TableGroup]
@@ -87,12 +88,12 @@ def clopper_pearson(hits: int, samples: int, confidence: float = 0.99) -> tuple[
 
 
 def d1_exact(G: Group, cap: int = D1_CAP) -> StatReport:
-    """Commuting probability: number of conjugacy classes over |G|."""
+    """Commuting probability: sum of centralizer orders over |G|^2."""
     t0 = time.perf_counter()
     if G.order > cap:
         raise CapExceededError(f"|G| = {G.order} exceeds d1 cap {cap}")
-    k = len(G.conjugacy_classes())
-    return StatReport("exact", Fraction(k, G.order), elapsed_s=time.perf_counter() - t0)
+    total = int((G.order // G.class_sizes(G.all_elements(cap))).sum())
+    return StatReport("exact", Fraction(total, G.order**2), elapsed_s=time.perf_counter() - t0)
 
 
 def d2_exact(G: Group, cap: int = D2_CAP) -> StatReport:
@@ -106,7 +107,7 @@ def d2_exact(G: Group, cap: int = D2_CAP) -> StatReport:
     total = 0
     for rep, size in G.conjugacy_classes():
         comms = G.commutators(G.repeat(rep, order), elems)
-        total += size * int(G.centralizer_orders(comms).sum())
+        total += size * int((order // G.class_sizes(comms)).sum())
     return StatReport("exact", Fraction(total, order**3), elapsed_s=time.perf_counter() - t0)
 
 
@@ -182,9 +183,11 @@ def commutator_set(G: Group, cap: int = COVER_PAIR_CAP) -> list:
     return sorted(out)
 
 
-def _in_ball_s(G: Group, x, s, n: int) -> bool:
-    """x within B*s, i.e. class_size(x * s^-1) <= n."""
-    return G.class_size(G.mul(x, G.inverse(s))) <= n
+def _ball_masks(G: Group, xs, count: int, S: Sequence, n: int) -> np.ndarray:
+    """(len(S), count) mask: row j marks the entries x of the stack xs that
+    lie in B*S[j], i.e. |(x S[j]^-1)^G| <= n."""
+    rows = [G.class_sizes(G.quotients(xs, G.repeat(s, count))) <= n for s in S]
+    return np.array(rows, dtype=bool).reshape(len(S), count)
 
 
 def covering_check(
@@ -200,24 +203,27 @@ def covering_check(
     S = list(S)
     if mode == "exhaustive":
         comms = commutator_set(G, cap)
-        checked = 0
-        for c in comms:
-            if not any(_in_ball_s(G, c, s, n) for s in S):
-                return CoveringWitness(
-                    n, S, Fraction(checked, len(comms)), c, True, len(comms)
-                )
-            checked += 1
-        return CoveringWitness(n, S, Fraction(1), None, True, len(comms))
+        covered = _ball_masks(G, G.stack(comms), len(comms), S, n).any(axis=0)
+        if covered.all():
+            return CoveringWitness(n, S, Fraction(1), None, True, len(comms))
+        i = int(np.argmin(covered))
+        return CoveringWitness(n, S, Fraction(i, len(comms)), comms[i], True, len(comms))
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
-    checked = 0
-    for _ in range(samples):
-        g, h = G.random_elements(rng, 2)
-        c = G.commutator(g, h)
-        if not any(_in_ball_s(G, c, s, n) for s in S):
-            return CoveringWitness(n, S, Fraction(checked, samples), c, False, samples)
-        checked += 1
+    start, chunk = 0, 64
+    while start < samples:
+        # one pair per sample, in sample order, so the first failing sample of
+        # a seed does not depend on the chunking; chunks grow so that an early
+        # failure costs little
+        pairs = [G.random_elements(rng, 2) for _ in range(min(chunk, samples - start))]
+        comms = G.commutators(G.stack([g for g, _ in pairs]), G.stack([h for _, h in pairs]))
+        covered = _ball_masks(G, comms, len(pairs), S, n).any(axis=0)
+        if not covered.all():
+            i = int(np.argmin(covered))
+            c = G.commutator(*pairs[i])
+            return CoveringWitness(n, S, Fraction(start + i, samples), c, False, samples)
+        start, chunk = start + len(pairs), min(2 * chunk, COVER_CHUNK)
     return CoveringWitness(n, S, Fraction(1), None, False, samples)
 
 
@@ -233,10 +239,8 @@ def covering_minimal_S(
         raise ValueError("covering bound n must be >= 1")
     comms = commutator_set(G, cap)
     universe = set(range(len(comms)))
-    balls = []
-    for s in comms:
-        covered = frozenset(i for i, c in enumerate(comms) if _in_ball_s(G, c, s, n))
-        balls.append(covered)
+    masks = _ball_masks(G, G.stack(comms), len(comms), comms, n)
+    balls = [frozenset(np.flatnonzero(row).tolist()) for row in masks]
 
     chosen: list[int] = []
     uncovered = set(universe)
@@ -285,8 +289,7 @@ def covering_for_subgroup(
     Hgrp, mapping = subgroup_table(G, members)
     pos = {g: i for i, g in enumerate(mapping)}
     s_prime: list[int] = []
-    for s in S:
-        hit = next((h for h in members if _in_ball_s(G, h, s, n)), None)
-        if hit is not None:
-            s_prime.append(pos[hit])
+    for row in _ball_masks(G, G.stack(members), len(members), S, n):
+        if row.any():
+            s_prime.append(pos[members[int(np.argmax(row))]])
     return n * n, Hgrp, s_prime

@@ -1,8 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from nilprob.algebra import AlgebraParams
 from nilprob.groups import AlgebraGroup
 from nilprob.tables import corpus
+
+# Fixed examples on every run, no per-example deadline (numpy's first calls
+# are slow), and a bounded count so tier-1 stays quick.
+settings.register_profile("nilprob", derandomize=True, deadline=None, max_examples=200)
+settings.load_profile("nilprob")
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +34,11 @@ def family21(params21) -> AlgebraGroup:
 @pytest.fixture(scope="session")
 def family22(params22) -> AlgebraGroup:
     return AlgebraGroup(params22)
+
+
+@pytest.fixture(scope="session")
+def family31(params31) -> AlgebraGroup:
+    return AlgebraGroup(params31)
 
 
 @pytest.fixture(scope="session")

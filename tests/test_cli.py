@@ -37,6 +37,13 @@ class TestCommands:
         assert (rep["value_num"], rep["value_den"]) == (65, 128)
         assert rep["value_num"] * 8 >= rep["value_den"]   # >= 1/8
 
+    def test_d1_family_p3_exact(self, capsys):
+        # |G| = 19683 lies under the d1 cap (2^16) but over the 2^14 enumeration cap
+        code, out = run_cli(capsys, "d1", "--family", "--p", "3", "--n", "1", "--exact")
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert (report["value_num"], report["value_den"]) == (43, 2187)
+
     def test_d1_table_s3(self, capsys):
         code, out = run_cli(capsys, "d1", "--table", str(corpus_path("s3")), "--exact")
         assert code == 0
@@ -163,6 +170,16 @@ class TestExitCodes:
         code = main(["cover", "--table", "corpus:s3", "--n-bound", "1", "--s", "foo"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: unsupported --s")
+
+    @pytest.mark.parametrize("index", ["99", "-1"])
+    def test_s_file_index_out_of_range_is_two(self, capsys, tmp_path, index):
+        s_file = tmp_path / "s.txt"
+        s_file.write_text(f"0\n{index}\n")
+        code = main(["cover", "--table", "corpus:s3", "--n-bound", "1", "--s-file", str(s_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --s-file index {index} outside [0, 6)\n"
 
 
 class TestOutput:

@@ -1,10 +1,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nilprob.errors import DimensionMismatchError
 from nilprob.fieldlin import (
+    SUPPORTED_PRIMES,
     BilinearForm,
     FpVector,
     antisymm_part,
@@ -17,6 +21,7 @@ from nilprob.fieldlin import (
     nullspace,
     parse_form,
     rank,
+    rank_stack,
     slice_kernel,
     symm_part,
 )
@@ -222,3 +227,32 @@ class TestFormIO:
             parse_form("2 2\n0 1\n0 7")
         with pytest.raises(ValueError):
             parse_form("9 1\n0")
+
+
+@st.composite
+def matrix_stacks(draw):
+    """(p, stack): square, wide and tall shapes; full, all-zero or low-rank."""
+    p = draw(st.sampled_from(SUPPORTED_PRIMES))
+    n, rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    digits = st.integers(0, p - 1)
+    kind = draw(st.sampled_from(("full", "zero", "low")))
+    if kind == "zero":
+        return p, np.zeros((n, rows, cols), dtype=np.int64)
+    if kind == "full":
+        return p, draw(hnp.arrays(np.int64, (n, rows, cols), elements=digits))
+    inner = draw(st.integers(1, min(rows, cols)))
+    left = draw(hnp.arrays(np.int64, (n, rows, inner), elements=digits))
+    right = draw(hnp.arrays(np.int64, (n, inner, cols), elements=digits))
+    return p, left @ right
+
+
+class TestRankStack:
+    @given(matrix_stacks())
+    def test_matches_matrix_rank(self, case):
+        p, mats = case
+        expected = [matrix_rank(m.tolist(), p) for m in mats]
+        assert rank_stack(mats, p).tolist() == expected
+
+    def test_empty_stack_and_zero_columns(self):
+        assert rank_stack(np.zeros((0, 3, 4), dtype=np.int64), 3).shape == (0,)
+        assert rank_stack(np.zeros((2, 3, 0), dtype=np.int64), 5).tolist() == [0, 0]

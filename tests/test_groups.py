@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from nilprob.algebra import AlgebraElement, alg_add, alg_mul, lie_bracket
+from nilprob.algebra import AlgebraElement, AlgebraParams, alg_add, alg_mul, lie_bracket
 from nilprob.errors import (
     CayleyAssociativityError,
     CayleyIdentityError,
@@ -11,6 +13,7 @@ from nilprob.errors import (
     ParamsMismatchError,
 )
 from nilprob.groups import (
+    AlgebraGroup,
     GroupElement,
     commutator,
     conjugate,
@@ -160,6 +163,42 @@ class TestOrbits:
         classes = family21.conjugacy_classes()
         assert sum(size for _, size in classes) == family21.order
         assert all(family21.order % size == 0 for _, size in classes)
+
+
+class TestClassSizes:
+    """Class sizes by rank, p^rank(ad_a), against orbit closure."""
+
+    @pytest.mark.parametrize("name", ["family21", "family31"])
+    def test_match_orbit_closure_on_every_element(self, request, name):
+        G = request.getfixturevalue(name)
+        covered = 0
+        for rep, size in G.conjugacy_classes(cap=1 << 15):
+            orbit = sorted(G.conjugacy_orbit(rep))
+            assert len(orbit) == size
+            assert G.class_sizes(G.stack(orbit)).tolist() == [size] * size
+            covered += size
+        assert covered == G.order
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_match_orbit_closure_seeded_n2(self, p):
+        G = AlgebraGroup(AlgebraParams.hyperbolic(p, 2))
+        rng = np.random.default_rng(20 + p)
+        # generic classes have p^8 members: few at p = 3, where closing one takes seconds
+        elems = G.random_elements(rng, 6 if p == 2 else 2)
+        pairs = G.random_elements(rng, 12)
+        elems += [commutator(g, h) for g, h in zip(pairs[::2], pairs[1::2])]
+        sizes = G.class_sizes(G.stack(elems)).tolist()
+        assert sizes == [len(G.conjugacy_orbit(g)) for g in elems]
+        assert sizes == [G.class_size(g) for g in elems]
+        assert all(G.centralizer_order(g) * s == G.order for g, s in zip(elems, sizes))
+
+    def test_exact_beyond_int64_order(self):
+        # |G| = 3^49: sizes are Python ints, so order // size stays exact
+        G = AlgebraGroup(AlgebraParams.hyperbolic(3, 3))
+        g = G.random_elements(np.random.default_rng(4), 1)[0]
+        size = G.class_size(g)
+        rank = round(math.log(size, 3))
+        assert size == 3**rank and G.centralizer_order(g) == 3 ** (49 - rank)
 
 
 class TestTableGroup:

@@ -30,6 +30,18 @@ def d2_brute(G):
     return Fraction(hits, m**3)
 
 
+def sampled_cover_reference(G, n, S, samples, seed):
+    """One pair per sample with ball sizes by orbit closure: (index of the
+    first commutator outside B*S, that commutator), or (samples, None)."""
+    rng = np.random.default_rng(seed)
+    for i in range(samples):
+        g, h = G.random_elements(rng, 2)
+        c = G.commutator(g, h)
+        if not any(len(G.conjugacy_orbit(G.mul(c, G.inverse(s)))) <= n for s in S):
+            return i, c
+    return samples, None
+
+
 class TestD1:
     def test_abelian_is_one(self):
         assert stats.d1_exact(corpus_group("c6")).value == 1
@@ -60,6 +72,13 @@ class TestD1:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             stats.d1_exact(corpus_group("a4"), cap=4)
+
+    def test_family_p3_n1_sums_past_the_enumeration_cap(self, family31):
+        # |G| = 3^9 = 19683 > 2^14, the default enumeration cap
+        assert stats.d1_exact(family31).value == Fraction(43, 2187)
+        # independent count by orbit closure: d1 = (number of classes) / |G|
+        assert len(family31.conjugacy_classes(cap=1 << 15)) == 387
+        assert Fraction(387, family31.order) == Fraction(43, 2187)
 
     def test_family_d1(self, family21):
         # 56 classes over 512 elements; frozen after the class partition was
@@ -252,6 +271,27 @@ class TestCovering:
         assert (w.ok, w.exhaustive, w.checked, w.counterexample) == (True, False, 500, None)
         w = stats.covering_check(A4, 1, [0], mode="sampled", samples=500, seed=3)
         assert (w.checked, w.counterexample, w.verified_fraction) == (500, 8, 0)
+
+    def test_sampled_matches_per_sample_loop(self, family21, family22):
+        s3 = symmetric3()
+        s3_cubed = direct_product(direct_product(s3, s3), s3)
+        rrr = 3 * 36 + 3 * 6 + 3          # (r, r, r) with r = 3 of order 3 in s3
+        comm = stats.commutator_set(s3_cubed)
+        cases = [
+            (family21, 2, [family21.identity]),
+            (family22, 4, [family22.identity]),
+            (corpus_group("a4"), 1, [0, 3]),
+            # P([x, y] = (r, r, r)) = 1/64, so failures land past the first chunk
+            (s3_cubed, 1, [c for c in comm if c != rrr]),
+        ]
+        late = 0
+        for G, n, S in cases:
+            for seed in range(6):
+                w = stats.covering_check(G, n, S, mode="sampled", samples=300, seed=seed)
+                index, counterexample = sampled_cover_reference(G, n, S, 300, seed)
+                assert (w.verified_fraction, w.counterexample) == (Fraction(index, 300), counterexample)
+                late = max(late, index)
+        assert late >= 64
 
     def test_monotone_in_n_and_s(self, corpus_groups):
         # a passing check never turns failing when n grows or S gains elements
