@@ -1,8 +1,26 @@
 """Vectorized engine for stacks of graded-algebra elements.
 
-Mirrors the scalar formulas in `algebra` with numpy einsums; the two
-implementations are cross-checked by tests.  Stacks hold int64 arrays and
-every product reduces mod p, so intermediate values stay tiny.
+Stacks hold one int64 array per grade.  Every product goes through
+`BatchAlg._prod`, the grade 2..4 part of the product of two L1 parts (an
+L1 product has no grade-0 or grade-1 part), with its contractions written
+as matmuls: the R2 x R2 -> R4 term <A F B, F> is one bilinear form on
+flattened d^2 vectors, vec(A) M vec(B) with M[(i,k),(l,j)] = F_kl F_ij.
+Each output component is summed exactly and reduced mod p once, at the
+end.
+
+The group operations on L1 stacks (g = 1 + a, h = 1 + b) are closed forms
+by grade:
+
+    g h     = 1 + a + b + ab
+    g^-1    = 1 + v,  v = -a - a v, solved one grade at a time
+    [g, h]  = g^-1 h^-1 g h = 1 + g^-1 h^-1 (ab - ba) = 1 + c + u c
+
+since gh - hg = ab - ba = c.  c lies in grades >= 2 and grades above 4
+vanish, so only the grade <= 2 part u of g^-1 h^-1 - 1 matters:
+u1 = -(a1 + b1) and U2 = -A2 - B2 + a1 (a1 + b1)^T + b1 b1^T.
+
+The scalar formulas in `algebra` and `groups` are the independent oracle;
+the tests cross-check the two.
 """
 
 from __future__ import annotations
@@ -28,14 +46,58 @@ class Batch(NamedTuple):
         return self.c0.shape[0]
 
 
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("ni,nj->nij", x, y)
+
+
+def _vecmat(x: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """x^T A for every entry of the stack."""
+    return (x[:, None, :] @ A)[:, 0]
+
+
+def _matvec(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A y for every entry of the stack."""
+    return (A @ y[:, :, None])[:, :, 0]
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("nj,nj->n", x, y)
+
+
+def _cut(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M restricted to its nonzero rows and columns (for the hyperbolic form
+    at d = 4, the 16 x 16 M keeps 4 rows and 4 columns)."""
+    rows, cols = np.flatnonzero(M.any(axis=1)), np.flatnonzero(M.any(axis=0))
+    return rows, cols, M[np.ix_(rows, cols)]
+
+
+def _bilinear(X: np.ndarray, Y: np.ndarray, cut: tuple) -> np.ndarray:
+    """vec(X) M vec(Y) for every entry of two (N, d^2) stacks; cut = _cut(M)."""
+    rows, cols, block = cut
+    return _dot(np.take(X, rows, axis=1) @ block, np.take(Y, cols, axis=1))
+
+
 class BatchAlg:
     """Algebra arithmetic over stacks, bound to one parameter set."""
 
     def __init__(self, params: AlgebraParams):
         self.params = params
-        self.p = params.p
-        self.d = params.d
-        self.F = np.array(params.form.coeffs, dtype=np.int64)
+        p, d = params.p, params.d
+        self.p, self.d = p, d
+        F = np.array(params.form.coeffs, dtype=np.int64)
+        self.F = F
+        self.FS = (F + F.T) % p
+        self.FA = (F - F.T) % p
+        self.vecF = F.reshape(d * d)
+        # <A F B, F> = vec(A) M vec(B), and M - M^T gives <AFB - BFA, F>.
+        M = np.einsum("kl,ij->iklj", F, F).reshape(d * d, d * d)
+        self.M = _cut(M)
+        self.MA = _cut((M - M.T) % p)
+
+    def _mod(self, x: np.ndarray) -> np.ndarray:
+        # numpy has a fast path for integer floor division by a scalar that
+        # its integer `%` lacks (about 3x on int64 stacks).
+        return x - x // self.p * self.p
 
     def zeros(self, n: int) -> Batch:
         d = self.d
@@ -45,20 +107,6 @@ class BatchAlg:
             np.zeros((n, d, d), dtype=np.int64),
             np.zeros((n, d), dtype=np.int64),
             np.zeros(n, dtype=np.int64),
-        )
-
-    def ones(self, n: int) -> Batch:
-        out = self.zeros(n)
-        out.c0[:] = 1
-        return out
-
-    def from_elements(self, elems: Sequence[AlgebraElement]) -> Batch:
-        return Batch(
-            np.array([e.c0 for e in elems], dtype=np.int64),
-            np.array([e.r1 for e in elems], dtype=np.int64),
-            np.array([e.r2 for e in elems], dtype=np.int64),
-            np.array([e.r3 for e in elems], dtype=np.int64),
-            np.array([e.c4 for e in elems], dtype=np.int64),
         )
 
     def to_elements(self, b: Batch) -> list[AlgebraElement]:
@@ -75,53 +123,41 @@ class BatchAlg:
         ]
 
     def add(self, a: Batch, b: Batch) -> Batch:
-        p = self.p
-        return Batch(*(np.mod(x + y, p) for x, y in zip(a, b)))
+        return Batch(*(self._mod(x + y) for x, y in zip(a, b)))
 
     def neg(self, a: Batch) -> Batch:
-        p = self.p
-        return Batch(*(np.mod(-x, p) for x in a))
+        return Batch(*(self._mod(-x) for x in a))
 
     def sub(self, a: Batch, b: Batch) -> Batch:
-        p = self.p
-        return Batch(*(np.mod(x - y, p) for x, y in zip(a, b)))
+        return Batch(*(self._mod(x - y) for x, y in zip(a, b)))
+
+    def _prod(self, a1, A, a3, b1, B, b3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Grades 2, 3, 4 of (a1 + A + a3)(b1 + B + b3), unreduced:
+
+            R1 R1               -> R2: a1 b1^T
+            R1 R2, R2 R1        -> R3: <B,F> a1 + a1^T F B + <A,F> b1 + A F b1
+            R1 R3, R3 R1, R2 R2 -> R4: a1^T F b3 + a3^T F b1 + <A,F><B,F>
+                                       + vec(A) M vec(B)
+        """
+        n, dd, F = len(a1), self.d * self.d, self.F
+        Af, Bf = A.reshape(n, dd), B.reshape(n, dd)
+        tA, tB = Af @ self.vecF, Bf @ self.vecF
+        r3 = tB[:, None] * a1 + tA[:, None] * b1 + _vecmat(a1 @ F, B) + _matvec(A, b1 @ F.T)
+        c4 = _dot(a1 @ F, b3) + _dot(a3 @ F, b1) + tA * tB + _bilinear(Af, Bf, self.M)
+        return _outer(a1, b1), r3, c4
 
     def mul(self, a: Batch, b: Batch) -> Batch:
-        p, F = self.p, self.F
-        a0, a1, A2, a3, a4 = a
-        b0, b1, B2, b3, b4 = b
-
-        c0 = a0 * b0 % p
-        r1 = (a0[:, None] * b1 + b0[:, None] * a1) % p
-        r2 = (a0[:, None, None] * B2 + b0[:, None, None] * A2 + a1[:, :, None] * b1[:, None, :]) % p
-
-        tA = np.einsum("nij,ij->n", A2, F) % p
-        tB = np.einsum("nij,ij->n", B2, F) % p
-        a1F = a1 @ F % p
-        Fb1 = b1 @ F.T % p
-        a3F = a3 @ F % p
-
-        r3 = (
-            a0[:, None] * b3
-            + b0[:, None] * a3
-            + tB[:, None] * a1
-            + np.einsum("ni,nij->nj", a1F, B2)
-            + tA[:, None] * b1
-            + np.einsum("nji,ni->nj", A2, Fb1)
-        ) % p
-
-        AF = np.einsum("nik,kj->nij", A2, F) % p
-        AFB = np.einsum("nik,nkj->nij", AF, B2) % p
-        c4 = (
-            a0 * b4
-            + b0 * a4
-            + np.einsum("nj,nj->n", a1F, b3)
-            + np.einsum("nj,nj->n", a3F, b1)
-            + tA * tB
-            + np.einsum("nij,ij->n", AFB, F)
-        ) % p
-
-        return Batch(c0, r1, r2, r3, c4)
+        """(a0 + a')(b0 + b') = a0 b0 + a0 b' + b0 a' + a' b' for any stacks."""
+        a0, b0 = a.c0[:, None], b.c0[:, None]
+        w2, w3, w4 = self._prod(a.r1, a.r2, a.r3, b.r1, b.r2, b.r3)
+        m = self._mod
+        return Batch(
+            m(a.c0 * b.c0),
+            m(a0 * b.r1 + b0 * a.r1),
+            m(a0[:, :, None] * b.r2 + b0[:, :, None] * a.r2 + w2),
+            m(a0 * b.r3 + b0 * a.r3 + w3),
+            m(a.c0 * b.c4 + b.c0 * a.c4 + w4),
+        )
 
     def lie_bracket(self, a: Batch, b: Batch) -> Batch:
         return self.sub(self.mul(a, b), self.mul(b, a))
@@ -133,44 +169,64 @@ class BatchAlg:
 
     # Closed-form brackets on (N, d) vector stacks.
 
-    def _fs(self) -> np.ndarray:
-        return (self.F + self.F.T) % self.p
-
-    def _fa(self) -> np.ndarray:
-        return (self.F - self.F.T) % self.p
-
     def lie3(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        p = self.p
-        FS = self._fs()
-        fs_yz = np.einsum("ni,ij,nj->n", y, FS, z) % p
-        fs_xz = np.einsum("ni,ij,nj->n", x, FS, z) % p
-        return (fs_yz[:, None] * x - fs_xz[:, None] * y) % p
+        fs_yz = _dot(y @ self.FS, z)
+        fs_xz = _dot(x @ self.FS, z)
+        return self._mod(fs_yz[:, None] * x - fs_xz[:, None] * y)
 
     def lie4(self, x: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        p = self.p
-        FS, FA = self._fs(), self._fa()
-        fa_xw = np.einsum("ni,ij,nj->n", x, FA, w) % p
-        fs_yz = np.einsum("ni,ij,nj->n", y, FS, z) % p
-        fa_yw = np.einsum("ni,ij,nj->n", y, FA, w) % p
-        fs_xz = np.einsum("ni,ij,nj->n", x, FS, z) % p
-        return (fa_xw * fs_yz - fa_yw * fs_xz) % p
+        FS, FA = self.FS, self.FA
+        return self._mod(
+            _dot(x @ FA, w) * _dot(y @ FS, z) - _dot(y @ FA, w) * _dot(x @ FS, z)
+        )
 
     # Group operations on L1 stacks (c0 identically 0).
 
     def grp_mul(self, a: Batch, b: Batch) -> Batch:
-        return self.add(self.add(a, b), self.mul(a, b))
+        """(1+a)(1+b) = 1 + a + b + ab."""
+        w2, w3, w4 = self._prod(a.r1, a.r2, a.r3, b.r1, b.r2, b.r3)
+        m = self._mod
+        return Batch(
+            np.zeros(a.count, dtype=np.int64),
+            m(a.r1 + b.r1),
+            m(a.r2 + b.r2 + w2),
+            m(a.r3 + b.r3 + w3),
+            m(a.c4 + b.c4 + w4),
+        )
 
     def grp_inv(self, a: Batch) -> Batch:
-        # (1+a)^-1 = 1 - a + a^2 - a^3 + a^4; the series stops at grade 4.
-        sq = self.mul(a, a)
-        cube = self.mul(sq, a)
-        quad = self.mul(cube, a)
-        return self.add(self.sub(self.sub(sq, a), cube), quad)
+        """(1+a)^-1 = 1 + v with v = -a - a v, solved one grade at a time."""
+        a1, A, a3 = a.r1, a.r2, a.r3
+        v1 = -a1
+        V = _outer(a1, a1) - A
+        _, w3, w4 = self._prod(a1, A, a3, v1, V, np.zeros_like(a3))
+        v3 = -a3 - w3
+        # The R1 x R3 term of a v needs v3, so it joins after.
+        v4 = -a.c4 - w4 - _dot(a1 @ self.F, v3)
+        m = self._mod
+        return Batch(np.zeros(a.count, dtype=np.int64), m(v1), m(V), m(v3), m(v4))
 
     def commutator(self, a: Batch, b: Batch) -> Batch:
-        ia = self.grp_inv(a)
-        ib = self.grp_inv(b)
-        return self.grp_mul(self.grp_mul(ia, ib), self.grp_mul(a, b))
+        """[1+a, 1+b] = 1 + c + u c with c = ab - ba (see the module docstring)."""
+        a1, A, a3, b1, B, b3 = a.r1, a.r2, a.r3, b.r1, b.r2, b.r3
+        n, dd, F = a.count, self.d * self.d, self.F
+        # c = ab - ba.  The <A,F> b1, <B,F> a1 and <A,F><B,F> terms cancel;
+        # the R1 x R3 and R2 x R2 terms pair up into F - F^T and M - M^T.
+        C = _outer(a1, b1) - _outer(b1, a1)
+        c3 = (
+            _vecmat(a1 @ F, B) + _matvec(A, b1 @ F.T)
+            - _vecmat(b1 @ F, A) - _matvec(B, a1 @ F.T)
+        )
+        c4 = (
+            _dot(a1 @ self.FA, b3) + _dot(a3 @ self.FA, b1)
+            + _bilinear(A.reshape(n, dd), B.reshape(n, dd), self.MA)
+        )
+        s = a1 + b1
+        U = _outer(a1, s) + _outer(b1, b1) - A - B
+        zero = np.zeros_like(a1)
+        _, w3, w4 = self._prod(-s, U, zero, zero, C, c3)
+        m = self._mod
+        return Batch(np.zeros(n, dtype=np.int64), zero, m(C), m(c3 + w3), m(c4 + w4))
 
     def long_commutator(self, stacks: Sequence[Batch]) -> Batch:
         if len(stacks) < 2:

@@ -1,8 +1,12 @@
 """The vectorized engine must agree with the scalar implementation
 everywhere: same formulas, two independent code paths."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nilprob._batch import BatchAlg
 from nilprob.algebra import (
@@ -12,7 +16,7 @@ from nilprob.algebra import (
     lie3_closed,
     lie4_closed,
 )
-from nilprob.fieldlin import FpVector
+from nilprob.fieldlin import SUPPORTED_PRIMES, FpVector
 from nilprob.groups import GroupElement, commutator, grp_inv, grp_mul, long_commutator
 
 PARAMS = [(2, 1), (2, 2), (3, 1), (5, 1), (7, 1)]
@@ -128,3 +132,80 @@ def test_is_identity():
     assert eng.is_identity(z).all()
     z.r1[1, 0] = 1
     assert list(eng.is_identity(z)) == [True, False, True]
+
+
+# Definitional group operations composed from the general `mul`: a second
+# route to each closed-form kernel, independent of its grade algebra.
+
+
+def def_grp_mul(eng, a, b):
+    return eng.add(eng.add(a, b), eng.mul(a, b))
+
+
+def def_grp_inv(eng, a):
+    # (1+a)^-1 = 1 - a + a^2 - a^3 + a^4
+    sq = eng.mul(a, a)
+    cube = eng.mul(sq, a)
+    quad = eng.mul(cube, a)
+    return eng.add(eng.sub(eng.sub(sq, a), cube), quad)
+
+
+def def_commutator(eng, a, b):
+    ia, ib = def_grp_inv(eng, a), def_grp_inv(eng, b)
+    return def_grp_mul(eng, def_grp_mul(eng, ia, ib), def_grp_mul(eng, a, b))
+
+
+def batch_equal(x, y):
+    return all(np.array_equal(u, v) for u, v in zip(x, y))
+
+
+@st.composite
+def l1_stack_pairs(draw):
+    """(engine, a, b): uniform L1 stacks, commutator-valued stacks (r1 = 0,
+    as MC feeds [x,y] back into [[x,y],z]), or stacks with identity rows."""
+    p = draw(st.sampled_from(SUPPORTED_PRIMES))
+    n = draw(st.integers(1, 3))
+    size = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("uniform", "commutator", "identity rows")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eng = BatchAlg(AlgebraParams.hyperbolic(p, n))
+    a, b = eng.random_l1(rng, size), eng.random_l1(rng, size)
+    if kind == "commutator":
+        a = def_commutator(eng, a, eng.random_l1(rng, size))
+    elif kind == "identity rows":
+        keep = rng.integers(0, 2, size=(2, size)).astype(bool)
+        a, b = (eng.from_coords(eng.coords(s) * k[:, None]) for s, k in zip((a, b), keep))
+    return eng, a, b
+
+
+@given(l1_stack_pairs())
+def test_closed_form_group_ops_match_definitions_and_scalar(case):
+    eng, a, b = case
+    comm, inv, prod = eng.commutator(a, b), eng.grp_inv(a), eng.grp_mul(a, b)
+    assert batch_equal(comm, def_commutator(eng, a, b))
+    assert batch_equal(inv, def_grp_inv(eng, a))
+    assert batch_equal(prod, def_grp_mul(eng, a, b))
+    assert eng.is_identity(eng.grp_mul(a, inv)).all()
+
+    def group_elements(stack):
+        return [GroupElement.from_l1(e) for e in eng.to_elements(stack)]
+
+    ga, gb = group_elements(a), group_elements(b)
+    assert group_elements(comm) == [commutator(x, y) for x, y in zip(ga, gb)]
+    assert group_elements(inv) == [grp_inv(x) for x in ga]
+    assert group_elements(prod) == [grp_mul(x, y) for x, y in zip(ga, gb)]
+
+
+def test_traced_batch_methods_are_own_attributes():
+    # The benchmark's tracer wraps BatchAlg.__dict__[name] for each listed
+    # name, so a renamed or inherited method would break `--trace 1`.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "metrics.py"
+    spec = importlib.util.spec_from_file_location("perfbench_metrics", path)
+    metrics = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(metrics)
+    names = [
+        attr for _, module, cls, attr in metrics.SPANS
+        if (module, cls) == ("nilprob._batch", "BatchAlg")
+    ]
+    assert names
+    assert [name for name in names if name not in BatchAlg.__dict__] == []

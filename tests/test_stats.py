@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nilprob.algebra import AlgebraParams
 from nilprob.errors import CapExceededError
-from nilprob.groups import direct_product, quotient_table
+from nilprob.groups import AlgebraGroup, direct_product, quotient_table
 from nilprob.structure import subgroups
 from nilprob.tables import corpus_group, symmetric3
 from nilprob import stats
@@ -169,6 +170,16 @@ class TestMonteCarlo:
         key = lambda r: (r.value, r.ci_low, r.ci_high, r.samples, r.seed)
         assert key(a) == key(b)
         assert a.value == 0.5541614748887476    # the seeded draws stay fixed
+
+    @pytest.mark.parametrize("p,n,chunks,hits", [(2, 2, 2, 27057), (3, 2, 1, 3543)])
+    def test_family_seeded_hits_pinned(self, p, n, chunks, hits):
+        # Hit counts measured before the batch kernels took their closed
+        # forms: the random draws and the kernel outputs both stay fixed.
+        G = AlgebraGroup(AlgebraParams.hyperbolic(p, n))
+        samples = chunks * stats.MC_CHUNK
+        for threads in (1, 2):
+            rep = stats.dk_monte_carlo(G, 2, samples, seed=123, threads=threads)
+            assert rep.value == hits / samples
 
     def test_validation(self, family21):
         with pytest.raises(ValueError):
