@@ -12,8 +12,6 @@ from .algebra import (
     alg_scale,
     alg_sub,
     basis_elements,
-    lie3_closed,
-    lie4_closed,
     lie_bracket,
 )
 from .fieldlin import (

@@ -1,4 +1,8 @@
-"""Vectorized engine for stacks of graded-algebra elements.
+"""The arithmetic engine: products of graded-algebra elements, on stacks.
+
+This is the only place where products are computed.  `algebra.alg_mul`
+and `groups.grp_mul` / `grp_inv` are calls on one-element stacks, through
+the engine each `AlgebraParams` shares as `params.engine`.
 
 Stacks hold one int64 array per grade.  Every product goes through
 `BatchAlg._prod`, the grade 2..4 part of the product of two L1 parts (an
@@ -19,8 +23,8 @@ since gh - hg = ab - ba = c.  c lies in grades >= 2 and grades above 4
 vanish, so only the grade <= 2 part u of g^-1 h^-1 - 1 matters:
 u1 = -(a1 + b1) and U2 = -A2 - B2 + a1 (a1 + b1)^T + b1 b1^T.
 
-The scalar formulas in `algebra` and `groups` are the independent oracle;
-the tests cross-check the two.
+The independent oracle lives in the tests: the structure-constant tensor
+of R, built from the generating rules on basis vectors alone.
 """
 
 from __future__ import annotations
@@ -109,18 +113,17 @@ class BatchAlg:
             np.zeros(n, dtype=np.int64),
         )
 
+    def from_elements(self, elems: Sequence[AlgebraElement]) -> Batch:
+        n, d = len(elems), self.d
+        comps = [e.components() for e in elems]
+        shapes = ((n,), (n, d), (n, d, d), (n, d), (n,))
+        return Batch(*(
+            np.array([c[k] for c in comps], dtype=np.int64).reshape(shape)
+            for k, shape in enumerate(shapes)
+        ))
+
     def to_elements(self, b: Batch) -> list[AlgebraElement]:
-        return [
-            AlgebraElement(
-                self.params,
-                int(b.c0[i]),
-                tuple(int(v) for v in b.r1[i]),
-                tuple(tuple(int(v) for v in row) for row in b.r2[i]),
-                tuple(int(v) for v in b.r3[i]),
-                int(b.c4[i]),
-            )
-            for i in range(b.count)
-        ]
+        return [AlgebraElement(self.params, *row) for row in zip(*(x.tolist() for x in b))]
 
     def add(self, a: Batch, b: Batch) -> Batch:
         return Batch(*(self._mod(x + y) for x, y in zip(a, b)))

@@ -7,21 +7,25 @@ on pure vectors are
     x * y          = x (x) y                         (R1 x R1 -> R2)
     x * (y (x) z)  = f(y,z) x' + f(x,y) z'           (R1 x R2 -> R3)
     (y (x) z) * x  = f(z,x) y' + f(y,z) x'           (R2 x R1 -> R3)
-    x * w'  =  w' * x  =  f(x or w, ...)             (R1 x R3, R3 x R1 -> R4)
+    x * w' = f(x,w),  w' * x = f(w,x)                (R1 x R3, R3 x R1 -> R4)
 
 where ' marks the R3 copy of a vector; R2 x R2 follows by associativity.
-General R2 elements multiply via the contraction identities obtained by
-extending these rules bilinearly.  This module keeps everything as exact
-tuples; see _batch for the vectorized engine.
+This module keeps elements as exact tuples.  Their products are computed
+by the one arithmetic engine, `_batch.BatchAlg` (shared per parameter set
+as `AlgebraParams.engine`), on one-element stacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatchError, ParamsMismatchError
 from .fieldlin import BilinearForm, FpVector, antisymm_part, check_prime, hyperbolic_form, symm_part
+
+if TYPE_CHECKING:
+    from ._batch import BatchAlg
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -61,6 +65,13 @@ class AlgebraParams:
     @cached_property
     def antisymm(self) -> BilinearForm:
         return antisymm_part(self.form)
+
+    @cached_property
+    def engine(self) -> "BatchAlg":
+        """The arithmetic engine for these parameters, shared by every caller."""
+        from ._batch import BatchAlg  # _batch imports this module
+
+        return BatchAlg(self)
 
 
 def _zero_matrix(d: int) -> Matrix:
@@ -209,98 +220,15 @@ def alg_scale(a: AlgebraElement, c: int) -> AlgebraElement:
     )
 
 
-def _frob(m: Matrix, f: Matrix, d: int) -> int:
-    """Entrywise contraction sum_ij m[i][j] f[i][j]."""
-    return sum(m[i][j] * f[i][j] for i in range(d) for j in range(d))
-
-
 def alg_mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Graded product; components of grade > 4 are discarded as zero."""
-    params = _same_params(a, b)
-    p, d = params.p, params.d
-    F = params.form.coeffs
-    a0, a1, A2, a3, a4 = a.components()
-    b0, b1, B2, b3, b4 = b.components()
-
-    c0 = a0 * b0 % p
-    r1 = tuple((a0 * y + b0 * x) % p for x, y in zip(a1, b1))
-    r2 = tuple(
-        tuple((a0 * B2[i][j] + b0 * A2[i][j] + a1[i] * b1[j]) % p for j in range(d))
-        for i in range(d)
-    )
-
-    # Contractions shared by the R1xR2 / R2xR1 / R2xR2 rules.
-    tA = _frob(A2, F, d)                                     # <A2, F>
-    tB = _frob(B2, F, d)                                     # <B2, F>
-    a1F = [sum(a1[i] * F[i][j] for i in range(d)) for j in range(d)]   # a1 @ F
-    Fb1 = [sum(F[i][j] * b1[j] for j in range(d)) for i in range(d)]   # F @ b1
-    a3F = [sum(a3[i] * F[i][j] for i in range(d)) for j in range(d)]   # a3 @ F
-
-    r3 = tuple(
-        (
-            a0 * b3[j]
-            + b0 * a3[j]
-            + tB * a1[j]
-            + sum(a1F[i] * B2[i][j] for i in range(d))
-            + tA * b1[j]
-            + sum(A2[j][i] * Fb1[i] for i in range(d))
-        )
-        % p
-        for j in range(d)
-    )
-
-    # R2 x R2 lands in R4: <A2,F><B2,F> + <A2 F B2, F>.
-    AF = [[sum(A2[i][k] * F[k][j] for k in range(d)) % p for j in range(d)] for i in range(d)]
-    AFB = [[sum(AF[i][k] * B2[k][j] for k in range(d)) % p for j in range(d)] for i in range(d)]
-    c4 = (
-        a0 * b4
-        + b0 * a4
-        + sum(a1F[j] * b3[j] for j in range(d))
-        + sum(a3F[j] * b1[j] for j in range(d))
-        + tA * tB
-        + sum(AFB[i][j] * F[i][j] for i in range(d) for j in range(d))
-    ) % p
-
-    return AlgebraElement(params, c0, r1, r2, r3, c4)
+    eng = _same_params(a, b).engine
+    return eng.to_elements(eng.mul(eng.from_elements([a]), eng.from_elements([b])))[0]
 
 
 def lie_bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """[a, b] = a*b - b*a."""
     return alg_sub(alg_mul(a, b), alg_mul(b, a))
-
-
-def lie3_closed(params: AlgebraParams, x: FpVector, y: FpVector, z: FpVector) -> FpVector:
-    """Triple bracket of vectors: fS(y,z) x - fS(x,z) y, in R3 coordinates."""
-    _check_vecs(params, x, y, z)
-    p = params.p
-    fs = params.symm.coeffs
-    fs_yz = _form_val(fs, y.coords, z.coords, p)
-    fs_xz = _form_val(fs, x.coords, z.coords, p)
-    return FpVector(p, tuple((fs_yz * xi - fs_xz * yi) % p for xi, yi in zip(x.coords, y.coords)))
-
-
-def lie4_closed(
-    params: AlgebraParams, x: FpVector, y: FpVector, z: FpVector, w: FpVector
-) -> int:
-    """Quadruple bracket of vectors: fA(x,w) fS(y,z) - fA(y,w) fS(x,z), in R4."""
-    _check_vecs(params, x, y, z, w)
-    p = params.p
-    fs = params.symm.coeffs
-    fa = params.antisymm.coeffs
-    return (
-        _form_val(fa, x.coords, w.coords, p) * _form_val(fs, y.coords, z.coords, p)
-        - _form_val(fa, y.coords, w.coords, p) * _form_val(fs, x.coords, z.coords, p)
-    ) % p
-
-
-def _form_val(coeffs: Matrix, x: tuple[int, ...], y: tuple[int, ...], p: int) -> int:
-    return sum(xi * cij * yj for xi, row in zip(x, coeffs) for cij, yj in zip(row, y)) % p
-
-
-def _check_vecs(params: AlgebraParams, *vecs: FpVector) -> None:
-    for v in vecs:
-        if v.p != params.p or v.dim != params.d:
-            raise DimensionMismatchError("vector does not match params")
 
 
 def basis_elements(params: AlgebraParams) -> list[AlgebraElement]:
@@ -343,13 +271,17 @@ def from_text(params: AlgebraParams, text: str) -> AlgebraElement:
     parts = [part.strip() for part in text.split("|")]
     if len(parts) != 5:
         raise ValueError("element text must have 5 '|'-separated fields")
-    d = params.d
-    c0 = int(parts[0])
-    r1 = tuple(int(t) for t in parts[1].split())
+    d, p = params.d, params.p
+
+    def digits(field: str) -> tuple[int, ...]:
+        values = tuple(int(t) for t in field.split())
+        bad = next((v for v in values if not 0 <= v < p), None)
+        if bad is not None:
+            raise ValueError(f"digit {bad} outside [0, {p})")
+        return values
+
     rows = [row.strip() for row in parts[2].split(";")]
     if len(rows) != d:
         raise ValueError(f"expected {d} rows in r2 field")
-    r2 = tuple(tuple(int(t) for t in row.split()) for row in rows)
-    r3 = tuple(int(t) for t in parts[3].split())
-    c4 = int(parts[4])
-    return AlgebraElement(params, c0, r1, r2, r3, c4)
+    (c0,), r1, r3, (c4,) = (digits(parts[i]) for i in (0, 1, 3, 4))
+    return AlgebraElement(params, c0, r1, tuple(digits(row) for row in rows), r3, c4)

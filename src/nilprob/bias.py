@@ -19,7 +19,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .algebra import AlgebraParams
-from ._batch import BatchAlg
 from .errors import CapExceededError, DimensionMismatchError, ExpressionShapeError
 from .fieldlin import FpVector, check_prime, matrix_rank
 from .stats import DEFAULT_SEED, StatReport, clopper_pearson
@@ -357,7 +356,7 @@ def bias_probability(
 
 def family_quad_map(params: AlgebraParams) -> MultilinearMap:
     """The 4-linear bracket (x, y, z, w) -> [x, y, z, w] into R4."""
-    eng = BatchAlg(params)
+    eng = params.engine
     d = params.d
 
     def batch(x: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -368,7 +367,7 @@ def family_quad_map(params: AlgebraParams) -> MultilinearMap:
 
 def family_trilinear_map(params: AlgebraParams) -> MultilinearMap:
     """The 3-linear bracket (x, y, z) -> [x, y, z] into R3 coordinates."""
-    eng = BatchAlg(params)
+    eng = params.engine
     d = params.d
 
     def batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Group arithmetic: the class-4 family G = 1 + L1 and Cayley-table groups.
 
-Family elements are stored by the L1-part a of 1 + a.  Family class sizes
-come from linear algebra: 1+t commutes with 1+a exactly when at = ta, so the
-centralizer of 1+a is 1 + ker(ad_a) and its class has p^rank(ad_a) elements,
-where ad_a = [a, .] on L1.  Listing the members of an orbit uses the fact
-that conjugation by a fixed element is linear on L1, so each generator
-contributes one matrix and orbits close under matrix application.
+Family elements are stored by the L1-part a of 1 + a.  `grp_mul` and
+`grp_inv` are one-element calls of the shared engine `params.engine`, and
+`commutator`, `conjugate` and `long_commutator` are their definitional
+compositions.  Family class sizes come from linear algebra: 1+t commutes
+with 1+a exactly when at = ta, so the centralizer of 1+a is 1 + ker(ad_a)
+and its class has p^rank(ad_a) elements, where ad_a = [a, .] on L1.
+Listing the members of an orbit uses the fact that conjugation by a fixed
+element is linear on L1, so each generator contributes one matrix and
+orbits close under matrix application.
 Cayley-table groups are validated on load and cache their inverse array and
 conjugacy classes.
 
@@ -26,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._batch import Batch, BatchAlg
-from .algebra import AlgebraElement, AlgebraParams, alg_mul
+from .algebra import AlgebraElement, AlgebraParams
 from .errors import (
     CapExceededError,
     CayleyAssociativityError,
@@ -140,20 +143,28 @@ def _same_params(g: GroupElement, h: GroupElement) -> AlgebraParams:
     return g.params
 
 
+def _stack(params: AlgebraParams, elems: Sequence[GroupElement]) -> Batch:
+    flat = np.array([g.coords() for g in elems], dtype=np.int64)
+    return params.engine.from_coords(flat.reshape(len(elems), params.dim_l1))
+
+
+def _elements(params: AlgebraParams, flat: np.ndarray) -> list[GroupElement]:
+    return [GroupElement.from_coords(params, row) for row in flat.tolist()]
+
+
+def _one(params: AlgebraParams, b: Batch) -> GroupElement:
+    return _elements(params, params.engine.coords(b))[0]
+
+
 def grp_mul(g: GroupElement, h: GroupElement) -> GroupElement:
     """(1+a)(1+b) = 1 + a + b + ab."""
-    _same_params(g, h)
-    a, b = g.l1_part(), h.l1_part()
-    return GroupElement.from_l1(a + b + alg_mul(a, b))
+    params = _same_params(g, h)
+    return _one(params, params.engine.grp_mul(_stack(params, [g]), _stack(params, [h])))
 
 
 def grp_inv(g: GroupElement) -> GroupElement:
-    """(1+a)^-1 = 1 - a + a^2 - a^3 + a^4 (the series stops: a^5 = 0)."""
-    a = g.l1_part()
-    sq = alg_mul(a, a)
-    cube = alg_mul(sq, a)
-    quad = alg_mul(cube, a)
-    return GroupElement.from_l1(-a + sq - cube + quad)
+    """(1+a)^-1 = 1 + v with v = -a - a v."""
+    return _one(g.params, g.params.engine.grp_inv(_stack(g.params, [g])))
 
 
 def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -192,9 +203,9 @@ class AlgebraGroup:
         self.identity = GroupElement.identity(params)
         self._classes: list[tuple[GroupElement, int]] | None = None
 
-    @cached_property
+    @property
     def batch(self) -> BatchAlg:
-        return BatchAlg(self.params)
+        return self.params.engine
 
     @cached_property
     def generators(self) -> list[GroupElement]:
@@ -252,14 +263,11 @@ class AlgebraGroup:
         return conjugate(g, by)
 
     def random_elements(self, rng: np.random.Generator, count: int) -> list[GroupElement]:
-        return self._to_elements(self.batch.coords(self.sample_batch(rng, count)))
-
-    def _to_elements(self, flat: np.ndarray) -> list[GroupElement]:
-        return [GroupElement.from_coords(self.params, tuple(int(v) for v in row)) for row in flat]
+        return _elements(self.params, self.batch.coords(self.sample_batch(rng, count)))
 
     def elements(self, cap: int = DEFAULT_ENUM_CAP) -> Iterator[GroupElement]:
         """All elements in lexicographic coordinate order (small groups only)."""
-        return iter(self._to_elements(self.batch.coords(self.all_elements(cap))))
+        return iter(_elements(self.params, self.batch.coords(self.all_elements(cap))))
 
     def all_elements(self, cap: int = DEFAULT_ENUM_CAP) -> Batch:
         """Every element, in lexicographic coordinate order."""
@@ -273,8 +281,7 @@ class AlgebraGroup:
         return self.batch.from_coords(np.tile(np.array(g.coords(), dtype=np.int64), (n, 1)))
 
     def stack(self, elems: Sequence[GroupElement]) -> Batch:
-        flat = np.array([g.coords() for g in elems], dtype=np.int64)
-        return self.batch.from_coords(flat.reshape(len(elems), self.dim_l1))
+        return _stack(self.params, elems)
 
     def commutators(self, a: Batch, b: Batch) -> Batch:
         return self.batch.commutator(a, b)
@@ -292,7 +299,7 @@ class AlgebraGroup:
         keys, pos = np.unique(
             self.batch.coords(a).astype(np.uint8), axis=0, return_inverse=True
         )
-        return self._to_elements(keys), pos.reshape(-1)
+        return _elements(self.params, keys), pos.reshape(-1)
 
     def class_sizes(self, a: Batch) -> np.ndarray:
         """|(1+a)^G| = p^rank(ad_a) for every entry of the stack.
@@ -352,10 +359,10 @@ class AlgebraGroup:
 
     def conjugacy_classes(self, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[GroupElement, int]]:
         """(representative, size) pairs; requires an enumerable group."""
-        if self._classes is not None:
-            return self._classes
         if self.order > cap:
             raise CapExceededError(f"group order {self.order} exceeds enumeration cap {cap}")
+        if self._classes is not None:
+            return self._classes
         seen: set[bytes] = set()
         classes = []
         for g in self.elements(cap):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-from scipy.stats import beta as _beta
+from scipy.special import betaincinv
 
 from .errors import CapExceededError
 from .groups import AlgebraGroup, TableGroup, subgroup_table
@@ -80,10 +80,15 @@ class CoveringWitness:
 
 
 def clopper_pearson(hits: int, samples: int, confidence: float = 0.99) -> tuple[float, float]:
-    """Two-sided exact binomial confidence interval."""
+    """Two-sided exact binomial confidence interval.
+
+    The bounds are Beta quantiles, taken from the inverse regularized
+    incomplete beta function (scipy.stats.beta.ppf evaluates the same
+    function, at over three times the import cost).
+    """
     alpha = 1.0 - confidence
-    lo = 0.0 if hits == 0 else float(_beta.ppf(alpha / 2, hits, samples - hits + 1))
-    hi = 1.0 if hits == samples else float(_beta.ppf(1 - alpha / 2, hits + 1, samples - hits))
+    lo = 0.0 if hits == 0 else float(betaincinv(hits, samples - hits + 1, alpha / 2))
+    hi = 1.0 if hits == samples else float(betaincinv(hits + 1, samples - hits, 1 - alpha / 2))
     return lo, hi
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraParams, lie4_closed
+from .algebra import AlgebraParams
 from .errors import CapExceededError, DegenerateFormError
 from .fieldlin import FpVector, form_eval, nullspace, row_space_basis
 from .groups import TableGroup, subgroup_closure, subgroup_table
@@ -286,7 +286,8 @@ def class3_subspace_probe(
         )
     y, z = basis[pair2[0]], h1[pair2[1]]
 
-    value = lie4_closed(params, x, y, z, w)
+    rows = (np.array([v.coords], dtype=np.int64) for v in (x, y, z, w))
+    value = int(params.engine.lie4(*rows)[0])
     if value == 0:  # pragma: no cover - the construction forces a nonzero value
         raise DegenerateFormError("constructed witness has zero bracket")
     return ProbeWitness(tuple(basis), codim, (x, y, z, w), value)

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from nilprob.algebra import (
@@ -11,8 +12,6 @@ from nilprob.algebra import (
     alg_scale,
     basis_elements,
     from_text,
-    lie3_closed,
-    lie4_closed,
     lie_bracket,
     to_text,
 )
@@ -248,17 +247,22 @@ class TestLieBracket:
             assert got.grade_components_zero((0, 1, 2, 4))
 
 
+def rows(*vecs):
+    """One-row stacks for BatchAlg.lie3 / lie4."""
+    return [np.array([v.coords], dtype=np.int64) for v in vecs]
+
+
 class TestClosedForms:
     def test_lie3_hyperbolic_example(self, params21):
         e1 = FpVector.basis(2, 2, 0)
         e1p = FpVector.basis(2, 2, 1)
-        assert lie3_closed(params21, e1, e1p, e1) == e1
+        assert params21.engine.lie3(*rows(e1, e1p, e1)).tolist() == [list(e1.coords)]
 
     def test_lie3_alternating_in_first_two(self, params22):
         rng = random.Random(11)
         for _ in range(30):
             x, z = rand_vec(params22, rng), rand_vec(params22, rng)
-            assert lie3_closed(params22, x, x, z).is_zero()
+            assert not params22.engine.lie3(*rows(x, x, z)).any()
 
     def test_lie3_matches_nested_bracket_f3_dim4(self):
         params = AlgebraParams.hyperbolic(3, 2)
@@ -268,7 +272,7 @@ class TestClosedForms:
             nested = lie_bracket(
                 lie_bracket(r1_elem(params, x), r1_elem(params, y)), r1_elem(params, z)
             )
-            assert nested.r3 == lie3_closed(params, x, y, z).coords
+            assert [list(nested.r3)] == params.engine.lie3(*rows(x, y, z)).tolist()
 
     def test_lie4_hyperbolic_example(self, params21):
         e1 = FpVector.basis(2, 2, 0)
@@ -278,13 +282,13 @@ class TestClosedForms:
                         r1_elem(params21, e1)),
             r1_elem(params21, e1p),
         )
-        assert lie4_closed(params21, e1, e1p, e1, e1p) == 1 == nested.c4
+        assert params21.engine.lie4(*rows(e1, e1p, e1, e1p)).tolist() == [1] == [nested.c4]
 
     def test_lie4_degenerate_slots(self, params22):
         rng = random.Random(13)
         for _ in range(30):
             x, z = rand_vec(params22, rng), rand_vec(params22, rng)
-            assert lie4_closed(params22, x, x, z, x) == 0
+            assert params22.engine.lie4(*rows(x, x, z, x)).tolist() == [0]
 
     def test_lie4_matches_nested_bracket_f2_dim4(self, params22):
         rng = random.Random(14)
@@ -297,7 +301,7 @@ class TestClosedForms:
                 ),
                 r1_elem(params22, w),
             )
-            assert nested.c4 == lie4_closed(params22, x, y, z, w)
+            assert [nested.c4] == params22.engine.lie4(*rows(x, y, z, w)).tolist()
             assert nested.grade_components_zero((0, 1, 2, 3))
 
 

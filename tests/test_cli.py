@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nilprob
 from nilprob.cli import main
 from nilprob.tables import corpus_path
 
@@ -181,6 +186,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: --s-file index {index} outside [0, 6)\n"
 
+    @pytest.mark.parametrize("digit", ["3", "-1"])
+    def test_family_s_file_digit_out_of_range_is_two(self, capsys, tmp_path, digit):
+        s_file = tmp_path / "s.txt"
+        s_file.write_text(f"0 | {digit} 0 | 0 0 ; 0 0 | 0 0 | 0\n")
+        code = main(["cover", "--family", "--p", "2", "--n", "1", "--n-bound", "2",
+                     "--s-file", str(s_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: digit {digit} outside [0, 2)\n"
+
 
 class TestOutput:
     def test_json_deterministic_modulo_elapsed(self, capsys):
@@ -220,3 +236,13 @@ class TestOutput:
         monkeypatch.setenv("NILPROB_THREADS", "5")
         _, out = run_cli(capsys, "family", "--p", "2", "--n", "1")
         assert json.loads(out)["threads"] == 5
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about a second to import; the CLI needs only
+    # scipy.special for its Clopper-Pearson bounds.
+    env = dict(os.environ, PYTHONPATH=str(Path(nilprob.__file__).resolve().parents[1]))
+    code = "import sys, nilprob.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out == "False\n"

@@ -5,6 +5,7 @@ import pytest
 
 from nilprob.algebra import AlgebraElement, AlgebraParams, alg_add, alg_mul, lie_bracket
 from nilprob.errors import (
+    CapExceededError,
     CayleyAssociativityError,
     CayleyIdentityError,
     CayleyParseError,
@@ -163,6 +164,12 @@ class TestOrbits:
         classes = family21.conjugacy_classes()
         assert sum(size for _, size in classes) == family21.order
         assert all(family21.order % size == 0 for _, size in classes)
+
+    def test_class_cap_checked_before_cache(self, params21):
+        G = AlgebraGroup(params21)
+        assert G.conjugacy_classes(cap=G.order)
+        with pytest.raises(CapExceededError):
+            G.conjugacy_classes(cap=G.order - 1)
 
 
 class TestClassSizes:

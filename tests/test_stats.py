@@ -197,6 +197,22 @@ class TestMonteCarlo:
         json.dumps(d), json.dumps(exact)
 
 
+class TestClopperPearson:
+    @pytest.mark.parametrize("confidence", [0.99, 0.95])
+    def test_matches_beta_quantiles(self, confidence):
+        from scipy.stats import beta
+
+        alpha = 1.0 - confidence
+        for samples in (1, 2, 7, 50, 1000, 4000, 65536, 10**6):
+            for hits in sorted({0, 1, 2, samples // 3, samples // 2, samples - 1, samples}):
+                if not 0 <= hits <= samples:
+                    continue
+                lo = 0.0 if hits == 0 else float(beta.ppf(alpha / 2, hits, samples - hits + 1))
+                hi = (1.0 if hits == samples
+                      else float(beta.ppf(1 - alpha / 2, hits + 1, samples - hits)))
+                assert stats.clopper_pearson(hits, samples, confidence) == (lo, hi)
+
+
 class TestConjugacyNorm:
     def test_identity_is_zero(self, family21):
         assert stats.conjugacy_norm(family21, family21.identity) == 0.0
