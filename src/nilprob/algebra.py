@@ -50,10 +50,6 @@ class AlgebraParams:
         return AlgebraParams(p, 2 * n, hyperbolic_form(p, n))
 
     @property
-    def grading_dims(self) -> tuple[int, int, int, int, int]:
-        return (1, self.d, self.d * self.d, self.d, 1)
-
-    @property
     def dim_l1(self) -> int:
         """Dimension of L1 = R1 + R2 + R3 + R4."""
         return self.d * self.d + 2 * self.d + 1

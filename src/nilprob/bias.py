@@ -298,6 +298,8 @@ def verify_expression(
                 return VerifyResult(False, True, checked + i, point)
             checked += arrays[0].shape[0]
         return VerifyResult(True, True, checked)
+    if samples < 1:
+        raise ValueError("need samples >= 1")
     rng = np.random.default_rng(seed)
     remaining = samples
     while remaining > 0:
@@ -335,6 +337,8 @@ def bias_probability(
             vals = F.eval_batch(arrays)
             zeros += int((~vals.any(axis=1)).sum())
         return StatReport("exact", Fraction(zeros, total), elapsed_s=time.perf_counter() - t0)
+    if samples < 1:
+        raise ValueError("need samples >= 1")
     rng = np.random.default_rng(seed)
     hits = 0
     remaining = samples

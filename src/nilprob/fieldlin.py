@@ -9,7 +9,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,10 +46,6 @@ class FpVector:
     @staticmethod
     def basis(p: int, dim: int, i: int) -> "FpVector":
         return FpVector(p, tuple(1 if j == i else 0 for j in range(dim)))
-
-    @staticmethod
-    def from_ints(p: int, coords: Iterable[int]) -> "FpVector":
-        return FpVector(p, tuple(c % p for c in coords))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)

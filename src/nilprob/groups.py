@@ -547,29 +547,36 @@ class TableGroup:
         return f"TableGroup({self.name!r}, order={self.order})"
 
 
+def _power_closure(G: TableGroup, X: np.ndarray) -> tuple[np.ndarray, int]:
+    """(X^r, r) for the least r with X^r = X^{r+1}, given indices X containing 0.
+
+    With 1 in X the powers grow, and X^{r+1} = X^r u L X for the newest layer
+    L = X^r minus X^{r-1}.  In a finite group the fixed point is <X>.
+    """
+    X = layer = np.unique(X)
+    member = np.zeros(G.order, dtype=bool)
+    member[X] = True
+    r = 1
+    while True:
+        prods = G.table[layer[:, None], X].ravel()
+        layer = np.unique(prods[~member[prods]])
+        if not layer.size:
+            return np.flatnonzero(member), r
+        member[layer] = True
+        r += 1
+
+
 def subgroup_closure(G: TableGroup, seed: Iterable[int]) -> frozenset[int]:
     """Subgroup generated by the given element indices."""
-    elems = {0} | set(int(s) for s in seed)
-    frontier = list(elems)
-    while frontier:
-        new = []
-        current = list(elems)
-        for x in frontier:
-            xi = G.inverse(x)
-            if xi not in elems:
-                elems.add(xi)
-                new.append(xi)
-            for y in current:
-                for z in (G.mul(x, y), G.mul(y, x)):
-                    if z not in elems:
-                        elems.add(z)
-                        new.append(z)
-        frontier = new
-    return frozenset(elems)
+    X = np.append(np.fromiter(seed, dtype=np.int64), 0)
+    return frozenset(_power_closure(G, X)[0].tolist())
 
 
-def is_normal(G: TableGroup, H: frozenset[int]) -> bool:
-    return all(G.conjugate(h, g) in H for h in H for g in G.elements())
+def is_normal(G: TableGroup, H: Iterable[int]) -> bool:
+    """Whether g^-1 h g lies in H for every g in G and h in H."""
+    h = np.fromiter(H, dtype=np.int64)
+    t = G.table
+    return bool(np.isin(t[t[G.inv_table[:, None], h], np.arange(G.order)[:, None]], h).all())
 
 
 def subgroup_table(G: TableGroup, H: Iterable[int]) -> tuple[TableGroup, list[int]]:
@@ -577,35 +584,30 @@ def subgroup_table(G: TableGroup, H: Iterable[int]) -> tuple[TableGroup, list[in
 
     element list maps new indices back to indices in G; index 0 is G's identity.
     """
-    members = sorted(set(int(h) for h in H))
+    members = np.unique(np.fromiter(H, dtype=np.int64))
     if members[0] != 0:
         raise ValueError("subgroup must contain the identity 0")
-    pos = {g: i for i, g in enumerate(members)}
-    m = len(members)
-    try:
-        tbl = [[pos[G.mul(a, b)] for b in members] for a in members]
-    except KeyError as exc:
-        raise ValueError("element set is not closed under multiplication") from exc
-    return TableGroup(np.array(tbl), name=f"{G.name}|sub{m}"), members
+    pos = np.full(G.order, -1, dtype=np.int64)
+    pos[members] = np.arange(len(members))
+    tbl = pos[G.table[np.ix_(members, members)]]
+    if (tbl < 0).any():
+        raise ValueError("element set is not closed under multiplication")
+    return TableGroup(tbl, name=f"{G.name}|sub{len(members)}"), members.tolist()
 
 
 def quotient_table(G: TableGroup, N: Iterable[int]) -> tuple[TableGroup, np.ndarray]:
-    """Quotient by a normal subgroup; returns (G/N, coset index per element)."""
-    Nset = frozenset(int(x) for x in N)
-    if not is_normal(G, Nset):
+    """Quotient by a normal subgroup; returns (G/N, coset index per element).
+
+    Cosets are numbered in the order of their least elements.
+    """
+    n = np.unique(np.fromiter(N, dtype=np.int64))
+    if subgroup_closure(G, n) != frozenset(n.tolist()):
+        raise ValueError("element set is not a subgroup")
+    if not is_normal(G, n):
         raise ValueError("subgroup is not normal")
-    m = G.order
-    coset_of = -np.ones(m, dtype=np.int64)
-    reps: list[int] = []
-    for g in range(m):
-        if coset_of[g] >= 0:
-            continue
-        members = sorted(G.mul(g, n) for n in Nset)
-        coset_of[members] = len(reps)
-        reps.append(members[0])
-    k = len(reps)
-    tbl = [[int(coset_of[G.mul(reps[a], reps[b])]) for b in range(k)] for a in range(k)]
-    return TableGroup(np.array(tbl), name=f"{G.name}/N{len(Nset)}"), coset_of
+    reps, coset_of = np.unique(G.table[:, n].min(axis=1), return_inverse=True)
+    tbl = coset_of[G.table[np.ix_(reps, reps)]]
+    return TableGroup(tbl, name=f"{G.name}/N{len(n)}"), coset_of
 
 
 def direct_product(A: TableGroup, B: TableGroup) -> TableGroup:
@@ -632,13 +634,10 @@ def parse_cayley_table(text: str, name: str = "table") -> TableGroup:
     if len(tokens) != 1 + m * m:
         raise CayleyParseError(f"expected {m * m} entries, found {len(tokens) - 1}")
     try:
-        entries = [int(t) for t in tokens[1:]]
-    except ValueError as exc:
+        entries = np.array(tokens[1:], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
         raise CayleyParseError(f"bad entry: {exc}") from exc
-    if any(not 0 <= e < m for e in entries):
-        raise CayleyParseError("entries must lie in [0, m)")
-    rows = [entries[i * m : (i + 1) * m] for i in range(m)]
-    return TableGroup(np.array(rows), name=name)
+    return TableGroup(entries.reshape(m, m), name=name)
 
 
 def load_cayley_table(source: "str | Path | io.TextIOBase", name: str | None = None) -> TableGroup:

@@ -215,6 +215,8 @@ def covering_check(
         return CoveringWitness(n, S, Fraction(i, len(comms)), comms[i], True, len(comms))
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
+    if samples < 1:
+        raise ValueError("need samples >= 1")
     rng = np.random.default_rng(seed)
     start, chunk = 0, 64
     while start < samples:

@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import AlgebraParams
 from .errors import CapExceededError, DegenerateFormError
 from .fieldlin import FpVector, form_eval, nullspace, row_space_basis
-from .groups import TableGroup, subgroup_closure, subgroup_table
+from .groups import TableGroup, _power_closure, subgroup_closure
 
 SERIES_CAP = 1 << 12
 SUBGROUP_ENUM_CAP = 64
@@ -122,16 +122,20 @@ def derived_series(G: TableGroup, cap: int = SERIES_CAP) -> SeriesReport:
     _check_cap(G, cap)
     terms = [frozenset(G.elements())]
     while True:
-        gens = _commutator_values(G, terms[-1], terms[-1])
-        nxt = subgroup_closure(G, gens)
+        nxt = _derived(G, terms[-1])
         if nxt == terms[-1]:
             break
         terms.append(nxt)
     return SeriesReport("derived", terms, [len(s) for s in terms], len(terms) - 1)
 
 
+def _derived(G: TableGroup, H: Iterable[int]) -> frozenset[int]:
+    """H' = <[H, H]> for a subgroup H of G, as indices of G."""
+    return subgroup_closure(G, _commutator_values(G, H, H))
+
+
 def derived_subgroup(G: TableGroup) -> frozenset[int]:
-    return subgroup_closure(G, _commutator_values(G, G.elements(), G.elements()))
+    return _derived(G, G.elements())
 
 
 def nilpotency_class(G: TableGroup, cap: int = SERIES_CAP) -> int | None:
@@ -195,21 +199,13 @@ def power_closure_radius(G: TableGroup, X: Iterable[int]) -> int:
 
     The radius always satisfies r <= 3 * floor(|G| / |X|).
     """
-    Xset = sorted(set(int(x) for x in X))
-    if 0 not in Xset:
+    x = np.unique(np.fromiter(X, dtype=np.int64))
+    if not (x == 0).any():
         raise ValueError("X must contain the identity")
-    if any(G.inverse(x) not in set(Xset) for x in Xset):
+    if not np.isin(G.inv_table[x], x).all():
         raise ValueError("X must be symmetric (closed under inverses)")
-    x_arr = np.array(Xset, dtype=np.int64)
-    cur = np.array(Xset, dtype=np.int64)
-    r = 1
-    while True:
-        nxt = np.unique(G.table[np.ix_(cur, x_arr)])
-        if nxt.shape == cur.shape and np.array_equal(nxt, cur):
-            break
-        cur = nxt
-        r += 1
-    bound = 3 * (G.order // len(Xset))
+    r = _power_closure(G, x)[1]
+    bound = 3 * (G.order // len(x))
     if r > bound:
         raise RuntimeError(f"closure radius {r} exceeded 3*floor(|G|/|X|) = {bound}")
     return r
@@ -507,8 +503,7 @@ def neumann_pareto(G: TableGroup, cap: int = SUBGROUP_ENUM_CAP) -> list[tuple[in
     """Pareto frontier of ([G:H], |H'|) over all subgroups H."""
     pairs = set()
     for H in subgroups(G, cap):
-        Hgrp, _ = subgroup_table(G, H)
-        pairs.add((G.order // len(H), len(derived_subgroup(Hgrp))))
+        pairs.add((G.order // len(H), len(_derived(G, H))))
     frontier = [
         p for p in pairs
         if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pairs)

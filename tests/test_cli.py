@@ -176,6 +176,19 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: unsupported --s")
 
+    @pytest.mark.parametrize("argv", [
+        ["cover", "--family", "--p", "2", "--n", "1", "--n-bound", "1", "--mode", "sampled"],
+        ["bias", "--verify-quad", "--p", "3", "--n", "2"],
+        ["bias", "--trilinear-bound", "--p", "3", "--n", "3"],
+    ], ids=["cover-sampled", "bias-verify-quad", "bias-trilinear-bound"])
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_sampled_modes_need_samples_is_two(self, capsys, argv, samples):
+        code = main(argv + ["--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: need samples >= 1\n"
+
     @pytest.mark.parametrize("index", ["99", "-1"])
     def test_s_file_index_out_of_range_is_two(self, capsys, tmp_path, index):
         s_file = tmp_path / "s.txt"

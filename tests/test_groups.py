@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilprob.algebra import AlgebraElement, AlgebraParams, alg_add, alg_mul, lie_bracket
 from nilprob.errors import (
@@ -25,11 +26,13 @@ from nilprob.groups import (
     load_cayley_table,
     long_commutator,
     parse_cayley_table,
+    is_normal,
     quotient_table,
     subgroup_closure,
     subgroup_table,
 )
-from nilprob.tables import corpus_group, symmetric3
+from nilprob.structure import power_closure_radius
+from nilprob.tables import CORPUS_NAMES, corpus_group, symmetric3
 
 
 class TestFamilyElements:
@@ -256,6 +259,10 @@ class TestTableGroup:
             parse_cayley_table("2\n0 1\n1 x\n")
         with pytest.raises(CayleyParseError):
             parse_cayley_table("2\n0 1\n1 5\n")
+        with pytest.raises(CayleyParseError):
+            parse_cayley_table("2\n0 1\n1 1.5\n")
+        with pytest.raises(CayleyParseError):
+            parse_cayley_table("2\n0 1\n1 99999999999999999999\n")   # overflows int64
 
     def test_class_size_times_centralizer_is_order(self, corpus_groups):
         for G in corpus_groups.values():
@@ -300,6 +307,11 @@ class TestSubQuotientProduct:
         with pytest.raises(ValueError):
             quotient_table(s3, H)
 
+    @pytest.mark.parametrize("name,N", [("c4", {0, 1}), ("c8", {0, 1, 7}), ("c4", {1})])
+    def test_quotient_requires_subgroup(self, name, N):
+        with pytest.raises(ValueError, match="not a subgroup"):
+            quotient_table(corpus_group(name), N)
+
     def test_direct_product_order_and_commutativity(self):
         c2, c3 = corpus_group("c2"), corpus_group("c3")
         prod = direct_product(c2, c3)
@@ -308,3 +320,143 @@ class TestSubQuotientProduct:
         s3xs3 = direct_product(symmetric3(), symmetric3())
         assert s3xs3.order == 36
         assert not s3xs3.is_abelian
+
+
+# Per-element loop references for the table gathers in groups and the closure
+# loop shared with structure.power_closure_radius.
+
+
+def ref_subgroup_closure(G, seed):
+    elems = {0} | set(int(s) for s in seed)
+    frontier = list(elems)
+    while frontier:
+        new = []
+        current = list(elems)
+        for x in frontier:
+            xi = G.inverse(x)
+            if xi not in elems:
+                elems.add(xi)
+                new.append(xi)
+            for y in current:
+                for z in (G.mul(x, y), G.mul(y, x)):
+                    if z not in elems:
+                        elems.add(z)
+                        new.append(z)
+        frontier = new
+    return frozenset(elems)
+
+
+def ref_is_normal(G, H):
+    return all(G.conjugate(h, g) in H for h in H for g in G.elements())
+
+
+def ref_subgroup_table(G, H):
+    members = sorted(set(int(h) for h in H))
+    if members[0] != 0:
+        raise ValueError("subgroup must contain the identity 0")
+    pos = {g: i for i, g in enumerate(members)}
+    try:
+        tbl = [[pos[G.mul(a, b)] for b in members] for a in members]
+    except KeyError as exc:
+        raise ValueError("element set is not closed under multiplication") from exc
+    return np.array(tbl), members
+
+
+def ref_quotient_table(G, N):
+    """Cosets numbered in order of first appearance; N must be a normal subgroup."""
+    coset_of = -np.ones(G.order, dtype=np.int64)
+    reps = []
+    for g in range(G.order):
+        if coset_of[g] >= 0:
+            continue
+        members = sorted(G.mul(g, n) for n in N)
+        coset_of[members] = len(reps)
+        reps.append(members[0])
+    k = len(reps)
+    tbl = [[int(coset_of[G.mul(reps[a], reps[b])]) for b in range(k)] for a in range(k)]
+    return np.array(tbl), coset_of
+
+
+def ref_power_closure_radius(G, X):
+    x_arr = np.array(sorted(X), dtype=np.int64)
+    cur, r = x_arr, 1
+    while True:
+        nxt = np.unique(G.table[np.ix_(cur, x_arr)])
+        if np.array_equal(nxt, cur):
+            return r
+        cur, r = nxt, r + 1
+
+
+ORACLE_GROUPS = CORPUS_NAMES + ("d4xc2", "s3xc3")
+
+
+@pytest.fixture(scope="session")
+def oracle_groups(corpus_groups):
+    return {
+        **corpus_groups,
+        "d4xc2": direct_product(corpus_group("d4"), corpus_group("c2")),
+        "s3xc3": direct_product(symmetric3(), corpus_group("c3")),
+    }
+
+
+def element_sets(data, G):
+    return data.draw(st.sets(st.integers(0, G.order - 1), max_size=4))
+
+
+def outcome(fn, *args):
+    """fn's result, or the name of the ValueError or IndexError it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, IndexError) as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+class TestTableGathersMatchLoops:
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_subgroup_closure(self, oracle_groups, name, data):
+        G = oracle_groups[name]
+        seed = element_sets(data, G)
+        assert subgroup_closure(G, seed) == ref_subgroup_closure(G, seed)
+
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_is_normal(self, oracle_groups, name, data):
+        G = oracle_groups[name]
+        seed = element_sets(data, G)
+        for H in (frozenset(seed | {0}), ref_subgroup_closure(G, seed)):
+            assert is_normal(G, H) == ref_is_normal(G, H)
+
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_subgroup_table(self, oracle_groups, name, data):
+        G = oracle_groups[name]
+        seed = element_sets(data, G)
+        for H in (seed | {0}, seed, ref_subgroup_closure(G, seed)):
+            got, want = outcome(subgroup_table, G, H), outcome(ref_subgroup_table, G, H)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert np.array_equal(got[0].table, want[0]) and got[1] == want[1]
+
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_quotient_table(self, oracle_groups, name, data):
+        G = oracle_groups[name]
+        H = ref_subgroup_closure(G, element_sets(data, G))
+        if not ref_is_normal(G, H):
+            with pytest.raises(ValueError, match="not normal"):
+                quotient_table(G, H)
+            return
+        Q, coset_of = quotient_table(G, H)
+        tbl, ref_coset_of = ref_quotient_table(G, H)
+        assert np.array_equal(Q.table, tbl)
+        assert np.array_equal(coset_of, ref_coset_of)
+
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_power_closure_radius(self, oracle_groups, name, data):
+        G = oracle_groups[name]
+        X = {0} | {h for g in element_sets(data, G) for h in (g, G.inverse(g))}
+        assert power_closure_radius(G, X) == ref_power_closure_radius(G, X)
