@@ -255,6 +255,31 @@ def _iter_grid(p: int, dims: Sequence[int], chunk: int = _EVAL_CHUNK) -> Iterato
         yield arrays
 
 
+def _domain_chunks(
+    p: int, dims: Sequence[int], mode: str, cap: int, samples: int, seed: int
+) -> tuple[bool, Iterator[list[np.ndarray]]]:
+    """Whether the domain is enumerated, and its points in chunks.
+
+    mode "exhaustive" enumerates (the domain must fit the cap), "random"
+    draws `samples` uniform points, one `rng.integers` call per slot per
+    chunk, and "auto" enumerates under the cap and samples above it.
+    """
+    if mode not in ("auto", "exhaustive", "random"):
+        raise ValueError(f"unknown mode {mode!r}")
+    total = _domain_size(p, dims)
+    if mode == "exhaustive" and total > cap:
+        raise CapExceededError(f"domain size {total} exceeds cap {cap}")
+    if mode == "exhaustive" or (mode == "auto" and total <= cap):
+        return True, _iter_grid(p, dims)
+    if samples < 1:
+        raise ValueError("need samples >= 1")
+    rng = np.random.default_rng(seed)
+    sizes = [min(_EVAL_CHUNK, samples - start) for start in range(0, samples, _EVAL_CHUNK)]
+    return False, (
+        [rng.integers(0, p, size=(size, d), dtype=np.int64) for d in dims] for size in sizes
+    )
+
+
 @dataclass
 class VerifyResult:
     """Pointwise comparison of an expression against a multilinear map."""
@@ -280,41 +305,18 @@ def verify_expression(
     points with the sample count reported."""
     if F.p != expr.p or F.dims != expr.dims or F.cod_dim != expr.cod_dim:
         raise DimensionMismatchError("expression and map domains differ")
-    total = _domain_size(expr.p, expr.dims)
-    exhaustive = mode == "exhaustive" or (mode == "auto" and total <= cap)
-    if mode == "exhaustive" and total > cap:
-        raise CapExceededError(f"domain size {total} exceeds cap {cap}")
+    exhaustive, chunks = _domain_chunks(expr.p, expr.dims, mode, cap, samples, seed)
     checked = 0
-    if exhaustive:
-        for arrays in _iter_grid(expr.p, expr.dims):
-            lhs = expr.eval_batch(arrays)
-            rhs = F.eval_batch(arrays)
-            bad = np.nonzero((lhs != rhs).any(axis=1))[0]
-            if bad.size:
-                i = int(bad[0])
-                point = tuple(
-                    FpVector(expr.p, tuple(int(v) for v in arr[i])) for arr in arrays
-                )
-                return VerifyResult(False, True, checked + i, point)
-            checked += arrays[0].shape[0]
-        return VerifyResult(True, True, checked)
-    if samples < 1:
-        raise ValueError("need samples >= 1")
-    rng = np.random.default_rng(seed)
-    remaining = samples
-    while remaining > 0:
-        size = min(remaining, _EVAL_CHUNK)
-        arrays = [rng.integers(0, expr.p, size=(size, d), dtype=np.int64) for d in expr.dims]
+    for arrays in chunks:
         lhs = expr.eval_batch(arrays)
         rhs = F.eval_batch(arrays)
         bad = np.nonzero((lhs != rhs).any(axis=1))[0]
         if bad.size:
             i = int(bad[0])
             point = tuple(FpVector(expr.p, tuple(int(v) for v in arr[i])) for arr in arrays)
-            return VerifyResult(False, False, checked + i, point)
-        checked += size
-        remaining -= size
-    return VerifyResult(True, False, checked)
+            return VerifyResult(False, exhaustive, checked + i, point)
+        checked += arrays[0].shape[0]
+    return VerifyResult(True, exhaustive, checked)
 
 
 def bias_probability(
@@ -327,30 +329,14 @@ def bias_probability(
     """P(F = 0) over the uniform domain: exact rational by enumeration, or a
     Monte Carlo estimate with a 99% Clopper-Pearson interval."""
     t0 = time.perf_counter()
-    total = _domain_size(F.p, F.dims)
-    exhaustive = mode == "exhaustive" or (mode == "auto" and total <= cap)
-    if mode == "exhaustive" and total > cap:
-        raise CapExceededError(f"domain size {total} exceeds cap {cap}")
+    exhaustive, chunks = _domain_chunks(F.p, F.dims, mode, cap, samples, seed)
+    zeros = sum(int((~F.eval_batch(arrays).any(axis=1)).sum()) for arrays in chunks)
     if exhaustive:
-        zeros = 0
-        for arrays in _iter_grid(F.p, F.dims):
-            vals = F.eval_batch(arrays)
-            zeros += int((~vals.any(axis=1)).sum())
+        total = _domain_size(F.p, F.dims)
         return StatReport("exact", Fraction(zeros, total), elapsed_s=time.perf_counter() - t0)
-    if samples < 1:
-        raise ValueError("need samples >= 1")
-    rng = np.random.default_rng(seed)
-    hits = 0
-    remaining = samples
-    while remaining > 0:
-        size = min(remaining, _EVAL_CHUNK)
-        arrays = [rng.integers(0, F.p, size=(size, d), dtype=np.int64) for d in F.dims]
-        vals = F.eval_batch(arrays)
-        hits += int((~vals.any(axis=1)).sum())
-        remaining -= size
-    lo, hi = clopper_pearson(hits, samples)
+    lo, hi = clopper_pearson(zeros, samples)
     return StatReport(
-        "monte-carlo", hits / samples, ci_low=lo, ci_high=hi, samples=samples,
+        "monte-carlo", zeros / samples, ci_low=lo, ci_high=hi, samples=samples,
         seed=seed, elapsed_s=time.perf_counter() - t0,
     )
 

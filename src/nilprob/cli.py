@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
@@ -171,7 +172,7 @@ def _cmd_dk(args: argparse.Namespace, k: int) -> tuple[int, dict, dict]:
 
 def _parse_s_elements(args: argparse.Namespace, G) -> list:
     if args.s_file:
-        lines = [ln.strip() for ln in open(args.s_file) if ln.strip()]
+        lines = [ln.strip() for ln in Path(args.s_file).read_text().splitlines() if ln.strip()]
         if isinstance(G, TableGroup):
             indices = [int(ln) for ln in lines]
             bad = next((i for i in indices if not 0 <= i < G.order), None)

@@ -6,17 +6,20 @@ Family elements are stored by the L1-part a of 1 + a.  `grp_mul` and
 compositions.  Family class sizes come from linear algebra: 1+t commutes
 with 1+a exactly when at = ta, so the centralizer of 1+a is 1 + ker(ad_a)
 and its class has p^rank(ad_a) elements, where ad_a = [a, .] on L1.
-Listing the members of an orbit uses the fact that conjugation by a fixed
-element is linear on L1, so each generator contributes one matrix and
-orbits close under matrix application.
-Cayley-table groups are validated on load and cache their inverse array and
-conjugacy classes.
+Conjugation by a fixed element is linear on L1, so each family generator
+contributes one matrix; `conjugacy_orbit` closes one orbit under these
+matrices, which works past the enumeration cap.
+Cayley-table groups are validated on load, exactly, by Light's test over a
+generating set, and cache their inverse array.
 
-Both group types share a set of stack operations (`all_elements`, `repeat`,
-`stack`, `commutators`, `quotients`, `identity_mask`, `distinct`,
-`class_sizes`, `sample_batch`), so statistics are written once for both.
-A stack is a `Batch` of L1-parts for the family and an index array for
-tables.
+Conjugacy classes of both types come from one pass, `_orbit_labels`, over
+the permutations of the enumerated elements that conjugation by each
+generator induces: every element is labelled by the least index in its
+class.  Both group types share a set of stack operations (`all_elements`,
+`repeat`, `stack`, `commutators`, `quotients`, `identity_mask`,
+`class_labels`, `class_sizes`, `sample_batch`), so statistics are written
+once for both.  A stack is a `Batch` of L1-parts for the family and an
+index array for tables.
 """
 
 from __future__ import annotations
@@ -45,8 +48,31 @@ from .fieldlin import rank_stack
 DEFAULT_ORBIT_CAP = 1 << 16
 DEFAULT_ENUM_CAP = 1 << 14
 _AD_CHUNK_ENTRIES = 1 << 22   # ad-matrix entries per rank_stack call, bounds memory
+_ASSOC_BLOCK_ENTRIES = 1 << 20   # table entries per associativity comparison, bounds memory
 
 Matrix = tuple[tuple[int, ...], ...]
+
+
+def _orbit_labels(perms: np.ndarray) -> np.ndarray:
+    """Least point of each point's orbit under the group that the rows of
+    perms (permutations of range(n)) generate.
+
+    Each pass lowers every label to the least label among its images, so
+    labels stay inside orbits and stop changing once every orbit carries its
+    least point (an orbit of a finite group is reached by forward steps).
+    """
+    label = np.arange(perms.shape[1])
+    while True:
+        lowered = np.minimum(label, label[perms].min(axis=0, initial=len(label)))
+        if np.array_equal(lowered, label):
+            return label
+        label = lowered
+
+
+def _label_classes(labels: np.ndarray) -> tuple[list[int], list[int]]:
+    """Class representatives (the labelled points, in index order) and sizes."""
+    reps = np.flatnonzero(labels == np.arange(len(labels)))
+    return reps.tolist(), np.bincount(labels)[reps].tolist()
 
 
 class GroupElement:
@@ -191,8 +217,8 @@ class AlgebraGroup:
     """The family group G = 1 + L1 for a fixed parameter set.
 
     Immutable after construction; cached data (the ad structure tensor,
-    conjugation matrices, class list) is built idempotently and is safe for
-    concurrent readers afterwards.
+    conjugation matrices, class labels) is built idempotently and is safe
+    for concurrent readers afterwards.
     """
 
     def __init__(self, params: AlgebraParams, orbit_cap: int = DEFAULT_ORBIT_CAP):
@@ -201,7 +227,7 @@ class AlgebraGroup:
         self.dim_l1 = params.dim_l1
         self.order = params.p ** self.dim_l1
         self.identity = GroupElement.identity(params)
-        self._classes: list[tuple[GroupElement, int]] | None = None
+        self._labels: np.ndarray | None = None
 
     @property
     def batch(self) -> BatchAlg:
@@ -269,13 +295,24 @@ class AlgebraGroup:
         """All elements in lexicographic coordinate order (small groups only)."""
         return iter(_elements(self.params, self.batch.coords(self.all_elements(cap))))
 
-    def all_elements(self, cap: int = DEFAULT_ENUM_CAP) -> Batch:
-        """Every element, in lexicographic coordinate order."""
+    def _check_cap(self, cap: int) -> None:
         if self.order > cap:
             raise CapExceededError(f"group order {self.order} exceeds enumeration cap {cap}")
-        p, m = self.params.p, self.dim_l1
-        digits = np.arange(self.order)[:, None] // p ** np.arange(m - 1, -1, -1) % p
-        return self.batch.from_coords(digits)
+
+    @cached_property
+    def _place_values(self) -> np.ndarray:
+        """p^(m-1), ..., p, 1: coordinates times these give the index in
+        `all_elements` (read only for enumerable orders)."""
+        return self.params.p ** np.arange(self.dim_l1 - 1, -1, -1)
+
+    def all_elements(self, cap: int = DEFAULT_ENUM_CAP) -> Batch:
+        """Every element, in lexicographic coordinate order."""
+        self._check_cap(cap)
+        return self.batch.from_coords(self._digits(np.arange(self.order)))
+
+    def _digits(self, idx: np.ndarray) -> np.ndarray:
+        """Coordinates of the elements at the given `all_elements` indices."""
+        return idx[:, None] // self._place_values % self.params.p
 
     def repeat(self, g: GroupElement, n: int) -> Batch:
         return self.batch.from_coords(np.tile(np.array(g.coords(), dtype=np.int64), (n, 1)))
@@ -293,13 +330,19 @@ class AlgebraGroup:
     def identity_mask(self, a: Batch) -> np.ndarray:
         return self.batch.is_identity(a)
 
-    def distinct(self, a: Batch) -> tuple[list[GroupElement], np.ndarray]:
-        """Distinct elements of a stack in coordinate order, and the position
-        of each stack entry among them."""
-        keys, pos = np.unique(
-            self.batch.coords(a).astype(np.uint8), axis=0, return_inverse=True
-        )
-        return _elements(self.params, keys), pos.reshape(-1)
+    def _class_label_array(self, cap: int) -> np.ndarray:
+        """`_orbit_labels` over `all_elements`, built once; an element's index
+        is the base-p number its coordinates spell."""
+        self._check_cap(cap)
+        if self._labels is None:
+            flat = self.batch.coords(self.all_elements(cap))
+            images = np.einsum("gij,nj->gni", self._conj_matrices, flat) % self.params.p
+            self._labels = _orbit_labels(images @ self._place_values)
+        return self._labels
+
+    def class_labels(self, a: Batch) -> np.ndarray:
+        """Index in `all_elements` of the least member of each entry's class."""
+        return self._class_label_array(DEFAULT_ENUM_CAP)[self.batch.coords(a) @ self._place_values]
 
     def class_sizes(self, a: Batch) -> np.ndarray:
         """|(1+a)^G| = p^rank(ad_a) for every entry of the stack.
@@ -321,35 +364,26 @@ class AlgebraGroup:
     def sample_batch(self, rng: np.random.Generator, count: int) -> Batch:
         return self.batch.random_l1(rng, count)
 
-    def _orbit_coords(self, start: np.ndarray, cap: int) -> set[bytes]:
-        p = self.params.p
-        mats = self._conj_matrices
-        start = start % p
-        seen = {start.astype(np.uint8).tobytes()}
+    def conjugacy_orbit(self, g: GroupElement, cap: int | None = None) -> set[GroupElement]:
+        """The class of g, closed under the conjugation matrices one layer at
+        a time; needs no enumeration of G."""
+        cap = self.orbit_cap if cap is None else cap
+        start = np.array(g.coords(), dtype=np.uint8)
+        seen = {start.tobytes()}
         frontier = [start]
         while frontier:
-            stack = np.stack(frontier)
-            images = np.einsum("gij,nj->gni", mats, stack) % p
-            images = images.reshape(-1, self.dim_l1).astype(np.uint8)
+            images = np.einsum("gij,nj->gni", self._conj_matrices, np.array(frontier, np.int64))
+            images = (images % self.params.p).reshape(-1, self.dim_l1).astype(np.uint8)
             frontier = []
             for row in np.unique(images, axis=0):
                 key = row.tobytes()
                 if key not in seen:
                     seen.add(key)
-                    frontier.append(row.astype(np.int64))
+                    frontier.append(row)
             if len(seen) > cap:
                 raise OrbitOverflowError(f"orbit exceeded cap {cap}")
-        return seen
-
-    def conjugacy_orbit(self, g: GroupElement, cap: int | None = None) -> set[GroupElement]:
-        cap = self.orbit_cap if cap is None else cap
-        start = np.array(g.coords(), dtype=np.int64)
-        keys = self._orbit_coords(start, cap)
-        out = set()
-        for key in keys:
-            flat = np.frombuffer(key, dtype=np.uint8)
-            out.add(GroupElement.from_coords(self.params, tuple(int(v) for v in flat)))
-        return out
+        flat = np.frombuffer(b"".join(seen), dtype=np.uint8).reshape(len(seen), self.dim_l1)
+        return set(_elements(self.params, flat))
 
     def class_size(self, g: GroupElement) -> int:
         return int(self.class_sizes(self.stack([g]))[0])
@@ -358,40 +392,23 @@ class AlgebraGroup:
         return self.order // self.class_size(g)
 
     def conjugacy_classes(self, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[GroupElement, int]]:
-        """(representative, size) pairs; requires an enumerable group."""
-        if self.order > cap:
-            raise CapExceededError(f"group order {self.order} exceeds enumeration cap {cap}")
-        if self._classes is not None:
-            return self._classes
-        seen: set[bytes] = set()
-        classes = []
-        for g in self.elements(cap):
-            key = np.array(g.coords(), dtype=np.uint8).tobytes()
-            if key in seen:
-                continue
-            orbit = self._orbit_coords(np.array(g.coords(), dtype=np.int64), self.orbit_cap)
-            seen |= orbit
-            classes.append((g, len(orbit)))
-        self._classes = classes
-        return classes
+        """(representative, size) pairs, each class represented by its least
+        member in coordinate order; requires an enumerable group."""
+        reps, sizes = _label_classes(self._class_label_array(cap))
+        return list(zip(_elements(self.params, self._digits(np.array(reps))), sizes))
 
 
 class TableGroup:
     """Finite group given by an m x m Cayley table of indices; identity is 0.
 
-    The table is validated on construction (permutation rows/columns,
-    two-sided identity, associativity: full check for m <= assoc_full_limit,
-    otherwise a deterministic randomized triple check).
+    The table is validated on construction: permutation rows and columns, a
+    two-sided identity, and associativity by Light's test, which is exact.
+    The elements g with (g x) y = g (x y) for all x, y are closed under
+    products; if they include every generator, they include every product
+    of generators, which is all of G.
     """
 
-    def __init__(
-        self,
-        table: Sequence[Sequence[int]] | np.ndarray,
-        name: str = "table",
-        validate: bool = True,
-        assoc_full_limit: int = 256,
-        assoc_random_triples: int = 10**6,
-    ):
+    def __init__(self, table: Sequence[Sequence[int]] | np.ndarray, name: str = "table"):
         tbl = np.asarray(table, dtype=np.int64)
         if tbl.ndim != 2 or tbl.shape[0] != tbl.shape[1]:
             raise CayleyParseError("table must be square")
@@ -399,13 +416,10 @@ class TableGroup:
         self.order = tbl.shape[0]
         self.name = name
         self.identity = 0
-        if validate:
-            self._validate(assoc_full_limit, assoc_random_triples)
-        self.inv_table = self._build_inverses()
-        self._class_sizes: np.ndarray | None = None
-        self._classes: list[tuple[int, int]] | None = None
+        self._validate()
+        self.inv_table = np.nonzero(tbl == 0)[1]   # row g holds one 0, at column g^-1
 
-    def _validate(self, full_limit: int, random_triples: int) -> None:
+    def _validate(self) -> None:
         m, t = self.order, self.table
         if m == 0:
             raise CayleyParseError("empty table")
@@ -419,24 +433,27 @@ class TableGroup:
                 raise CayleyPermutationError(f"column {i} is not a permutation")
         if not np.array_equal(t[0], full) or not np.array_equal(t[:, 0], full):
             raise CayleyIdentityError("index 0 is not a two-sided identity")
-        if m <= full_limit:
-            for a in range(m):
-                left = t[t[a]]            # left[b, c] = (a b) c
-                right = t[a][t]           # right[b, c] = a (b c)
-                if not np.array_equal(left, right):
-                    raise CayleyAssociativityError(f"associativity fails with a = {a}")
-        else:
-            rng = np.random.default_rng(0)
-            a, b, c = rng.integers(0, m, size=(3, random_triples))
-            if not np.array_equal(t[t[a, b], c], t[a, t[b, c]]):
-                raise CayleyAssociativityError("randomized associativity check failed")
+        rows = max(1, _ASSOC_BLOCK_ENTRIES // m)
+        for g in self.generators:
+            for x in range(0, m, rows):
+                # (g x) y and g (x y) for the rows x .. x + rows - 1 and every y
+                if not np.array_equal(t[t[g, x : x + rows]], t[g][t[x : x + rows]]):
+                    raise CayleyAssociativityError(f"associativity fails with a = {g}")
 
-    def _build_inverses(self) -> np.ndarray:
-        m = self.order
-        inv = np.empty(m, dtype=np.int64)
-        rows, cols = np.nonzero(self.table == 0)
-        inv[rows] = cols
-        return inv
+    @cached_property
+    def generators(self) -> list[int]:
+        """Greedy generating set: the least element outside the closure of
+        the generators so far, until that closure is everything.
+
+        In a group each new generator at least doubles the subgroup, so there
+        are at most log2 m of them, and none for the trivial group.
+        """
+        gens: list[int] = []
+        closure = np.zeros(1, dtype=np.int64)
+        while len(closure) < self.order:
+            gens.append(int(np.setdiff1d(np.arange(self.order), closure, assume_unique=True)[0]))
+            closure = _power_closure(self, np.array([0, *gens]))[0]
+        return gens
 
     # Element operations (elements are indices).
 
@@ -490,14 +507,18 @@ class TableGroup:
     def identity_mask(self, a: np.ndarray) -> np.ndarray:
         return a == 0
 
-    def distinct(self, a: np.ndarray) -> tuple[list[int], np.ndarray]:
-        values, pos = np.unique(a, return_inverse=True)
-        return [int(v) for v in values], pos.reshape(-1)
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        """`_orbit_labels` under conjugation x -> g^-1 x g by each generator."""
+        t, g = self.table, np.array(self.generators, dtype=np.int64)
+        return _orbit_labels(t[t[self.inv_table[g]], g[:, None]])
+
+    def class_labels(self, a) -> np.ndarray:
+        """Least member of each entry's class."""
+        return self._labels[a]
 
     def class_sizes(self, a) -> np.ndarray:
-        self._ensure_classes()
-        assert self._class_sizes is not None
-        return self._class_sizes[a]
+        return np.bincount(self._labels)[self._labels[a]]
 
     def conjugacy_orbit(self, g: int, cap: int | None = None) -> set[int]:
         t = self.table
@@ -506,28 +527,10 @@ class TableGroup:
             raise OrbitOverflowError(f"orbit exceeded cap {cap}")
         return set(int(x) for x in orbit)
 
-    def _ensure_classes(self) -> None:
-        if self._classes is not None:
-            return
-        m, t = self.order, self.table
-        sizes = np.zeros(m, dtype=np.int64)
-        classes = []
-        seen = np.zeros(m, dtype=bool)
-        idx = np.arange(m)
-        for g in range(m):
-            if seen[g]:
-                continue
-            orbit = np.unique(t[t[self.inv_table, g], idx])
-            seen[orbit] = True
-            sizes[orbit] = len(orbit)
-            classes.append((g, len(orbit)))
-        self._class_sizes = sizes
-        self._classes = classes
-
     def conjugacy_classes(self) -> list[tuple[int, int]]:
-        self._ensure_classes()
-        assert self._classes is not None
-        return self._classes
+        """(representative, size) pairs, each class represented by its least
+        member."""
+        return list(zip(*_label_classes(self._labels)))
 
     def class_size(self, g: int) -> int:
         return int(self.class_sizes(g))

@@ -13,6 +13,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -173,19 +174,17 @@ def commutator_set(G: Group, cap: int = COVER_PAIR_CAP) -> list:
     """The full set Comm(G, G) of commutator values, in element order.
 
     Requires |G|^2 <= cap.  Takes commutators of class representatives
-    against everything and closes under conjugation: [x^g, y] = [x, y^(g^-1)]^g,
-    so every commutator is conjugate to one with a representative on the left.
+    against everything: [x^g, y] = [x, y^(g^-1)]^g, so every commutator is
+    conjugate to one with a representative on the left, and Comm(G, G) is
+    the union of the classes those commutators hit.
     """
     if G.order**2 > cap:
         raise CapExceededError(f"|G|^2 = {G.order ** 2} exceeds cap {cap}")
     elems = G.all_elements()
-    base = set()
+    hit = np.zeros(G.order, dtype=bool)
     for rep, _ in G.conjugacy_classes():
-        base.update(G.distinct(G.commutators(G.repeat(rep, G.order), elems))[0])
-    out = set()
-    for g in base:
-        out |= G.conjugacy_orbit(g)
-    return sorted(out)
+        hit[G.class_labels(G.commutators(G.repeat(rep, G.order), elems))] = True
+    return list(compress(G.elements(), hit[G.class_labels(elems)]))
 
 
 def _ball_masks(G: Group, xs, count: int, S: Sequence, n: int) -> np.ndarray:

@@ -350,6 +350,20 @@ def _norm_table(G: TableGroup, norm: Callable[[int], float]) -> np.ndarray:
     return np.array([norm(g) for g in range(G.order)], dtype=float)
 
 
+def _separated_centers(
+    G: TableGroup, norms: np.ndarray, values: list[int], radius: float
+) -> list[int]:
+    """Greedy maximal separated set: each value in turn becomes a center
+    unless norm(c s^-1) <= radius for a center s already chosen, so every
+    value lies in the ball of some center."""
+    t, inv = G.table, G.inv_table
+    centers: list[int] = []
+    for c in values:
+        if all(norms[t[c, inv[s]]] > radius for s in centers):
+            centers.append(c)
+    return centers
+
+
 def neumann_extract(
     G: TableGroup,
     norm: Callable[[int], float],
@@ -390,16 +404,13 @@ def neumann_extract(
     D = _measured_level(nm)
     radius = 4 * D + 1
 
-    comm_vals = sorted(set(int(x) for x in np.unique(comm_hk)))
-    centers: list[int] = []
-    for c in comm_vals:
-        if all(norms[t[c, inv[s]]] > radius for s in centers):
-            centers.append(c)
+    comm_vals = np.unique(comm_hk).tolist()
+    centers = _separated_centers(G, norms, comm_vals, radius)
     balls = [
         frozenset(c for c in comm_vals if norms[t[c, inv[s]]] <= radius) for s in centers
     ]
-    covered = frozenset().union(*balls) if balls else frozenset()
-    assert covered == frozenset(comm_vals), "maximal separated set failed to cover"
+    if frozenset().union(*balls) != frozenset(comm_vals):
+        raise RuntimeError("maximal separated set failed to cover")
 
     return NeumannReport(
         True,
@@ -456,16 +467,11 @@ def neumann_converse(
 ) -> ConverseReport:
     """Measure P(norm[a, b] <= 2C) given subgroups of index <= C whose
     mutual commutators admit a greedy cover by <= C balls of radius C."""
-    t, inv = G.table, G.inv_table
     norms = _norm_table(G, norm)
     h_arr = np.array(sorted(set(H)), dtype=np.int64)
     k_arr = np.array(sorted(set(K)), dtype=np.int64)
     comm_hk = G.commutators(h_arr[:, None], k_arr[None, :])
-    comm_vals = [int(x) for x in np.unique(comm_hk)]
-    centers: list[int] = []
-    for c in comm_vals:
-        if all(norms[t[c, inv[s]]] > C for s in centers):
-            centers.append(c)
+    centers = _separated_centers(G, norms, np.unique(comm_hk).tolist(), C)
     index_H = G.order // len(h_arr)
     index_K = G.order // len(k_arr)
     cover_ok = len(centers) <= C and index_H <= C and index_K <= C

@@ -136,6 +136,30 @@ class TestExpressions:
         want = bias.family_quad_map(params21).eval(list(res.counterexample))
         assert got != want
 
+    @pytest.mark.parametrize("mode", ["exhastive", "sampled", ""])
+    def test_unknown_mode_raises(self, params21, mode):
+        quad = bias.family_quad_map(params21)
+        with pytest.raises(ValueError, match="unknown mode"):
+            bias.verify_expression(bias.family_quad_expression(params21), quad, mode=mode,
+                                   samples=10)
+        with pytest.raises(ValueError, match="unknown mode"):
+            bias.bias_probability(quad, mode=mode, samples=10)
+
+    def test_random_mode_draw_order(self, params21):
+        # one rng.integers call per slot per chunk of _EVAL_CHUNK points
+        quad = bias.family_quad_map(params21)
+        samples = bias._EVAL_CHUNK + 5
+        rng = np.random.default_rng(3)
+        zeros = 0
+        for size in (bias._EVAL_CHUNK, 5):
+            arrays = [rng.integers(0, 2, size=(size, d), dtype=np.int64) for d in quad.dims]
+            zeros += int((~quad.eval_batch(arrays).any(axis=1)).sum())
+        rep = bias.bias_probability(quad, mode="random", samples=samples, seed=3)
+        assert rep.value == zeros / samples
+        res = bias.verify_expression(bias.family_quad_expression(params21), quad,
+                                     mode="random", samples=samples, seed=3)
+        assert res.ok and not res.exhaustive and res.points_checked == samples
+
     def test_rank_of_family_quad(self, params21, params22):
         assert bias.family_quad_expression(params21).rank == 2**4
         assert bias.family_quad_expression(params22).rank == 2**4

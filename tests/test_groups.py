@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nilprob import stats
 from nilprob.algebra import AlgebraElement, AlgebraParams, alg_add, alg_mul, lie_bracket
 from nilprob.errors import (
     CapExceededError,
@@ -17,6 +18,7 @@ from nilprob.errors import (
 from nilprob.groups import (
     AlgebraGroup,
     GroupElement,
+    TableGroup,
     commutator,
     conjugate,
     direct_product,
@@ -460,3 +462,153 @@ class TestTableGathersMatchLoops:
         G = oracle_groups[name]
         X = {0} | {h for g in element_sets(data, G) for h in (g, G.inverse(g))}
         assert power_closure_radius(G, X) == ref_power_closure_radius(G, X)
+
+
+# Loop references for the exact associativity check, the one class-label pass
+# and commutator_set: a full associativity loop over every left factor, one
+# orbit closure per class, and one orbit closure per commutator value.
+
+
+def ref_is_associative(t):
+    return all(np.array_equal(t[t[a]], t[a][t]) for a in range(len(t)))
+
+
+def ref_table_classes(G):
+    """Classes in order of least member, and the class size of every element."""
+    m, t = G.order, G.table
+    sizes = np.zeros(m, dtype=np.int64)
+    classes = []
+    seen = np.zeros(m, dtype=bool)
+    for g in range(m):
+        if seen[g]:
+            continue
+        orbit = np.unique(t[t[G.inv_table, g], np.arange(m)])
+        seen[orbit] = True
+        sizes[orbit] = len(orbit)
+        classes.append((g, len(orbit)))
+    return classes, sizes
+
+
+def ref_family_classes(G, cap):
+    seen: set = set()
+    classes = []
+    for g in G.elements(cap):
+        if g in seen:
+            continue
+        orbit = G.conjugacy_orbit(g)
+        seen |= orbit
+        classes.append((g, len(orbit)))
+    return classes
+
+
+def ref_classes(G, cap):
+    if isinstance(G, AlgebraGroup):
+        return ref_family_classes(G, cap)
+    return ref_table_classes(G)[0]
+
+
+def ref_commutator_set(G):
+    elems = G.all_elements()
+    values = set()
+    for rep, _ in ref_classes(G, G.order):
+        comms = G.commutators(G.repeat(rep, G.order), elems)
+        if isinstance(G, AlgebraGroup):
+            rows = np.unique(G.batch.coords(comms), axis=0)
+            values.update(GroupElement.from_coords(G.params, row) for row in rows.tolist())
+        else:
+            values.update(np.unique(comms).tolist())
+    out: set = set()
+    for v in values:
+        out |= G.conjugacy_orbit(v)
+    return sorted(out)
+
+
+def perturbed_tables(G, count, seed):
+    """Copies of G's table with one or two intercalates swapped.
+
+    For an involution u and a, c outside {0, u}, rows a, au and columns c, uc
+    of G's table form a 2x2 subsquare [[ac, auc], [auc, ac]].  Swapping its
+    two values keeps rows and columns permutations and 0 the identity.  A
+    second swap is made only where the current table still holds such a
+    square.
+    """
+    rng = np.random.default_rng(seed)
+    involutions = [u for u in range(1, G.order) if G.table[u, u] == 0]
+    for _ in range(count):
+        t = G.table.copy()
+        for _ in range(rng.integers(1, 3)):
+            u = int(rng.choice(involutions))
+            a, c = rng.choice(np.setdiff1d(np.arange(G.order), [0, u]), size=2)
+            square = np.ix_([a, G.table[a, u]], [c, G.table[u, c]])
+            block = t[square]
+            if block[0, 0] == block[1, 1] and block[0, 1] == block[1, 0]:
+                t[square] = block[::-1]
+        yield t
+
+
+CLASS_ORACLE_GROUPS = ORACLE_GROUPS + ("heis27xa4", "family21", "family31")
+
+
+@pytest.fixture(scope="session")
+def class_oracle_groups(oracle_groups, family21, family31):
+    return {
+        **oracle_groups,
+        "heis27xa4": direct_product(corpus_group("heis27"), corpus_group("a4")),
+        "family21": family21,
+        "family31": family31,
+    }
+
+
+class TestLightsTestMatchesFullLoop:
+    def test_perturbed_corpus_tables(self):
+        accepted = []
+        for name in ("c4", "c6", "c8", "s3", "d4", "q8", "a4"):
+            for t in perturbed_tables(corpus_group(name), 40, seed=len(accepted)):
+                try:
+                    TableGroup(t)
+                    accepted.append(True)
+                except CayleyAssociativityError:
+                    accepted.append(False)
+                assert accepted[-1] == ref_is_associative(t), name
+        assert 0 < sum(accepted) < len(accepted) / 2
+
+    def test_direct_product_above_256(self):
+        G = direct_product(corpus_group("heis27"), corpus_group("a4"))
+        assert G.order == 324 and ref_is_associative(G.table)
+        for t in perturbed_tables(G, 3, seed=5):
+            assert not ref_is_associative(t)
+            with pytest.raises(CayleyAssociativityError):
+                TableGroup(t)
+
+    def test_generators_generate_within_log2(self, oracle_groups):
+        for G in oracle_groups.values():
+            assert subgroup_closure(G, G.generators) == frozenset(G.elements())
+            assert 2 ** len(G.generators) <= G.order
+
+    def test_trivial_group(self):
+        G = corpus_group("trivial")
+        assert G.generators == []
+        assert G.conjugacy_classes() == [(0, 1)]
+        assert G.class_sizes(np.zeros(3, dtype=np.int64)).tolist() == [1, 1, 1]
+        assert stats.commutator_set(G) == [0]
+
+
+@pytest.mark.parametrize("name", CLASS_ORACLE_GROUPS)
+class TestClassPassMatchesLoops:
+    def test_conjugacy_classes(self, class_oracle_groups, name):
+        G = class_oracle_groups[name]
+        if isinstance(G, AlgebraGroup):
+            assert G.conjugacy_classes(cap=1 << 15) == ref_family_classes(G, 1 << 15)
+            return
+        classes, sizes = ref_table_classes(G)
+        assert G.conjugacy_classes() == classes
+        assert np.array_equal(G.class_sizes(np.arange(G.order)), sizes)
+        assert G.class_sizes(np.arange(G.order)).dtype == np.int64
+
+    def test_commutator_set(self, class_oracle_groups, name):
+        G = class_oracle_groups[name]
+        if G.order**2 > stats.COVER_PAIR_CAP:
+            with pytest.raises(CapExceededError):
+                stats.commutator_set(G)
+            return
+        assert stats.commutator_set(G) == ref_commutator_set(G)
