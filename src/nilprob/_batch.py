@@ -114,16 +114,13 @@ class BatchAlg:
         )
 
     def from_elements(self, elems: Sequence[AlgebraElement]) -> Batch:
-        n, d = len(elems), self.d
-        comps = [e.components() for e in elems]
-        shapes = ((n,), (n, d), (n, d, d), (n, d), (n,))
-        return Batch(*(
-            np.array([c[k] for c in comps], dtype=np.int64).reshape(shape)
-            for k, shape in enumerate(shapes)
-        ))
+        flat = np.array([e.digits for e in elems], dtype=np.int64)
+        flat = flat.reshape(len(elems), 1 + self.params.dim_l1)
+        return self.from_coords(flat[:, 1:])._replace(c0=flat[:, 0])
 
     def to_elements(self, b: Batch) -> list[AlgebraElement]:
-        return [AlgebraElement(self.params, *row) for row in zip(*(x.tolist() for x in b))]
+        flat = np.concatenate([b.c0[:, None], self.coords(b)], axis=1)
+        return [AlgebraElement.of(self.params, row) for row in flat.tolist()]
 
     def add(self, a: Batch, b: Batch) -> Batch:
         return Batch(*(self._mod(x + y) for x, y in zip(a, b)))

@@ -10,7 +10,9 @@ on pure vectors are
     x * w' = f(x,w),  w' * x = f(w,x)                (R1 x R3, R3 x R1 -> R4)
 
 where ' marks the R3 copy of a vector; R2 x R2 follows by associativity.
-This module keeps elements as exact tuples.  Their products are computed
+An element is one tuple of digits mod p: c0, then the L1 digits in the
+order r1, r2 row-major, r3, c4 (`split_grades` reads the grades back, as
+read-only views).  Sums and scalings are digitwise; products are computed
 by the one arithmetic engine, `_batch.BatchAlg` (shared per parameter set
 as `AlgebraParams.engine`), on one-element stacks.
 """
@@ -19,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from operator import add
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DimensionMismatchError, ParamsMismatchError
 from .fieldlin import BilinearForm, FpVector, antisymm_part, check_prime, hyperbolic_form, symm_part
@@ -28,6 +31,7 @@ if TYPE_CHECKING:
     from ._batch import BatchAlg
 
 Matrix = tuple[tuple[int, ...], ...]
+Grades = tuple[tuple[int, ...], Matrix, tuple[int, ...], int]   # (r1, r2, r3, c4)
 
 
 @dataclass(frozen=True)
@@ -70,14 +74,68 @@ class AlgebraParams:
         return BatchAlg(self)
 
 
-def _zero_matrix(d: int) -> Matrix:
-    return tuple((0,) * d for _ in range(d))
+def split_grades(d: int, l1: Sequence[int]) -> Grades:
+    """(r1, r2, r3, c4) of flat L1 digits, which run r1, r2 row-major, r3, c4.
+
+    With `join_grades` and, for stacks, `BatchAlg.coords` / `from_coords`,
+    this is the only code that knows the coordinate order.
+    """
+    r2 = l1[d : d + d * d]
+    rows = tuple(tuple(r2[i : i + d]) for i in range(0, d * d, d))
+    return tuple(l1[:d]), rows, tuple(l1[d + d * d : 2 * d + d * d]), l1[-1]
 
 
-class AlgebraElement:
-    """Element of R with components (c0, r1, r2, r3, c4), all reduced mod p."""
+def join_grades(params: AlgebraParams, r1, r2: Matrix, r3, c4: int) -> tuple[int, ...]:
+    """The inverse of `split_grades`, checking the dimensions."""
+    d = params.d
+    if len(r1) != d or len(r3) != d or len(r2) != d or any(len(row) != d for row in r2):
+        raise DimensionMismatchError("component dimensions do not match params")
+    return (*r1, *(c for row in r2 for c in row), *r3, c4)
 
-    __slots__ = ("params", "c0", "r1", "r2", "r3", "c4", "_hash")
+
+class FlatDigits:
+    """Digits mod p in one tuple, compared and hashed whole.
+
+    The L1 digits start at `_L1_AT`; `r1`, `r2`, `r3`, `c4` are read-only
+    views of them.
+    """
+
+    __slots__ = ("params", "digits")
+    _L1_AT = 0
+
+    def _set(self, params: AlgebraParams, digits: Iterable[int]) -> None:
+        self.params = params
+        self.digits = tuple(c % params.p for c in digits)
+
+    @classmethod
+    def of(cls, params: AlgebraParams, digits: Iterable[int]):
+        """The element with these digits, reduced mod p (no length check)."""
+        obj = cls.__new__(cls)
+        obj._set(params, digits)
+        return obj
+
+    def _grades(self) -> Grades:
+        return split_grades(self.params.d, self.digits[self._L1_AT :])
+
+    r1 = property(lambda self: self._grades()[0])
+    r2 = property(lambda self: self._grades()[1])
+    r3 = property(lambda self: self._grades()[2])
+    c4 = property(lambda self: self._grades()[3])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.params == other.params and self.digits == other.digits
+
+    def __hash__(self) -> int:
+        return hash(self.digits)
+
+
+class AlgebraElement(FlatDigits):
+    """Element of R as one digit tuple: c0, then the L1 digits."""
+
+    __slots__ = ()
+    _L1_AT = 1
 
     def __init__(
         self,
@@ -88,69 +146,35 @@ class AlgebraElement:
         r3: tuple[int, ...],
         c4: int,
     ):
-        d, p = params.d, params.p
-        if len(r1) != d or len(r3) != d or len(r2) != d or any(len(row) != d for row in r2):
-            raise DimensionMismatchError("component dimensions do not match params")
-        self.params = params
-        self.c0 = c0 % p
-        self.r1 = tuple(c % p for c in r1)
-        self.r2 = tuple(tuple(c % p for c in row) for row in r2)
-        self.r3 = tuple(c % p for c in r3)
-        self.c4 = c4 % p
-        self._hash: int | None = None
+        self._set(params, (c0, *join_grades(params, r1, r2, r3, c4)))
+
+    @property
+    def c0(self) -> int:
+        return self.digits[0]
 
     @staticmethod
     def zero(params: AlgebraParams) -> "AlgebraElement":
-        d = params.d
-        z = (0,) * d
-        return AlgebraElement(params, 0, z, _zero_matrix(d), z, 0)
+        return AlgebraElement.of(params, (0,) * (1 + params.dim_l1))
 
     @staticmethod
     def one(params: AlgebraParams) -> "AlgebraElement":
-        d = params.d
-        z = (0,) * d
-        return AlgebraElement(params, 1, z, _zero_matrix(d), z, 0)
+        return AlgebraElement.of(params, (1,) + (0,) * params.dim_l1)
 
     @staticmethod
     def from_r1(params: AlgebraParams, vec: FpVector) -> "AlgebraElement":
         if vec.p != params.p or vec.dim != params.d:
             raise DimensionMismatchError("vector does not match params")
-        d = params.d
-        return AlgebraElement(params, 0, vec.coords, _zero_matrix(d), (0,) * d, 0)
-
-    @staticmethod
-    def from_r3(params: AlgebraParams, vec: FpVector) -> "AlgebraElement":
-        if vec.p != params.p or vec.dim != params.d:
-            raise DimensionMismatchError("vector does not match params")
-        d = params.d
-        return AlgebraElement(params, 0, (0,) * d, _zero_matrix(d), vec.coords, 0)
-
-    def components(self) -> tuple[int, tuple[int, ...], Matrix, tuple[int, ...], int]:
-        return (self.c0, self.r1, self.r2, self.r3, self.c4)
+        z = (0,) * params.d
+        return AlgebraElement(params, 0, vec.coords, (z,) * params.d, z, 0)
 
     def grade_components_zero(self, grades: tuple[int, ...]) -> bool:
         """True when every listed graded component vanishes."""
-        checks = {
-            0: self.c0 == 0,
-            1: all(c == 0 for c in self.r1),
-            2: all(c == 0 for row in self.r2 for c in row),
-            3: all(c == 0 for c in self.r3),
-            4: self.c4 == 0,
-        }
-        return all(checks[g] for g in grades)
+        r1, r2, r3, c4 = self._grades()
+        parts = ((self.c0,), r1, sum(r2, ()), r3, (c4,))
+        return not any(any(parts[g]) for g in grades)
 
     def is_zero(self) -> bool:
-        return self.grade_components_zero((0, 1, 2, 3, 4))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.params == other.params and self.components() == other.components()
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.c0, self.r1, self.r2, self.r3, self.c4))
-        return self._hash
+        return not any(self.digits)
 
     def __repr__(self) -> str:
         return f"AlgebraElement({to_text(self)!r})"
@@ -175,28 +199,11 @@ def _same_params(a: AlgebraElement, b: AlgebraElement) -> AlgebraParams:
 
 
 def alg_add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    params = _same_params(a, b)
-    p, d = params.p, params.d
-    return AlgebraElement(
-        params,
-        (a.c0 + b.c0) % p,
-        tuple((x + y) % p for x, y in zip(a.r1, b.r1)),
-        tuple(tuple((a.r2[i][j] + b.r2[i][j]) % p for j in range(d)) for i in range(d)),
-        tuple((x + y) % p for x, y in zip(a.r3, b.r3)),
-        (a.c4 + b.c4) % p,
-    )
+    return AlgebraElement.of(_same_params(a, b), map(add, a.digits, b.digits))
 
 
 def alg_neg(a: AlgebraElement) -> AlgebraElement:
-    p, d = a.params.p, a.params.d
-    return AlgebraElement(
-        a.params,
-        -a.c0 % p,
-        tuple(-x % p for x in a.r1),
-        tuple(tuple(-a.r2[i][j] % p for j in range(d)) for i in range(d)),
-        tuple(-x % p for x in a.r3),
-        -a.c4 % p,
-    )
+    return AlgebraElement.of(a.params, (-x for x in a.digits))
 
 
 def alg_sub(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -204,16 +211,7 @@ def alg_sub(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 def alg_scale(a: AlgebraElement, c: int) -> AlgebraElement:
-    p, d = a.params.p, a.params.d
-    c %= p
-    return AlgebraElement(
-        a.params,
-        a.c0 * c % p,
-        tuple(x * c % p for x in a.r1),
-        tuple(tuple(a.r2[i][j] * c % p for j in range(d)) for i in range(d)),
-        tuple(x * c % p for x in a.r3),
-        a.c4 * c % p,
-    )
+    return AlgebraElement.of(a.params, (x * c for x in a.digits))
 
 
 def alg_mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -228,22 +226,10 @@ def lie_bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 def basis_elements(params: AlgebraParams) -> list[AlgebraElement]:
-    """The graded basis of R: unit, e_i, e_i (x) e_j, e_i', R4 unit."""
-    d = params.d
-    out = [AlgebraElement.one(params)]
-    for i in range(d):
-        out.append(AlgebraElement.from_r1(params, FpVector.basis(params.p, d, i)))
-    for i in range(d):
-        for j in range(d):
-            r2 = tuple(
-                tuple(1 if (a, b) == (i, j) else 0 for b in range(d)) for a in range(d)
-            )
-            out.append(AlgebraElement(params, 0, (0,) * d, r2, (0,) * d, 0))
-    for i in range(d):
-        out.append(AlgebraElement.from_r3(params, FpVector.basis(params.p, d, i)))
-    z = (0,) * d
-    out.append(AlgebraElement(params, 0, z, _zero_matrix(d), z, 1))
-    return out
+    """The graded basis of R: unit, e_i, e_i (x) e_j, e_i', R4 unit (the rows
+    of the identity matrix on the digits)."""
+    n = 1 + params.dim_l1
+    return [AlgebraElement.of(params, (0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n)]
 
 
 # Text serialization: "c0 | r1 | r2 rows ; separated | r3 | c4", digits in

@@ -237,14 +237,19 @@ def _cmd_probe(args: argparse.Namespace) -> tuple[int, dict, dict]:
 def _cmd_series(args: argparse.Namespace) -> tuple[int, dict, dict]:
     G = _resolve_table(args.table)
     info = {"kind": "table", "source": args.table, "order": G.order}
+    lower = structure.lower_central_series(G)
+    upper = structure.upper_central_series(G)
+    derived = structure.derived_series(G)
     report = {
-        "lower_central": structure.lower_central_series(G).to_json_dict(),
-        "upper_central": structure.upper_central_series(G).to_json_dict(),
-        "derived": structure.derived_series(G).to_json_dict(),
-        "nilpotency_class": structure.nilpotency_class(G),
-        "derived_length": structure.derived_length(G),
+        "lower_central": lower.to_json_dict(),
+        "upper_central": upper.to_json_dict(),
+        "derived": derived.to_json_dict(),
+        "nilpotency_class": lower.trivial_at(),
+        "derived_length": derived.trivial_at(),
         "engel_degree": structure.engel_degree(G, max_l=args.max_l),
-        "baer_indices": list(structure.baer_indices(G, args.baer_s, args.baer_t)),
+        "baer_indices": list(
+            structure.series_baer_indices(lower, upper, args.baer_s, args.baer_t)
+        ),
         "baer_s_t": [args.baer_s, args.baer_t],
     }
     return EXIT_OK, info, report

@@ -1,7 +1,9 @@
 """Group arithmetic: the class-4 family G = 1 + L1 and Cayley-table groups.
 
-Family elements are stored by the L1-part a of 1 + a.  `grp_mul` and
-`grp_inv` are one-element calls of the shared engine `params.engine`, and
+A family element 1 + a is one tuple, the L1 digits of a, in the layout
+that engine stacks use (`BatchAlg.coords` / `from_coords`), so elements
+and stacks share one coordinate layout.  `grp_mul` and `grp_inv` are
+one-element calls of the shared engine `params.engine`, and
 `commutator`, `conjugate` and `long_commutator` are their definitional
 compositions.  Family class sizes come from linear algebra: 1+t commutes
 with 1+a exactly when at = ta, so the centralizer of 1+a is 1 + ker(ad_a)
@@ -25,6 +27,7 @@ index array for tables.
 from __future__ import annotations
 
 import io
+import math
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -32,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._batch import Batch, BatchAlg
-from .algebra import AlgebraElement, AlgebraParams
+from .algebra import AlgebraElement, AlgebraParams, FlatDigits, Matrix, join_grades
 from .errors import (
     CapExceededError,
     CayleyAssociativityError,
@@ -49,8 +52,6 @@ DEFAULT_ORBIT_CAP = 1 << 16
 DEFAULT_ENUM_CAP = 1 << 14
 _AD_CHUNK_ENTRIES = 1 << 22   # ad-matrix entries per rank_stack call, bounds memory
 _ASSOC_BLOCK_ENTRIES = 1 << 20   # table entries per associativity comparison, bounds memory
-
-Matrix = tuple[tuple[int, ...], ...]
 
 
 def _orbit_labels(perms: np.ndarray) -> np.ndarray:
@@ -75,10 +76,10 @@ def _label_classes(labels: np.ndarray) -> tuple[list[int], list[int]]:
     return reps.tolist(), np.bincount(labels)[reps].tolist()
 
 
-class GroupElement:
-    """Element 1 + a of the family group, stored by the L1-part a."""
+class GroupElement(FlatDigits):
+    """Element 1 + a of the family group, stored by the L1 digits of a."""
 
-    __slots__ = ("params", "r1", "r2", "r3", "c4", "_hash")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -88,79 +89,39 @@ class GroupElement:
         r3: tuple[int, ...],
         c4: int,
     ):
-        d, p = params.d, params.p
-        if len(r1) != d or len(r3) != d or len(r2) != d or any(len(row) != d for row in r2):
-            raise DimensionMismatchError("component dimensions do not match params")
-        self.params = params
-        self.r1 = tuple(c % p for c in r1)
-        self.r2 = tuple(tuple(c % p for c in row) for row in r2)
-        self.r3 = tuple(c % p for c in r3)
-        self.c4 = c4 % p
-        self._hash: int | None = None
+        self._set(params, join_grades(params, r1, r2, r3, c4))
 
     @staticmethod
     def identity(params: AlgebraParams) -> "GroupElement":
-        d = params.d
-        z = (0,) * d
-        return GroupElement(params, z, tuple((0,) * d for _ in range(d)), z, 0)
+        return GroupElement.of(params, (0,) * params.dim_l1)
 
     @staticmethod
     def from_l1(a: AlgebraElement) -> "GroupElement":
         if a.c0 != 0:
             raise ValueError("L1-part must have zero grade-0 component")
-        return GroupElement(a.params, a.r1, a.r2, a.r3, a.c4)
+        return GroupElement.of(a.params, a.digits[1:])
 
     def l1_part(self) -> AlgebraElement:
-        return AlgebraElement(self.params, 0, self.r1, self.r2, self.r3, self.c4)
+        return AlgebraElement.of(self.params, (0, *self.digits))
 
     def coords(self) -> tuple[int, ...]:
         """Flat L1 digits in the order (r1, r2 row-major, r3, c4)."""
-        flat = list(self.r1)
-        for row in self.r2:
-            flat.extend(row)
-        flat.extend(self.r3)
-        flat.append(self.c4)
-        return tuple(flat)
+        return self.digits
 
     @staticmethod
     def from_coords(params: AlgebraParams, flat: Sequence[int]) -> "GroupElement":
-        d = params.d
         if len(flat) != params.dim_l1:
             raise DimensionMismatchError("coordinate length does not match params")
-        r1 = tuple(flat[:d])
-        r2 = tuple(tuple(flat[d + i * d : d + (i + 1) * d]) for i in range(d))
-        r3 = tuple(flat[d + d * d : 2 * d + d * d])
-        return GroupElement(params, r1, r2, r3, flat[-1])
+        return GroupElement.of(params, flat)
 
     def is_identity(self) -> bool:
-        return (
-            self.c4 == 0
-            and all(c == 0 for c in self.r1)
-            and all(c == 0 for c in self.r3)
-            and all(c == 0 for row in self.r2 for c in row)
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return (
-            self.params == other.params
-            and self.r1 == other.r1
-            and self.r2 == other.r2
-            and self.r3 == other.r3
-            and self.c4 == other.c4
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.r1, self.r2, self.r3, self.c4))
-        return self._hash
+        return not any(self.digits)
 
     def __lt__(self, other: "GroupElement") -> bool:
-        return self.coords() < other.coords()
+        return self.digits < other.digits
 
     def __repr__(self) -> str:
-        return f"GroupElement(coords={self.coords()!r})"
+        return f"GroupElement(coords={self.digits!r})"
 
 
 def _same_params(g: GroupElement, h: GroupElement) -> AlgebraParams:
@@ -170,12 +131,12 @@ def _same_params(g: GroupElement, h: GroupElement) -> AlgebraParams:
 
 
 def _stack(params: AlgebraParams, elems: Sequence[GroupElement]) -> Batch:
-    flat = np.array([g.coords() for g in elems], dtype=np.int64)
+    flat = np.array([g.digits for g in elems], dtype=np.int64)
     return params.engine.from_coords(flat.reshape(len(elems), params.dim_l1))
 
 
 def _elements(params: AlgebraParams, flat: np.ndarray) -> list[GroupElement]:
-    return [GroupElement.from_coords(params, row) for row in flat.tolist()]
+    return [GroupElement.of(params, row) for row in flat.tolist()]
 
 
 def _one(params: AlgebraParams, b: Batch) -> GroupElement:
@@ -221,12 +182,12 @@ class AlgebraGroup:
     for concurrent readers afterwards.
     """
 
-    def __init__(self, params: AlgebraParams, orbit_cap: int = DEFAULT_ORBIT_CAP):
+    def __init__(self, params: AlgebraParams):
         self.params = params
-        self.orbit_cap = orbit_cap
         self.dim_l1 = params.dim_l1
         self.order = params.p ** self.dim_l1
         self.identity = GroupElement.identity(params)
+        self.class_log_base = params.p   # class sizes are p-powers
         self._labels: np.ndarray | None = None
 
     @property
@@ -235,14 +196,8 @@ class AlgebraGroup:
 
     @cached_property
     def generators(self) -> list[GroupElement]:
-        """1 + e for e over the graded basis of L1 (r1, r2, r3, c4 order)."""
-        out = []
-        m = self.dim_l1
-        for i in range(m):
-            flat = [0] * m
-            flat[i] = 1
-            out.append(GroupElement.from_coords(self.params, flat))
-        return out
+        """1 + e for e over the basis of L1, in coordinate order."""
+        return _elements(self.params, np.eye(self.dim_l1, dtype=np.int64))
 
     @cached_property
     def _ad_tensor(self) -> np.ndarray:
@@ -315,7 +270,7 @@ class AlgebraGroup:
         return idx[:, None] // self._place_values % self.params.p
 
     def repeat(self, g: GroupElement, n: int) -> Batch:
-        return self.batch.from_coords(np.tile(np.array(g.coords(), dtype=np.int64), (n, 1)))
+        return self.batch.from_coords(np.tile(np.array(g.digits, dtype=np.int64), (n, 1)))
 
     def stack(self, elems: Sequence[GroupElement]) -> Batch:
         return _stack(self.params, elems)
@@ -364,11 +319,10 @@ class AlgebraGroup:
     def sample_batch(self, rng: np.random.Generator, count: int) -> Batch:
         return self.batch.random_l1(rng, count)
 
-    def conjugacy_orbit(self, g: GroupElement, cap: int | None = None) -> set[GroupElement]:
+    def conjugacy_orbit(self, g: GroupElement, cap: int = DEFAULT_ORBIT_CAP) -> set[GroupElement]:
         """The class of g, closed under the conjugation matrices one layer at
         a time; needs no enumeration of G."""
-        cap = self.orbit_cap if cap is None else cap
-        start = np.array(g.coords(), dtype=np.uint8)
+        start = np.array(g.digits, dtype=np.uint8)
         seen = {start.tobytes()}
         frontier = [start]
         while frontier:
@@ -408,6 +362,8 @@ class TableGroup:
     of generators, which is all of G.
     """
 
+    class_log_base = math.e
+
     def __init__(self, table: Sequence[Sequence[int]] | np.ndarray, name: str = "table"):
         tbl = np.asarray(table, dtype=np.int64)
         if tbl.ndim != 2 or tbl.shape[0] != tbl.shape[1]:
@@ -426,11 +382,15 @@ class TableGroup:
         if t.min() < 0 or t.max() >= m:
             raise CayleyParseError("table entries must lie in [0, m)")
         full = np.arange(m)
-        for i in range(m):
-            if not np.array_equal(np.sort(t[i]), full):
-                raise CayleyPermutationError(f"row {i} is not a permutation")
-            if not np.array_equal(np.sort(t[:, i]), full):
-                raise CayleyPermutationError(f"column {i} is not a permutation")
+        in_row = np.zeros((m, m), dtype=bool)   # in_row[i, v]: row i holds v
+        in_row[full[:, None], t] = True
+        in_col = np.zeros((m, m), dtype=bool)   # in_col[v, j]: column j holds v
+        in_col[t, full] = True
+        bad_row, bad_col = ~in_row.all(axis=1), ~in_col.all(axis=0)
+        if bad_row.any() or bad_col.any():
+            i = int(np.argmax(bad_row | bad_col))   # row i is reported before column i
+            kind = "row" if bad_row[i] else "column"
+            raise CayleyPermutationError(f"{kind} {i} is not a permutation")
         if not np.array_equal(t[0], full) or not np.array_equal(t[:, 0], full):
             raise CayleyIdentityError("index 0 is not a two-sided identity")
         rows = max(1, _ASSOC_BLOCK_ENTRIES // m)

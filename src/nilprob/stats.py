@@ -162,12 +162,9 @@ def dk_monte_carlo(
 
 
 def conjugacy_norm(G: Group, g) -> float:
-    """log of the conjugacy class size: base p for family groups (class sizes
-    are p-powers), natural log for table groups."""
-    size = G.class_size(g)
-    if isinstance(G, AlgebraGroup):
-        return math.log(size, G.params.p)
-    return math.log(size)
+    """log of the conjugacy class size, to the base `G.class_log_base`: p for
+    family groups, e for table groups."""
+    return math.log(G.class_size(g), G.class_log_base)
 
 
 def commutator_set(G: Group, cap: int = COVER_PAIR_CAP) -> list:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -18,7 +19,8 @@ import numpy as np
 from .algebra import AlgebraParams
 from .errors import CapExceededError, DegenerateFormError
 from .fieldlin import FpVector, form_eval, nullspace, row_space_basis
-from .groups import TableGroup, _power_closure, subgroup_closure
+from .groups import TableGroup, _orbit_labels, _power_closure, subgroup_closure
+from .stats import conjugacy_norm
 
 SERIES_CAP = 1 << 12
 SUBGROUP_ENUM_CAP = 64
@@ -38,6 +40,10 @@ class SeriesReport:
     terms: list[frozenset[int]]
     orders: list[int]
     stabilized_at: int
+
+    def trivial_at(self) -> int | None:
+        """Index of the first trivial term; None when there is none."""
+        return next((i for i, term in enumerate(self.terms) if len(term) == 1), None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -82,51 +88,44 @@ def _commutator_values(G: TableGroup, sub: Iterable[int], full: Iterable[int]) -
     return set(int(x) for x in np.unique(G.commutators(a[:, None], b[None, :])))
 
 
+def _fixed_point_series(
+    kind: str, start: frozenset[int], step: Callable[[frozenset[int]], frozenset[int]]
+) -> SeriesReport:
+    """start, step(start), ... up to the first term that step maps to itself."""
+    terms = [start]
+    while (nxt := step(terms[-1])) != terms[-1]:
+        terms.append(nxt)
+    return SeriesReport(kind, terms, [len(s) for s in terms], len(terms) - 1)
+
+
 def lower_central_series(G: TableGroup, cap: int = SERIES_CAP) -> SeriesReport:
     """gamma_1 = G, gamma_{i+1} = <[gamma_i, G]>, until stabilization."""
     _check_cap(G, cap)
-    everything = frozenset(G.elements())
-    terms = [everything]
-    while True:
-        gens = _commutator_values(G, terms[-1], G.elements())
-        nxt = subgroup_closure(G, gens)
-        if nxt == terms[-1]:
-            break
-        terms.append(nxt)
-    return SeriesReport(
-        "lower-central", terms, [len(s) for s in terms], len(terms) - 1
+    return _fixed_point_series(
+        "lower-central",
+        frozenset(G.elements()),
+        lambda H: subgroup_closure(G, _commutator_values(G, H, G.elements())),
     )
 
 
 def upper_central_series(G: TableGroup, cap: int = SERIES_CAP) -> SeriesReport:
     """Z_0 = 1, Z_{i+1}/Z_i = center of G/Z_i, until stabilization."""
     _check_cap(G, cap)
-    m = G.order
-    idx = np.arange(m)
+    idx = np.arange(G.order)
     comm = G.commutators(idx[:, None], idx[None, :])
-    terms = [frozenset({0})]
-    while True:
-        in_z = np.zeros(m, dtype=bool)
-        in_z[list(terms[-1])] = True
-        members = frozenset(int(x) for x in idx[in_z[comm].all(axis=1)])
-        if members == terms[-1]:
-            break
-        terms.append(members)
-    return SeriesReport(
-        "upper-central", terms, [len(s) for s in terms], len(terms) - 1
-    )
+
+    def step(Z: frozenset[int]) -> frozenset[int]:
+        in_z = np.zeros(G.order, dtype=bool)
+        in_z[list(Z)] = True
+        return frozenset(np.flatnonzero(in_z[comm].all(axis=1)).tolist())
+
+    return _fixed_point_series("upper-central", frozenset({0}), step)
 
 
 def derived_series(G: TableGroup, cap: int = SERIES_CAP) -> SeriesReport:
     """G^(0) = G, G^(i+1) = [G^(i), G^(i)], until stabilization."""
     _check_cap(G, cap)
-    terms = [frozenset(G.elements())]
-    while True:
-        nxt = _derived(G, terms[-1])
-        if nxt == terms[-1]:
-            break
-        terms.append(nxt)
-    return SeriesReport("derived", terms, [len(s) for s in terms], len(terms) - 1)
+    return _fixed_point_series("derived", frozenset(G.elements()), lambda H: _derived(G, H))
 
 
 def _derived(G: TableGroup, H: Iterable[int]) -> frozenset[int]:
@@ -140,19 +139,11 @@ def derived_subgroup(G: TableGroup) -> frozenset[int]:
 
 def nilpotency_class(G: TableGroup, cap: int = SERIES_CAP) -> int | None:
     """Least c with gamma_{c+1} = 1; None when the series stabilizes above 1."""
-    series = lower_central_series(G, cap)
-    for i, term in enumerate(series.terms):
-        if len(term) == 1:
-            return i
-    return None
+    return lower_central_series(G, cap).trivial_at()
 
 
 def derived_length(G: TableGroup, cap: int = SERIES_CAP) -> int | None:
-    series = derived_series(G, cap)
-    for i, term in enumerate(series.terms):
-        if len(term) == 1:
-            return i
-    return None
+    return derived_series(G, cap).trivial_at()
 
 
 def _series_term(terms: list[frozenset[int]], i: int) -> frozenset[int]:
@@ -162,10 +153,15 @@ def _series_term(terms: list[frozenset[int]], i: int) -> frozenset[int]:
 
 def baer_indices(G: TableGroup, s: int, t: int, cap: int = SERIES_CAP) -> tuple[int, int]:
     """([gamma_s : Z_t cap gamma_s], [gamma_{s+1} : Z_{t-1} cap gamma_{s+1}])."""
+    return series_baer_indices(lower_central_series(G, cap), upper_central_series(G, cap), s, t)
+
+
+def series_baer_indices(
+    lower: SeriesReport, upper: SeriesReport, s: int, t: int
+) -> tuple[int, int]:
+    """`baer_indices` read from already computed lower and upper central series."""
     if s < 1 or t < 1:
         raise ValueError("need s >= 1 and t >= 1")
-    lower = lower_central_series(G, cap)
-    upper = upper_central_series(G, cap)
     gamma_s = _series_term(lower.terms, s - 1)
     gamma_s1 = _series_term(lower.terms, s)
     z_t = _series_term(upper.terms, t)
@@ -343,7 +339,8 @@ def discrete_norm(G: TableGroup) -> Callable[[int], float]:
 
 
 def conjugacy_norm_fn(G: TableGroup) -> Callable[[int], float]:
-    return lambda g: math.log(G.class_size(g))
+    """`stats.conjugacy_norm` on G (the natural log of the class size)."""
+    return partial(conjugacy_norm, G)
 
 
 def _norm_table(G: TableGroup, norm: Callable[[int], float]) -> np.ndarray:
@@ -484,8 +481,19 @@ def neumann_converse(
     return ConverseReport(cover_ok, len(centers), index_H, index_K, prob, floor)
 
 
+def _double_coset_reps(G: TableGroup, H: frozenset[int]) -> list[int]:
+    """Least element of each double coset HgH other than H itself."""
+    h = np.array(sorted(H), dtype=np.int64)
+    labels = _orbit_labels(np.concatenate([G.table[h], G.table[:, h].T]))
+    return np.flatnonzero(labels == np.arange(G.order))[1:].tolist()
+
+
 def subgroups(G: TableGroup, cap: int = SUBGROUP_ENUM_CAP) -> list[frozenset[int]]:
-    """All subgroups, by closure of one-element extensions."""
+    """All subgroups, by closure of one-element extensions.
+
+    <H, g> = <H, h g h'> for h, h' in H, so one g per double coset HgH is
+    enough.
+    """
     if G.order > cap:
         raise CapExceededError(f"|G| = {G.order} exceeds subgroup enumeration cap {cap}")
     trivial = frozenset({0})
@@ -494,9 +502,7 @@ def subgroups(G: TableGroup, cap: int = SUBGROUP_ENUM_CAP) -> list[frozenset[int
     while frontier:
         fresh = []
         for H in frontier:
-            for g in G.elements():
-                if g in H:
-                    continue
+            for g in _double_coset_reps(G, H):
                 K = subgroup_closure(G, set(H) | {g})
                 if K not in found:
                     found.add(K)

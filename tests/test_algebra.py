@@ -1,14 +1,17 @@
+import functools
 import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as hst
 
 from nilprob.algebra import (
     AlgebraElement,
     AlgebraParams,
     alg_add,
     alg_mul,
+    alg_neg,
     alg_scale,
     basis_elements,
     from_text,
@@ -16,7 +19,8 @@ from nilprob.algebra import (
     to_text,
 )
 from nilprob.errors import ParamsMismatchError
-from nilprob.fieldlin import FpVector, form_eval
+from nilprob.fieldlin import SUPPORTED_PRIMES, FpVector, form_eval
+from nilprob.groups import GroupElement
 
 
 def rand_element(params, rng, with_c0=True):
@@ -319,3 +323,62 @@ class TestSerialization:
     def test_bad_text(self, params21):
         with pytest.raises(ValueError):
             from_text(params21, "1 | 0 0 | 0 0 | 0")
+
+
+@functools.cache
+def hyperbolic(p, n):
+    return AlgebraParams.hyperbolic(p, n)
+
+
+@hst.composite
+def digit_pairs(draw):
+    """(params, c0 digits, L1 digits) x 2 at p in {2, 3, 5, 7}, n in {1, 2}."""
+    params = hyperbolic(draw(hst.sampled_from(SUPPORTED_PRIMES)), draw(hst.integers(1, 2)))
+    m = params.dim_l1
+    digits = hst.lists(hst.integers(0, params.p - 1), min_size=m, max_size=m)
+    c0 = hst.integers(0, params.p - 1)
+    return params, (draw(c0), draw(digits)), (draw(c0), draw(digits))
+
+
+class TestOneLayout:
+    """Elements keep the digit layout of engine stacks."""
+
+    @given(digit_pairs())
+    def test_grade_views_match_stack_grades(self, case):
+        params, (_, flat), _ = case
+        stack = params.engine.from_coords(np.array([flat]))
+        g = GroupElement.from_coords(params, flat)
+        assert g.coords() == tuple(flat)
+        assert g.r1 == tuple(stack.r1[0].tolist())
+        assert g.r2 == tuple(map(tuple, stack.r2[0].tolist()))
+        assert g.r3 == tuple(stack.r3[0].tolist())
+        assert g.c4 == stack.c4[0]
+        assert g.l1_part().digits == (0, *flat)
+
+    @given(digit_pairs())
+    def test_constructor_matches_flat_route(self, case):
+        params, (c0, flat), _ = case
+        stack = params.engine.from_coords(np.array([flat]))
+        r1, r2, r3, c4 = (x[0].tolist() for x in stack[1:])
+        grades = (r1, r2, r3, c4)
+        g, h = GroupElement(params, *grades), GroupElement.from_coords(params, flat)
+        assert g == h and hash(g) == hash(h)
+        a = AlgebraElement(params, c0, *grades)
+        b = params.engine.to_elements(stack._replace(c0=np.array([c0])))[0]
+        assert a == b and hash(a) == hash(b)
+        assert a.digits == (c0, *flat)
+
+    @given(digit_pairs())
+    def test_digitwise_ops_match_engine(self, case):
+        params, (c0, x), (d0, y) = case
+        eng = params.engine
+        a, b = AlgebraElement.of(params, (c0, *x)), AlgebraElement.of(params, (d0, *y))
+        sa, sb = eng.from_elements([a]), eng.from_elements([b])
+        assert eng.to_elements(eng.add(sa, sb)) == [alg_add(a, b)]
+        assert eng.to_elements(eng.neg(sa)) == [alg_neg(a)]
+
+    @given(digit_pairs())
+    def test_text_roundtrip(self, case):
+        params, (c0, flat), _ = case
+        a = AlgebraElement.of(params, (c0, *flat))
+        assert from_text(params, to_text(a)) == a

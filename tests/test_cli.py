@@ -259,3 +259,25 @@ def test_cli_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
     assert out == "False\n"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_lines():
+    """Every `nilprob ...` line of README's CLI block, comments stripped."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("nilprob ")]
+    return [ln.split("#", 1)[0].split()[1:] for ln in lines]
+
+
+def test_readme_cli_block_is_found():
+    assert len(readme_cli_lines()) == 11
+
+
+@pytest.mark.parametrize("argv", readme_cli_lines(), ids=lambda argv: " ".join(argv))
+def test_readme_cli_lines_run(argv, capsys, monkeypatch):
+    monkeypatch.chdir(README.parent)   # the README's paths are relative to the repo root
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["command"] == argv[0]

@@ -612,3 +612,35 @@ class TestClassPassMatchesLoops:
                 stats.commutator_set(G)
             return
         assert stats.commutator_set(G) == ref_commutator_set(G)
+
+
+def ref_permutation_error(t):
+    """The first row or column that is not a permutation, row i before column i."""
+    full = np.arange(len(t))
+    for i in range(len(t)):
+        if not np.array_equal(np.sort(t[i]), full):
+            return f"row {i} is not a permutation"
+        if not np.array_equal(np.sort(t[:, i]), full):
+            return f"column {i} is not a permutation"
+    return None
+
+
+def test_permutation_check_matches_loop(oracle_groups):
+    rng = np.random.default_rng(21)
+    seen = set()
+    for G in oracle_groups.values():
+        for _ in range(30):
+            t = G.table.copy()
+            for _ in range(rng.integers(1, 4)):
+                t[rng.integers(G.order), rng.integers(G.order)] = rng.integers(G.order)
+            expect = ref_permutation_error(t)
+            try:
+                TableGroup(t)
+                got = None
+            except CayleyPermutationError as exc:
+                got = str(exc)
+            except (CayleyIdentityError, CayleyAssociativityError):
+                got = None
+            assert got == expect
+            seen.add(None if expect is None else expect.split()[0])
+    assert seen == {None, "row", "column"}

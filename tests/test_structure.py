@@ -7,6 +7,7 @@ import pytest
 from nilprob.algebra import AlgebraParams, lie_bracket, AlgebraElement
 from nilprob.errors import CapExceededError, DegenerateFormError
 from nilprob.fieldlin import BilinearForm, FpVector, form_eval
+from nilprob.groups import direct_product, subgroup_closure
 from nilprob.tables import corpus_group, cyclic, symmetric3
 from nilprob import structure as st
 
@@ -284,3 +285,39 @@ class TestGradedIdentities:
             n = max(size for _, size in G.conjugacy_classes())
             derived = len(st.derived_subgroup(G))
             assert derived <= n ** ((7 + math.log2(n)) / 2) + 1e-9
+
+
+def subgroups_every_element(G):
+    """Reference: close H with every element g outside it, for every found H."""
+    trivial = frozenset({0})
+    found, frontier = {trivial}, [trivial]
+    while frontier:
+        fresh = []
+        for H in frontier:
+            for g in G.elements():
+                if g not in H:
+                    K = subgroup_closure(G, set(H) | {g})
+                    if K not in found:
+                        found.add(K)
+                        fresh.append(K)
+        frontier = fresh
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+class TestSubgroupsByDoubleCosets:
+    @pytest.mark.parametrize(
+        "factors", [("d4", "c4"), ("q8", "c4"), ("s3", "c8"), ("d4", "c2"), ("a4",), ("heis27",)]
+    )
+    def test_matches_every_element_loop(self, factors):
+        G = corpus_group(factors[0])
+        for name in factors[1:]:
+            G = direct_product(G, corpus_group(name))
+        assert st.subgroups(G) == subgroups_every_element(G)
+
+    def test_double_cosets_partition(self, corpus_groups):
+        for G in corpus_groups.values():
+            for H in st.subgroups(G):
+                reps = st._double_coset_reps(G, H)
+                h = sorted(H)
+                cosets = [{G.mul(G.mul(a, g), b) for a in h for b in h} for g in reps]
+                assert sorted(x for c in [set(H), *cosets] for x in c) == list(range(G.order))
