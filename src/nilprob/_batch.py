@@ -4,13 +4,14 @@ This is the only place where products are computed.  `algebra.alg_mul`
 and `groups.grp_mul` / `grp_inv` are calls on one-element stacks, through
 the engine each `AlgebraParams` shares as `params.engine`.
 
-Stacks hold one int64 array per grade.  Every product goes through
+Stacks hold one int64 array per grade.  Products go through
 `BatchAlg._prod`, the grade 2..4 part of the product of two L1 parts (an
 L1 product has no grade-0 or grade-1 part), with its contractions written
 as matmuls: the R2 x R2 -> R4 term <A F B, F> is one bilinear form on
 flattened d^2 vectors, vec(A) M vec(B) with M[(i,k),(l,j)] = F_kl F_ij.
-Each output component is summed exactly and reduced mod p once, at the
-end.
+Products with the constant matrices F and M run in float64 (`_times`),
+where numpy has BLAS; they are exact.  Each output component is summed
+exactly and reduced mod p once, at the end.
 
 The group operations on L1 stacks (g = 1 + a, h = 1 + b) are closed forms
 by grade:
@@ -19,9 +20,34 @@ by grade:
     g^-1    = 1 + v,  v = -a - a v, solved one grade at a time
     [g, h]  = g^-1 h^-1 g h = 1 + g^-1 h^-1 (ab - ba) = 1 + c + u c
 
-since gh - hg = ab - ba = c.  c lies in grades >= 2 and grades above 4
-vanish, so only the grade <= 2 part u of g^-1 h^-1 - 1 matters:
-u1 = -(a1 + b1) and U2 = -A2 - B2 + a1 (a1 + b1)^T + b1 b1^T.
+since gh - hg = ab - ba = c.  c = C + c3 + c4 lies in grades >= 2, with
+C = a1 b1^T - b1 a1^T, and grades above 4 vanish, so only the grade <= 2
+part of g^-1 h^-1 - 1 matters: u1 = -s with s = a1 + b1, and
+U = a1 s^T + b1 b1^T - A - B.  With <X,F> = sum_ij X_ij F_ij, u c is
+
+    w3 = -<C,F> s - (s^T F a1) b1 + (s^T F b1) a1
+    w4 = -s^T F c3 + <U,F><C,F> + (U F a1)^T F b1 - (U F b1)^T F a1,
+
+and in the last two terms the rank-one part of U leaves
+(s^T F a1)(a1^T F b1) - (s^T F b1)(a1^T F a1), the rest is
+-vec(A + B) M vec(C).  `commutator` evaluates these terms and no others:
+no U matrix and no general product.
+
+A commutator value has no grade-1 part, so each step of a left-normed
+commutator [x1, ..., xk] after the first has a1 = 0.  Then C = 0, u c is
+the one term -b1^T F c3, and the step is
+
+    c3 = A F b1 - b1^T F A
+    c4 = a3^T (F - F^T) b1 + vec(A) M_A vec(B) - b1^T F c3,  M_A = M - M^T
+
+with grades 1 and 2 of the result 0: two matvecs, one bilinear form and a
+few dots.  `long_commutator` runs the first step and these steps in blocks
+of BLOCK rows, into one output stack.  The blocks bound peak memory and
+keep a step's temporaries in cache.  The temporaries of a whole 65536-row
+Monte Carlo chunk are tens of megabytes per thread, and the allocator
+keeps them after two threads have run: on the benchmark's family-mc
+workload (2-vCPU VM), whole-chunk steps measured peak_rss_mb 292 and
+stage1_ref 7.6, 4096-row blocks 204 and 5.3.
 
 The independent oracle lives in the tests: the structure-constant tensor
 of R, built from the generating rules on basis vectors alone.
@@ -29,11 +55,13 @@ of R, built from the generating rules on basis vectors alone.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraParams
+
+BLOCK = 1 << 12   # rows per long_commutator step (see the module docstring)
 
 
 class Batch(NamedTuple):
@@ -48,6 +76,10 @@ class Batch(NamedTuple):
     @property
     def count(self) -> int:
         return self.c0.shape[0]
+
+
+def _rows(b: Batch, rows: slice) -> Batch:
+    return Batch(*(x[rows] for x in b))
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -68,17 +100,24 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("nj,nj->n", x, y)
 
 
+def _times(x: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """x K for an int64 stack x and a constant float64 matrix K.  numpy has
+    no BLAS path for int64 products; the float64 one is exact here, since
+    every entry and sum stays far below 2^53."""
+    return (x @ K).astype(np.int64)
+
+
 def _cut(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """M restricted to its nonzero rows and columns (for the hyperbolic form
     at d = 4, the 16 x 16 M keeps 4 rows and 4 columns)."""
     rows, cols = np.flatnonzero(M.any(axis=1)), np.flatnonzero(M.any(axis=0))
-    return rows, cols, M[np.ix_(rows, cols)]
+    return rows, cols, M[np.ix_(rows, cols)].astype(np.float64)
 
 
 def _bilinear(X: np.ndarray, Y: np.ndarray, cut: tuple) -> np.ndarray:
     """vec(X) M vec(Y) for every entry of two (N, d^2) stacks; cut = _cut(M)."""
     rows, cols, block = cut
-    return _dot(np.take(X, rows, axis=1) @ block, np.take(Y, cols, axis=1))
+    return _dot(_times(X[:, rows], block), Y[:, cols])
 
 
 class BatchAlg:
@@ -89,10 +128,11 @@ class BatchAlg:
         p, d = params.p, params.d
         self.p, self.d = p, d
         F = np.array(params.form.coeffs, dtype=np.int64)
-        self.F = F
-        self.FS = (F + F.T) % p
-        self.FA = (F - F.T) % p
-        self.vecF = F.reshape(d * d)
+        # The constant matrices are float64 operands of `_times`.
+        self.F = F.astype(np.float64)
+        self.FS = ((F + F.T) % p).astype(np.float64)
+        self.FA = ((F - F.T) % p).astype(np.float64)
+        self.vecF = self.F.reshape(d * d)
         # <A F B, F> = vec(A) M vec(B), and M - M^T gives <AFB - BFA, F>.
         M = np.einsum("kl,ij->iklj", F, F).reshape(d * d, d * d)
         self.M = _cut(M)
@@ -125,9 +165,6 @@ class BatchAlg:
     def add(self, a: Batch, b: Batch) -> Batch:
         return Batch(*(self._mod(x + y) for x, y in zip(a, b)))
 
-    def neg(self, a: Batch) -> Batch:
-        return Batch(*(self._mod(-x) for x in a))
-
     def sub(self, a: Batch, b: Batch) -> Batch:
         return Batch(*(self._mod(x - y) for x, y in zip(a, b)))
 
@@ -141,9 +178,10 @@ class BatchAlg:
         """
         n, dd, F = len(a1), self.d * self.d, self.F
         Af, Bf = A.reshape(n, dd), B.reshape(n, dd)
-        tA, tB = Af @ self.vecF, Bf @ self.vecF
-        r3 = tB[:, None] * a1 + tA[:, None] * b1 + _vecmat(a1 @ F, B) + _matvec(A, b1 @ F.T)
-        c4 = _dot(a1 @ F, b3) + _dot(a3 @ F, b1) + tA * tB + _bilinear(Af, Bf, self.M)
+        tA, tB = _times(Af, self.vecF), _times(Bf, self.vecF)
+        ga = _times(a1, F)
+        r3 = tB[:, None] * a1 + tA[:, None] * b1 + _vecmat(ga, B) + _matvec(A, _times(b1, F.T))
+        c4 = _dot(ga, b3) + _dot(_times(a3, F), b1) + tA * tB + _bilinear(Af, Bf, self.M)
         return _outer(a1, b1), r3, c4
 
     def mul(self, a: Batch, b: Batch) -> Batch:
@@ -162,22 +200,18 @@ class BatchAlg:
     def lie_bracket(self, a: Batch, b: Batch) -> Batch:
         return self.sub(self.mul(a, b), self.mul(b, a))
 
-    def embed_r1(self, vecs: np.ndarray) -> Batch:
-        out = self.zeros(vecs.shape[0])
-        out.r1[:] = vecs % self.p
-        return out
-
     # Closed-form brackets on (N, d) vector stacks.
 
     def lie3(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        fs_yz = _dot(y @ self.FS, z)
-        fs_xz = _dot(x @ self.FS, z)
+        fs_yz = _dot(_times(y, self.FS), z)
+        fs_xz = _dot(_times(x, self.FS), z)
         return self._mod(fs_yz[:, None] * x - fs_xz[:, None] * y)
 
     def lie4(self, x: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         FS, FA = self.FS, self.FA
         return self._mod(
-            _dot(x @ FA, w) * _dot(y @ FS, z) - _dot(y @ FA, w) * _dot(x @ FS, z)
+            _dot(_times(x, FA), w) * _dot(_times(y, FS), z)
+            - _dot(_times(y, FA), w) * _dot(_times(x, FS), z)
         )
 
     # Group operations on L1 stacks (c0 identically 0).
@@ -202,39 +236,69 @@ class BatchAlg:
         _, w3, w4 = self._prod(a1, A, a3, v1, V, np.zeros_like(a3))
         v3 = -a3 - w3
         # The R1 x R3 term of a v needs v3, so it joins after.
-        v4 = -a.c4 - w4 - _dot(a1 @ self.F, v3)
+        v4 = -a.c4 - w4 - _dot(_times(a1, self.F), v3)
         m = self._mod
         return Batch(np.zeros(a.count, dtype=np.int64), m(v1), m(V), m(v3), m(v4))
 
     def commutator(self, a: Batch, b: Batch) -> Batch:
-        """[1+a, 1+b] = 1 + c + u c with c = ab - ba (see the module docstring)."""
+        """[1+a, 1+b] = 1 + c + u c in closed form (see the module docstring)."""
         a1, A, a3, b1, B, b3 = a.r1, a.r2, a.r3, b.r1, b.r2, b.r3
         n, dd, F = a.count, self.d * self.d, self.F
-        # c = ab - ba.  The <A,F> b1, <B,F> a1 and <A,F><B,F> terms cancel;
-        # the R1 x R3 and R2 x R2 terms pair up into F - F^T and M - M^T.
+        fa, fb, ga, gb = _times(a1, F.T), _times(b1, F.T), _times(a1, F), _times(b1, F)
+        Af, Bf = A.reshape(n, dd), B.reshape(n, dd)
+        # c = ab - ba: the <A,F> b1, <B,F> a1 and <A,F><B,F> terms cancel,
+        # and the R1 x R3 and R2 x R2 terms pair up into F - F^T and M - M^T.
         C = _outer(a1, b1) - _outer(b1, a1)
-        c3 = (
-            _vecmat(a1 @ F, B) + _matvec(A, b1 @ F.T)
-            - _vecmat(b1 @ F, A) - _matvec(B, a1 @ F.T)
+        c3 = _vecmat(ga, B) + _matvec(A, fb) - _vecmat(gb, A) - _matvec(B, fa)
+        c4 = _dot(ga - fa, b3) + _dot(a3, fb - gb) + _bilinear(Af, Bf, self.MA)
+        # u c, from the scalars x^T F y with x, y in {a1, b1, s}.
+        s, Df = a1 + b1, Af + Bf
+        a_fa, a_fb, b_fa, b_fb = _dot(a1, fa), _dot(a1, fb), _dot(b1, fa), _dot(b1, fb)
+        s_fa, s_fb, tC = a_fa + b_fa, a_fb + b_fb, a_fb - b_fa
+        tU = a_fa + a_fb + b_fb - _times(Df, self.vecF)
+        w3 = s_fb[:, None] * a1 - s_fa[:, None] * b1 - tC[:, None] * s
+        w4 = (
+            tU * tC + s_fa * a_fb - s_fb * a_fa
+            - _bilinear(Df, C.reshape(n, dd), self.M) - _dot(ga + gb, c3)
         )
-        c4 = (
-            _dot(a1 @ self.FA, b3) + _dot(a3 @ self.FA, b1)
-            + _bilinear(A.reshape(n, dd), B.reshape(n, dd), self.MA)
-        )
-        s = a1 + b1
-        U = _outer(a1, s) + _outer(b1, b1) - A - B
-        zero = np.zeros_like(a1)
-        _, w3, w4 = self._prod(-s, U, zero, zero, C, c3)
         m = self._mod
-        return Batch(np.zeros(n, dtype=np.int64), zero, m(C), m(c3 + w3), m(c4 + w4))
+        return Batch(np.zeros(n, dtype=np.int64), np.zeros_like(a1), m(C), m(c3 + w3), m(c4 + w4))
 
-    def long_commutator(self, stacks: Sequence[Batch]) -> Batch:
-        if len(stacks) < 2:
+    def _reduced_commutator(self, a: Batch, b: Batch) -> tuple[np.ndarray, np.ndarray]:
+        """Grades 3 and 4 of [1+a, 1+b] for an a with no grade-1 part; the
+        other grades of the result are 0."""
+        A, a3, b1 = a.r2, a.r3, b.r1
+        n, dd = a.count, self.d * self.d
+        fb, gb = _times(b1, self.F.T), _times(b1, self.F)
+        c3 = _matvec(A, fb) - _vecmat(gb, A)
+        c4 = (
+            _dot(a3, fb - gb) - _dot(gb, c3)
+            + _bilinear(A.reshape(n, dd), b.r2.reshape(n, dd), self.MA)
+        )
+        return self._mod(c3), self._mod(c4)
+
+    def long_commutator(self, stacks: Iterable[Batch]) -> Batch:
+        """Left-normed [1+a_1, ..., 1+a_k] for k >= 2 stacks, taken from the
+        iterable one at a time: `commutator` for the first step and
+        `_reduced_commutator` for each later one, in blocks of BLOCK rows."""
+        it = iter(stacks)
+        first, second = next(it, None), next(it, None)
+        if second is None:
             raise ValueError("long commutator needs at least 2 entries")
-        acc = stacks[0]
-        for nxt in stacks[1:]:
-            acc = self.commutator(acc, nxt)
-        return acc
+        n = first.count
+        out = self.zeros(n)
+        blocks = [slice(i, i + BLOCK) for i in range(0, n, BLOCK)]
+        for rows in blocks:
+            step = self.commutator(_rows(first, rows), _rows(second, rows))
+            for dst, src in zip(out, step):
+                dst[rows] = src
+        del first, second   # free them before the next stack is drawn
+        for b in it:
+            for rows in blocks:
+                acc = _rows(out, rows)
+                acc.r3[:], acc.c4[:] = self._reduced_commutator(acc, _rows(b, rows))
+                acc.r2[:] = 0
+        return out
 
     def conjugate(self, a: Batch, by: Batch) -> Batch:
         inv = self.grp_inv(by)

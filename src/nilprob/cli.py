@@ -139,9 +139,8 @@ def _payload(config: RunConfig, group_info: dict | None, report: dict) -> dict:
 def _cmd_family(args: argparse.Namespace) -> tuple[int, dict, dict]:
     G, info = _group_from_args(args)
     rng = np.random.default_rng(args.seed)
-    eng = G.batch
-    stacks = [G.sample_batch(rng, args.samples) for _ in range(5)]
-    five_fold_trivial = bool(eng.is_identity(eng.long_commutator(stacks)).all())
+    draws = (G.sample_batch(rng, args.samples) for _ in range(5))
+    five_fold_trivial = bool(G.identity_mask(G.long_commutators(draws)).all())
     probe = structure.class3_subspace_probe(G.params)
     quad_nonzero = probe.found
     ok = five_fold_trivial and quad_nonzero

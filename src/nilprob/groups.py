@@ -18,10 +18,10 @@ Conjugacy classes of both types come from one pass, `_orbit_labels`, over
 the permutations of the enumerated elements that conjugation by each
 generator induces: every element is labelled by the least index in its
 class.  Both group types share a set of stack operations (`all_elements`,
-`repeat`, `stack`, `commutators`, `quotients`, `identity_mask`,
-`class_labels`, `class_sizes`, `sample_batch`), so statistics are written
-once for both.  A stack is a `Batch` of L1-parts for the family and an
-index array for tables.
+`repeat`, `stack`, `commutators`, `long_commutators`, `quotients`,
+`identity_mask`, `class_labels`, `class_sizes`, `sample_batch`), so
+statistics are written once for both.  A stack is a `Batch` of L1-parts
+for the family and an index array for tables.
 """
 
 from __future__ import annotations
@@ -278,6 +278,9 @@ class AlgebraGroup:
     def commutators(self, a: Batch, b: Batch) -> Batch:
         return self.batch.commutator(a, b)
 
+    def long_commutators(self, stacks: Iterable[Batch]) -> Batch:
+        return self.batch.long_commutator(stacks)
+
     def quotients(self, a: Batch, b: Batch) -> Batch:
         """a b^-1 entrywise."""
         return self.batch.grp_mul(a, self.batch.grp_inv(b))
@@ -427,12 +430,7 @@ class TableGroup:
         return int(self.commutators(a, b))
 
     def long_commutator(self, elems: Sequence[int]) -> int:
-        if len(elems) < 2:
-            raise ValueError("long commutator needs at least 2 entries")
-        acc = elems[0]
-        for nxt in elems[1:]:
-            acc = self.commutator(acc, nxt)
-        return acc
+        return int(self.long_commutators(elems))
 
     def conjugate(self, a: int, by: int) -> int:
         t = self.table
@@ -459,6 +457,17 @@ class TableGroup:
         """[a, b] = a^-1 b^-1 a b entrywise; index arrays broadcast like numpy."""
         t, inv = self.table, self.inv_table
         return t[t[inv[a], inv[b]], t[a, b]]
+
+    def long_commutators(self, stacks: Iterable) -> np.ndarray:
+        """Left-normed [a_1, ..., a_k] entrywise for k >= 2 index arrays,
+        drawn from the iterable one at a time."""
+        it = iter(stacks)
+        acc, nxt = next(it, None), next(it, None)
+        if nxt is None:
+            raise ValueError("long commutator needs at least 2 entries")
+        while nxt is not None:
+            acc, nxt = self.commutators(acc, nxt), next(it, None)
+        return acc
 
     def quotients(self, a, b) -> np.ndarray:
         """a b^-1 entrywise."""

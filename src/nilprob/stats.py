@@ -118,10 +118,8 @@ def d2_exact(G: Group, cap: int = D2_CAP) -> StatReport:
 
 
 def _mc_chunk_hits(G: Group, k: int, size: int, rng: np.random.Generator) -> int:
-    acc = G.sample_batch(rng, size)
-    for _ in range(k):
-        acc = G.commutators(acc, G.sample_batch(rng, size))
-    return int(np.count_nonzero(G.identity_mask(acc)))
+    draws = (G.sample_batch(rng, size) for _ in range(k + 1))
+    return int(np.count_nonzero(G.identity_mask(G.long_commutators(draws))))
 
 
 def dk_monte_carlo(

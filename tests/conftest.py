@@ -12,6 +12,14 @@ settings.load_profile("nilprob")
 
 
 @pytest.fixture(scope="session")
+def embed_r1():
+    """Vector stacks (N, d) as engine stacks with only a grade-1 part."""
+    def embed(eng, vecs):
+        return eng.zeros(len(vecs))._replace(r1=vecs % eng.p)
+    return embed
+
+
+@pytest.fixture(scope="session")
 def params21() -> AlgebraParams:
     return AlgebraParams.hyperbolic(2, 1)
 

@@ -54,7 +54,7 @@ def test_c01_algebra_associativity():
            failures == 0 and elapsed < 60, elapsed, f"failures={failures}")
 
 
-def test_c02_closed_form_oracles():
+def test_c02_closed_form_oracles(embed_r1):
     t0 = time.perf_counter()
     mismatches = 0
     for p, n in [(2, 1), (2, 2), (3, 1)]:
@@ -63,10 +63,10 @@ def test_c02_closed_form_oracles():
         rng = np.random.default_rng(20_002 + p * 10 + n)
         d = params.d
         x, y, z, w = (rng.integers(0, p, (10**4, d)) for _ in range(4))
-        nested3 = eng.lie_bracket(eng.lie_bracket(eng.embed_r1(x), eng.embed_r1(y)),
-                                  eng.embed_r1(z))
+        nested3 = eng.lie_bracket(eng.lie_bracket(embed_r1(eng, x), embed_r1(eng, y)),
+                                  embed_r1(eng, z))
         mismatches += int((nested3.r3 != eng.lie3(x, y, z)).sum())
-        nested4 = eng.lie_bracket(nested3, eng.embed_r1(w))
+        nested4 = eng.lie_bracket(nested3, embed_r1(eng, w))
         mismatches += int((nested4.c4 != eng.lie4(x, y, z, w)).sum())
     elapsed = time.perf_counter() - t0
     report(2, "triple/quadruple closed forms == nested brackets, 1e4 each at (2,2),(2,4),(3,2)",

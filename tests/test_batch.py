@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nilprob._batch import BatchAlg
+from nilprob._batch import BLOCK, BatchAlg
 from nilprob.algebra import AlgebraParams, alg_add
-from nilprob.fieldlin import SUPPORTED_PRIMES, FpVector, form_eval
+from nilprob.fieldlin import SUPPORTED_PRIMES, BilinearForm, FpVector, form_eval
 
 PARAMS = [(2, 1), (2, 2), (3, 1), (5, 1), (7, 1)]
 
@@ -62,8 +62,8 @@ def structure_constants(params):
 
 def full(b):
     """Full coordinates (c0, r1, r2 row-major, r3, c4) of a stack."""
-    n = len(b.c0)
-    return np.concatenate([b.c0[:, None], b.r1, b.r2.reshape(n, -1), b.r3, b.c4[:, None]], axis=1)
+    n, d = b.r1.shape
+    return np.concatenate([b.c0[:, None], b.r1, b.r2.reshape(n, d * d), b.r3, b.c4[:, None]], axis=1)
 
 
 def ref_mul(eng, x, y):
@@ -120,7 +120,7 @@ def test_add_neg_match_scalar(p, n):
     got = eng.to_elements(eng.add(a, b))
     expect = [alg_add(x, y) for x, y in zip(eng.to_elements(a), eng.to_elements(b))]
     assert got == expect
-    got_neg = eng.to_elements(eng.neg(a))
+    got_neg = eng.to_elements(eng.sub(eng.zeros(100), a))
     assert got_neg == [-x for x in eng.to_elements(a)]
 
 
@@ -136,16 +136,46 @@ def test_group_ops_match_scalar(p, n):
     assert np.array_equal(full(eng.commutator(a, b)), ref_commutator(eng, fa, fb))
 
 
+def dense_params(p, d, seed):
+    rows = np.random.default_rng(seed).integers(0, p, (d, d))
+    return AlgebraParams(p, d, BilinearForm.from_rows(p, rows.tolist()))
+
+
 def test_long_commutator_matches_scalar():
-    eng = BatchAlg(AlgebraParams.hyperbolic(2, 2))
-    rng = np.random.default_rng(42)
-    stacks = [eng.random_l1(rng, 50) for _ in range(4)]
+    # A 4-fold commutator depends only on the grade-1 parts of its entries
+    # and the 5-fold one is 1; the shorter ones also see the higher grades.
+    # Every step is computed, the fifth included.
+    for params in (AlgebraParams.hyperbolic(2, 2), dense_params(3, 3, 42)):
+        eng = BatchAlg(params)
+        rng = np.random.default_rng(42)
+        stacks = [eng.random_l1(rng, 50) for _ in range(5)]
+        expect = full(stacks[0])
+        for k in range(1, 5):
+            expect = ref_commutator(eng, expect, full(stacks[k]))
+            assert np.array_equal(full(eng.long_commutator(stacks[: k + 1])), expect)
+            assert np.array_equal(full(eng.long_commutator(iter(stacks[: k + 1]))), expect)
+        assert not expect.any()
+
+
+@pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK + 1])
+def test_long_commutator_block_edges(size):
+    eng = BatchAlg(AlgebraParams.hyperbolic(3, 1))
+    rng = np.random.default_rng(size)
+    stacks = [eng.random_l1(rng, size) for _ in range(3)]
     expect = full(stacks[0])
-    # A 4-fold commutator depends only on the grade-1 parts of its entries;
-    # the shorter ones also see the higher grades.
-    for k in range(1, 4):
-        expect = ref_commutator(eng, expect, full(stacks[k]))
-        assert np.array_equal(full(eng.long_commutator(stacks[: k + 1])), expect)
+    for s in stacks[1:]:
+        expect = ref_commutator(eng, expect, full(s))
+    got = eng.long_commutator(stacks)
+    assert got.count == size
+    assert np.array_equal(full(got), expect)
+
+
+def test_long_commutator_needs_two_entries():
+    eng = BatchAlg(AlgebraParams.hyperbolic(2, 1))
+    x = eng.zeros(3)
+    for entries in ([], [x], iter([]), iter([x])):
+        with pytest.raises(ValueError):
+            eng.long_commutator(entries)
 
 
 @pytest.mark.parametrize("p,n", PARAMS)
@@ -177,13 +207,13 @@ def test_closed_forms_match_scalar(p, n):
         assert int(got4[i]) == expect4
 
 
-def test_closed_forms_match_nested_brackets_batched():
+def test_closed_forms_match_nested_brackets_batched(embed_r1):
     params = AlgebraParams.hyperbolic(3, 2)
     eng = BatchAlg(params)
     rng = np.random.default_rng(7)
     d = params.d
     x, y, z, w = (rng.integers(0, 3, (400, d)) for _ in range(4))
-    bx, by, bz, bw = (eng.embed_r1(v) for v in (x, y, z, w))
+    bx, by, bz, bw = (embed_r1(eng, v) for v in (x, y, z, w))
     nested3 = eng.lie_bracket(eng.lie_bracket(bx, by), bz)
     assert np.array_equal(nested3.r3, eng.lie3(x, y, z))
     nested4 = eng.lie_bracket(nested3, bw)
@@ -212,14 +242,19 @@ def test_is_identity():
 
 @st.composite
 def l1_stack_pairs(draw):
-    """(engine, a, b): uniform L1 stacks, commutator-valued stacks (r1 = 0,
-    as MC feeds [x,y] back into [[x,y],z]), or stacks with identity rows."""
+    """(engine, a, b) over a hyperbolic or a dense random form: uniform L1
+    stacks, commutator-valued stacks (r1 = 0, as MC feeds [x,y] back into
+    [[x,y],z]), or stacks with identity rows."""
     p = draw(st.sampled_from(SUPPORTED_PRIMES))
-    n = draw(st.integers(1, 3))
     size = draw(st.integers(1, 6))
     kind = draw(st.sampled_from(("uniform", "commutator", "identity rows")))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    eng = BatchAlg(AlgebraParams.hyperbolic(p, n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        params = AlgebraParams.hyperbolic(p, draw(st.integers(1, 3)))
+    else:
+        params = dense_params(p, draw(st.integers(1, 4)), seed)
+    eng = BatchAlg(params)
     a, b = eng.random_l1(rng, size), eng.random_l1(rng, size)
     if kind == "commutator":
         a = eng.from_coords(ref_commutator(eng, full(a), full(eng.random_l1(rng, size)))[:, 1:])
@@ -238,6 +273,17 @@ def test_closed_form_group_ops_match_definitions_and_scalar(case):
     assert np.array_equal(full(inv), ref_grp_inv(eng, fa))
     assert np.array_equal(full(eng.grp_mul(a, b)), ref_grp_mul(eng, fa, fb))
     assert eng.is_identity(eng.grp_mul(a, inv)).all()
+
+
+@given(l1_stack_pairs())
+def test_reduced_step_matches_definition(case):
+    # The step long_commutator takes after the first: its input is a
+    # commutator value, which has no grade-1 part.
+    eng, a, b = case
+    c = eng.from_coords(ref_commutator(eng, full(a), full(b))[:, 1:])
+    c3, c4 = eng._reduced_commutator(c, a)
+    got = eng.zeros(len(c4))._replace(r3=c3, c4=c4)
+    assert np.array_equal(full(got), ref_commutator(eng, full(c), full(a)))
 
 
 def test_traced_batch_methods_are_own_attributes():

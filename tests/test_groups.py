@@ -94,26 +94,26 @@ class TestCommutators:
             rhs = alg_mul(u, lie_bracket(g.l1_part(), h.l1_part()))
             assert commutator(g, h).l1_part() == rhs
 
-    def test_triple_commutator_is_lie3_mod_l4(self, family22):
+    def test_triple_commutator_is_lie3_mod_l4(self, family22, embed_r1):
         # [1+x, 1+y, 1+z] = 1 + [x,y,z] modulo the R4 component
         rng = np.random.default_rng(5)
         eng = family22.batch
         d = family22.params.d
         n = 2000
         x, y, z = (rng.integers(0, 2, (n, d)) for _ in range(3))
-        stacks = [eng.embed_r1(v) for v in (x, y, z)]
+        stacks = [embed_r1(eng, v) for v in (x, y, z)]
         comm = eng.long_commutator(stacks)
         assert not comm.r1.any()
         assert not comm.r2.any()
         assert np.array_equal(comm.r3, eng.lie3(x, y, z))
 
-    def test_quadruple_commutator_is_lie4(self, family22):
+    def test_quadruple_commutator_is_lie4(self, family22, embed_r1):
         rng = np.random.default_rng(6)
         eng = family22.batch
         d = family22.params.d
         n = 2000
         vs = [rng.integers(0, 2, (n, d)) for _ in range(4)]
-        comm = eng.long_commutator([eng.embed_r1(v) for v in vs])
+        comm = eng.long_commutator([embed_r1(eng, v) for v in vs])
         assert not comm.r1.any()
         assert not comm.r2.any()
         assert not comm.r3.any()
@@ -221,6 +221,22 @@ class TestTableGroup:
         loaded = load_cayley_table(path)
         assert loaded.order == 6
         assert len(loaded.conjugacy_classes()) == 3
+
+    def test_long_commutators_match_scalar_fold(self):
+        G = corpus_group("a4")
+        rng = np.random.default_rng(3)
+        stacks = [rng.integers(0, G.order, 200) for _ in range(4)]
+        got = G.long_commutators(iter(stacks))
+        for i in range(200):
+            acc = int(stacks[0][i])
+            for s in stacks[1:]:
+                acc = G.commutator(acc, int(s[i]))
+            assert got[i] == acc == G.long_commutator([int(s[i]) for s in stacks])
+        for entries in ([], [stacks[0]], iter([stacks[0]])):
+            with pytest.raises(ValueError):
+                G.long_commutators(entries)
+        with pytest.raises(ValueError):
+            G.long_commutator([1])
 
     def test_trivial_table(self):
         g = parse_cayley_table("1\n0\n")

@@ -181,6 +181,26 @@ class TestMonteCarlo:
             rep = stats.dk_monte_carlo(G, 2, samples, seed=123, threads=threads)
             assert rep.value == hits / samples
 
+    @pytest.mark.parametrize("group,k,samples,seed,hits", [
+        ((2, 2), 2, 2 * stats.MC_CHUNK + 1000, 7, 27455),
+        ((3, 2), 2, 70001, 3, 3675),
+        ((2, 2), 3, 70001, 11, 48595),     # two steps on inputs with no grade 1
+        ((2, 1), 1, 70001, 2, 7625),
+        ("a4", 2, 70001, 5, 39014),
+    ], ids=["family22-k2", "family32-k2", "family22-k3", "family21-k1", "a4-k2"])
+    def test_seeded_hits_golden(self, group, k, samples, seed, hits):
+        # Seeded MC reports are fixed across versions: these counts were
+        # measured before the commutator chain was computed by grade, with
+        # partial last chunks, k = 1, 2, 3 and a table group.
+        if isinstance(group, str):
+            G = corpus_group(group)
+        else:
+            G = AlgebraGroup(AlgebraParams.hyperbolic(*group))
+        for threads in (1, 2):
+            rep = stats.dk_monte_carlo(G, k, samples, seed=seed, threads=threads)
+            assert rep.value == hits / samples
+            assert (rep.ci_low, rep.ci_high) == stats.clopper_pearson(hits, samples)
+
     def test_validation(self, family21):
         with pytest.raises(ValueError):
             stats.dk_monte_carlo(family21, 0, 10)
