@@ -130,8 +130,8 @@ class BatchAlg:
         F = np.array(params.form.coeffs, dtype=np.int64)
         # The constant matrices are float64 operands of `_times`.
         self.F = F.astype(np.float64)
-        self.FS = ((F + F.T) % p).astype(np.float64)
-        self.FA = ((F - F.T) % p).astype(np.float64)
+        self.FS = np.array(params.symm.coeffs, dtype=np.float64)
+        self.FA = np.array(params.antisymm.coeffs, dtype=np.float64)
         self.vecF = self.F.reshape(d * d)
         # <A F B, F> = vec(A) M vec(B), and M - M^T gives <AFB - BFA, F>.
         M = np.einsum("kl,ij->iklj", F, F).reshape(d * d, d * d)

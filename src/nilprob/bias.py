@@ -13,14 +13,13 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _cartesian
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .algebra import AlgebraParams
 from .errors import CapExceededError, DimensionMismatchError, ExpressionShapeError
-from .fieldlin import FpVector, check_prime, matrix_rank
+from .fieldlin import FpVector, all_vectors, check_prime, matrix_rank
 from .stats import DEFAULT_SEED, StatReport, clopper_pearson
 
 BIAS_ENUM_CAP = 1 << 24
@@ -85,11 +84,7 @@ class MultilinearMap:
                 raise DimensionMismatchError(f"slot dim {arr.shape[-1]} != {d}")
 
     def eval(self, xs: Sequence[FpVector]) -> FpVector:
-        for x, d in zip(xs, self.dims):
-            if x.p != self.p or x.dim != d:
-                raise DimensionMismatchError("argument does not match map domain")
-        out = self.eval_batch([np.array([x.coords], dtype=np.int64) for x in xs])
-        return FpVector(self.p, tuple(int(v) for v in out[0]))
+        return _eval_point(self, xs)
 
     def eval_batch(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
         """(N, d_i) arrays in, (N, cod_dim) array out, all mod p."""
@@ -103,16 +98,11 @@ class MultilinearMap:
 
     def image_span_dim(self) -> int:
         """Dimension of the span of the image (the subgroup the image
-        generates), computed from all basis tuples."""
-        rows = []
-        for combo in _cartesian(*(range(d) for d in self.dims)):
-            arrays = [
-                np.eye(d, dtype=np.int64)[[i]] for i, d in zip(combo, self.dims)
-            ]
-            rows.append([int(v) for v in self.eval_batch(arrays)[0]])
-        if not rows or self.cod_dim == 0:
-            return 0
-        return matrix_rank(rows, self.p)
+        generates), computed from all basis tuples in one batch, listed in
+        `itertools.product` order."""
+        combos = np.unravel_index(np.arange(math.prod(self.dims)), self.dims)
+        rows = self.eval_batch([np.eye(d, dtype=np.int64)[i] for i, d in zip(combos, self.dims)])
+        return matrix_rank(rows.tolist(), self.p)
 
     def effective_cod_size(self) -> int:
         return self.p ** self.image_span_dim()
@@ -217,42 +207,27 @@ class StructuredExpression:
                 "rank": self.rank, "terms": terms}
 
 
+def _eval_point(F: MultilinearMap | StructuredExpression, xs: Sequence[FpVector]) -> FpVector:
+    """F at one point, as a one-row `eval_batch`."""
+    for x, d in zip(xs, F.dims):
+        if x.p != F.p or x.dim != d:
+            raise DimensionMismatchError("argument does not match the domain")
+    out = F.eval_batch([np.array([x.coords], dtype=np.int64) for x in xs])
+    return FpVector(F.p, tuple(out[0].tolist()))
+
+
 def evaluate_expression(expr: StructuredExpression, xs: Sequence[FpVector]) -> FpVector:
-    arrays = [np.array([x.coords], dtype=np.int64) for x in xs]
-    for x, d in zip(xs, expr.dims):
-        if x.p != expr.p or x.dim != d:
-            raise DimensionMismatchError("argument does not match expression domain")
-    return FpVector(expr.p, tuple(int(v) for v in expr.eval_batch(arrays)[0]))
-
-
-def _domain_size(p: int, dims: Sequence[int]) -> int:
-    return p ** sum(dims)
-
-
-def _all_vectors(p: int, d: int) -> np.ndarray:
-    """All p^d vectors as rows, counting in little-endian digits."""
-    count = p**d
-    idx = np.arange(count)
-    cols = []
-    for _ in range(d):
-        cols.append(idx % p)
-        idx = idx // p
-    return np.stack(cols, axis=1).astype(np.int64) if d else np.zeros((count, 0), np.int64)
+    return _eval_point(expr, xs)
 
 
 def _iter_grid(p: int, dims: Sequence[int], chunk: int = _EVAL_CHUNK) -> Iterator[list[np.ndarray]]:
-    tables = [_all_vectors(p, d) for d in dims]
-    sizes = [t.shape[0] for t in tables]
+    """Every point of the domain in chunks, the last slot counting fastest."""
+    tables = [all_vectors(p, d) for d in dims]
+    sizes = tuple(len(t) for t in tables)
     total = math.prod(sizes)
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        arrays = []
-        rem = idx
-        for size, table in zip(reversed(sizes), reversed(tables)):
-            arrays.append(table[rem % size])
-            rem = rem // size
-        arrays.reverse()
-        yield arrays
+        idx = np.unravel_index(np.arange(start, min(start + chunk, total)), sizes)
+        yield [table[i] for table, i in zip(tables, idx)]
 
 
 def _domain_chunks(
@@ -266,7 +241,7 @@ def _domain_chunks(
     """
     if mode not in ("auto", "exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
-    total = _domain_size(p, dims)
+    total = p ** sum(dims)
     if mode == "exhaustive" and total > cap:
         raise CapExceededError(f"domain size {total} exceeds cap {cap}")
     if mode == "exhaustive" or (mode == "auto" and total <= cap):
@@ -332,7 +307,7 @@ def bias_probability(
     exhaustive, chunks = _domain_chunks(F.p, F.dims, mode, cap, samples, seed)
     zeros = sum(int((~F.eval_batch(arrays).any(axis=1)).sum()) for arrays in chunks)
     if exhaustive:
-        total = _domain_size(F.p, F.dims)
+        total = F.p ** sum(F.dims)
         return StatReport("exact", Fraction(zeros, total), elapsed_s=time.perf_counter() - t0)
     lo, hi = clopper_pearson(zeros, samples)
     return StatReport(

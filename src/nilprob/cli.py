@@ -78,6 +78,8 @@ def _family(args: argparse.Namespace) -> AlgebraGroup:
 
 def _group_from_args(args: argparse.Namespace) -> tuple[Any, dict]:
     if getattr(args, "table", None):
+        if getattr(args, "family", False):
+            raise UsageError("--family and --table exclude each other")
         G = _resolve_table(args.table)
         return G, {"kind": "table", "source": args.table, "order": G.order}
     G = _family(args)
@@ -137,6 +139,8 @@ def _payload(config: RunConfig, group_info: dict | None, report: dict) -> dict:
 
 
 def _cmd_family(args: argparse.Namespace) -> tuple[int, dict, dict]:
+    if args.samples < 1:
+        raise UsageError("need samples >= 1")
     G, info = _group_from_args(args)
     rng = np.random.default_rng(args.seed)
     draws = (G.sample_batch(rng, args.samples) for _ in range(5))
@@ -162,9 +166,9 @@ def _cmd_dk(args: argparse.Namespace, k: int) -> tuple[int, dict, dict]:
             G, k, args.samples, seed=args.seed, threads=args.threads_resolved
         )
     elif k == 1:
-        rep = stats.d1_exact(G, cap=args.cap or stats.D1_CAP)
+        rep = stats.d1_exact(G, cap=stats.D1_CAP if args.cap is None else args.cap)
     else:
-        rep = stats.d2_exact(G, cap=args.cap or stats.D2_CAP)
+        rep = stats.d2_exact(G, cap=stats.D2_CAP if args.cap is None else args.cap)
     report = {"statistic": f"d{k}", "mode": rep.kind, **rep.to_json_dict()}
     return EXIT_OK, info, report
 
@@ -271,6 +275,8 @@ def _cmd_bias(args: argparse.Namespace) -> tuple[int, dict, dict]:
     G = _family(args)
     info = {"kind": "family", "p": args.p, "n": args.n, "order": G.order}
     params = G.params
+    if args.verify_quad and args.trilinear_bound:
+        raise UsageError("bias: pass only one of --verify-quad and --trilinear-bound")
     if args.verify_quad:
         expr = bias.family_quad_expression(params)
         res = bias.verify_expression(

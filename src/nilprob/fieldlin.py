@@ -104,28 +104,20 @@ def form_eval(f: BilinearForm, x: FpVector, y: FpVector) -> int:
         raise DimensionMismatchError(
             f"form_eval: form is F_{f.p}^{f.dim}, got vectors of dim {x.dim}/{y.dim}"
         )
-    total = 0
-    for i, xi in enumerate(x.coords):
-        if xi:
-            row = f.coeffs[i]
-            total += xi * sum(cij * yj for cij, yj in zip(row, y.coords))
-    return total % f.p
+    rows = zip(x.coords, f.coeffs)
+    return sum(xi * c * yj for xi, row in rows if xi for c, yj in zip(row, y.coords)) % f.p
 
 
 def symm_part(f: BilinearForm) -> BilinearForm:
     """f^S(x, y) = f(x, y) + f(y, x)."""
-    d = f.dim
-    return BilinearForm(
-        f.p, tuple(tuple((f.coeffs[i][j] + f.coeffs[j][i]) % f.p for j in range(d)) for i in range(d))
-    )
+    F = np.array(f.coeffs, dtype=np.int64)
+    return BilinearForm.from_rows(f.p, ((F + F.T) % f.p).tolist())
 
 
 def antisymm_part(f: BilinearForm) -> BilinearForm:
     """f^A(x, y) = f(x, y) - f(y, x)."""
-    d = f.dim
-    return BilinearForm(
-        f.p, tuple(tuple((f.coeffs[i][j] - f.coeffs[j][i]) % f.p for j in range(d)) for i in range(d))
-    )
+    F = np.array(f.coeffs, dtype=np.int64)
+    return BilinearForm.from_rows(f.p, ((F - F.T) % f.p).tolist())
 
 
 def hyperbolic_form(p: int, n: int) -> BilinearForm:
@@ -136,11 +128,15 @@ def hyperbolic_form(p: int, n: int) -> BilinearForm:
     check_prime(p)
     if n < 1:
         raise ValueError("hyperbolic_form requires n >= 1")
-    d = 2 * n
-    rows = [[0] * d for _ in range(d)]
-    for i in range(n):
-        rows[i][n + i] = 1
-    return BilinearForm.from_rows(p, rows)
+    return BilinearForm.from_rows(p, np.eye(2 * n, k=n, dtype=np.int64).tolist())
+
+
+def all_vectors(p: int, d: int) -> np.ndarray:
+    """All p^d vectors of F_p^d as rows, counting in little-endian digits
+    (row k has digits k mod p, k // p mod p, ...); one empty row at d = 0."""
+    if d == 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    return np.stack(np.unravel_index(np.arange(p**d), (p,) * d)[::-1], axis=1)
 
 
 # Row reduction helpers (dense, exact, small dimensions).
@@ -227,13 +223,6 @@ def nullspace(rows: Sequence[Sequence[int]], p: int, ncols: int) -> list[FpVecto
             vec[col] = (-reduced[r][free]) % p
         basis.append(FpVector(p, tuple(vec)))
     return basis
-
-
-def row_space_basis(rows: Sequence[Sequence[int]], p: int) -> list[FpVector]:
-    if not rows:
-        return []
-    reduced, _ = rref(rows, p)
-    return [FpVector(p, tuple(r)) for r in reduced]
 
 
 def rank(f: BilinearForm) -> int:

@@ -199,6 +199,8 @@ def covering_check(
     cap: int = COVER_PAIR_CAP,
 ) -> CoveringWitness:
     """Check Comm(G,G) within B*S where B = {x : |x^G| <= n}."""
+    if n < 1:
+        raise ValueError("covering bound n must be >= 1")
     S = list(S)
     if mode == "exhaustive":
         comms = commutator_set(G, cap)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import AlgebraParams
 from .errors import CapExceededError, DegenerateFormError
-from .fieldlin import FpVector, form_eval, nullspace, row_space_basis
+from .fieldlin import FpVector, all_vectors, nullspace, rref
 from .groups import TableGroup, _orbit_labels, _power_closure, subgroup_closure
 from .stats import conjugacy_norm
 
@@ -174,6 +174,8 @@ def series_baer_indices(
 def engel_degree(G: TableGroup, max_l: int = 10) -> int | None:
     """Least l <= max_l with [x, y, y, ..., y] = 1 (y repeated l times) for
     all x, y; None when no such l exists below the limit."""
+    if max_l < 1:
+        raise ValueError("Engel limit max_l must be >= 1")
     m = G.order
     idx = np.arange(m)
     worst = 0
@@ -209,19 +211,11 @@ def power_closure_radius(G: TableGroup, X: Iterable[int]) -> int:
 
 def hyperplanes(p: int, d: int) -> list[list[FpVector]]:
     """Bases of all codimension-1 subspaces of F_p^d (kernels of the
-    nonzero functionals, one per projective class)."""
-    out = []
-    for idx in range(1, p**d):
-        digits = []
-        rem = idx
-        for _ in range(d):
-            digits.append(rem % p)
-            rem //= p
-        first = next(v for v in digits if v)
-        if first != 1:
-            continue
-        out.append(nullspace([digits], p, d))
-    return out
+    nonzero functionals, one per projective class: the functionals whose
+    first nonzero coefficient is 1, in `all_vectors` order)."""
+    funcs = all_vectors(p, d)[1:]
+    lead = funcs[np.arange(len(funcs)), (funcs != 0).argmax(axis=1)]
+    return [nullspace([row], p, d) for row in funcs[lead == 1].tolist()]
 
 
 def class3_subspace_probe(
@@ -236,53 +230,41 @@ def class3_subspace_probe(
     p, d = params.p, params.d
     if h_basis is None:
         h_basis = [FpVector.basis(p, d, i) for i in range(d)]
-    basis = row_space_basis([v.coords for v in h_basis], p)
+    B = np.array(rref([v.coords for v in h_basis], p)[0], dtype=np.int64).reshape(-1, d)
+    basis = tuple(FpVector(p, tuple(row)) for row in B.tolist())
     codim = d - len(basis)
     if 2 * codim + 1 >= d:
         return ProbeWitness(
-            tuple(basis), codim, None, None,
+            basis, codim, None, None,
             reason=f"need 2*codim + 1 < dim V; got codim {codim}, dim {d}",
         )
-    fa, fs = params.antisymm, params.symm
+    FA, FS = (np.array(f.coeffs, dtype=np.int64) for f in (params.antisymm, params.symm))
 
-    pair = next(
-        ((i, j) for i in range(len(basis)) for j in range(len(basis))
-         if form_eval(fa, basis[i], basis[j]) != 0),
-        None,
-    )
-    if pair is None:
+    # the first nonzero entry of a form matrix in row-major order
+    pairs = np.argwhere(B @ FA @ B.T % p)
+    if not len(pairs):
         raise DegenerateFormError(
             "antisymmetric part vanishes on H although 2*codim < dim V; "
             "the driving form is not generic"
         )
-    x, w = basis[pair[0]], basis[pair[1]]
+    x, w = B[pairs[0]]
 
     # H1 = H cap ker fS(x, .), solved in H-coordinates
-    row = [form_eval(fs, x, b) for b in basis]
-    h1_coords = nullspace([row], p, len(basis))
-    h1 = []
-    for cvec in h1_coords:
-        acc = FpVector.zero(p, d)
-        for c, b in zip(cvec.coords, basis):
-            acc = acc + b.scale(c)
-        h1.append(acc)
+    coeffs = nullspace([(x @ FS @ B.T % p).tolist()], p, len(B))
+    H1 = np.array([c.coords for c in coeffs], dtype=np.int64).reshape(-1, len(B)) @ B % p
 
-    pair2 = next(
-        ((i, j) for i in range(len(basis)) for j in range(len(h1))
-         if form_eval(fs, basis[i], h1[j]) != 0),
-        None,
-    )
-    if pair2 is None:
+    pairs = np.argwhere(B @ FS @ H1.T % p)
+    if not len(pairs):
         raise DegenerateFormError(
             "symmetric part vanishes on H x H1; the driving form is not generic"
         )
-    y, z = basis[pair2[0]], h1[pair2[1]]
+    y, z = B[pairs[0][0]], H1[pairs[0][1]]
 
-    rows = (np.array([v.coords], dtype=np.int64) for v in (x, y, z, w))
-    value = int(params.engine.lie4(*rows)[0])
+    value = int(params.engine.lie4(x[None], y[None], z[None], w[None])[0])
     if value == 0:  # pragma: no cover - the construction forces a nonzero value
         raise DegenerateFormError("constructed witness has zero bracket")
-    return ProbeWitness(tuple(basis), codim, (x, y, z, w), value)
+    witnesses = tuple(FpVector(p, tuple(v.tolist())) for v in (x, y, z, w))
+    return ProbeWitness(basis, codim, witnesses, value)
 
 
 # Subgroup extraction from seminorm concentration.

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,12 +7,42 @@ import pytest
 
 from nilprob.algebra import AlgebraParams
 from nilprob.errors import DimensionMismatchError, ExpressionShapeError
-from nilprob.fieldlin import FpVector
+from nilprob.fieldlin import FpVector, matrix_rank
 from nilprob import bias
 
 
 def rand_vecs(p, dims, rng):
     return [FpVector(p, tuple(int(v) for v in rng.integers(0, p, d))) for d in dims]
+
+
+def grid_reference(p, dims, chunk):
+    """The domain in chunks by the mixed-radix remainder loops, last slot fastest."""
+    tables = []
+    for d in dims:
+        idx, cols = np.arange(p**d), []
+        for _ in range(d):
+            cols.append(idx % p)
+            idx = idx // p
+        tables.append(np.stack(cols, axis=1) if d else np.zeros((p**d, 0), np.int64))
+    sizes = [t.shape[0] for t in tables]
+    total = math.prod(sizes)
+    for start in range(0, total, chunk):
+        rem, arrays = np.arange(start, min(start + chunk, total)), []
+        for size, table in zip(reversed(sizes), reversed(tables)):
+            arrays.append(table[rem % size])
+            rem = rem // size
+        yield arrays[::-1]
+
+
+def span_dim_reference(m):
+    """image_span_dim by one evaluation per basis tuple."""
+    rows = []
+    for combo in itertools.product(*(range(d) for d in m.dims)):
+        arrays = [np.eye(d, dtype=np.int64)[[i]] for i, d in zip(combo, m.dims)]
+        rows.append([int(v) for v in m.eval_batch(arrays)[0]])
+    if not rows or m.cod_dim == 0:
+        return 0
+    return matrix_rank(rows, m.p)
 
 
 class TestMultilinearMap:
@@ -61,16 +93,53 @@ class TestMultilinearMap:
         assert fs.effective_cod_size() == 2
         assert fs.cod_size() == 2
 
+    def test_image_span_dim_matches_per_tuple_loop(self, params21, params22):
+        rng = np.random.default_rng(4)
+        maps = [
+            bias.MultilinearMap.from_tensor(2, np.zeros((0, 2, 1), dtype=np.int64)),
+            bias.MultilinearMap.from_tensor(3, np.zeros((2, 3, 0), dtype=np.int64)),
+            bias.family_quad_map(params21),
+            bias.family_trilinear_map(params22),
+        ]
+        for p, shape in [(2, (3, 4)), (3, (2, 2, 3)), (5, (2, 1, 2, 2)), (2, (4, 4, 2, 5))]:
+            tensor = rng.integers(0, p, size=shape)
+            tensor[..., 0] = tensor[..., -1]      # a dependent codomain coordinate
+            maps.append(bias.MultilinearMap.from_tensor(p, tensor))
+        for m in maps:
+            assert m.image_span_dim() == span_dim_reference(m)
+
     def test_dim_validation(self):
         m = bias.MultilinearMap.bilinear_form(2, [[1, 0], [0, 1]])
         with pytest.raises(DimensionMismatchError):
             m.eval([FpVector.zero(2, 3), FpVector.zero(2, 2)])
+        with pytest.raises(DimensionMismatchError):
+            m.eval([FpVector.zero(3, 2), FpVector.zero(3, 2)])
+        with pytest.raises(DimensionMismatchError):
+            m.eval([FpVector.zero(2, 2)])
 
 
 class TestBiasProbability:
     def test_zero_map(self):
         zero = bias.MultilinearMap.from_tensor(2, np.zeros((2, 2, 2), dtype=np.int64))
         assert bias.bias_probability(zero).value == 1
+
+    def test_zero_width_slot(self):
+        # F_2^0 has one point, so the map is zero on all of its domain
+        m = bias.MultilinearMap.from_tensor(2, np.zeros((0, 2, 1), dtype=np.int64))
+        rep = bias.bias_probability(m)
+        assert (rep.kind, rep.value) == ("exact", 1)
+
+    @pytest.mark.parametrize("p, dims, chunk", [
+        (2, (2, 3), 1 << 16), (2, (2, 0, 1), 3), (3, (0,), 4), (3, (1, 2, 1), 7),
+        (5, (2, 1), 10), (2, (3, 3, 3), 100),
+    ])
+    def test_grid_order_matches_remainder_loop(self, p, dims, chunk):
+        got = list(bias._iter_grid(p, dims, chunk))
+        expect = list(grid_reference(p, dims, chunk))
+        assert len(got) == len(expect) == -(-p ** sum(dims) // chunk)
+        for arrays, ref in zip(got, expect):
+            assert [a.shape for a in arrays] == [r.shape for r in ref]
+            assert all((a == r).all() for a, r in zip(arrays, ref))
 
     def test_x1y1_three_quarters(self):
         for dims in [(1, 1), (2, 2), (3, 2)]:
@@ -116,6 +185,17 @@ class TestExpressions:
         for _ in range(30):
             x, _, z, w = rand_vecs(2, expr.dims, rng)
             assert bias.evaluate_expression(expr, [x, x, z, w]).coords == (0,)
+
+    def test_expression_point_agrees_with_map_point(self, params22):
+        expr, quad = bias.family_quad_expression(params22), bias.family_quad_map(params22)
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            xs = rand_vecs(2, expr.dims, rng)
+            assert bias.evaluate_expression(expr, xs) == quad.eval(xs)
+        with pytest.raises(DimensionMismatchError):
+            bias.evaluate_expression(expr, [FpVector.zero(2, 3)] + xs[1:])
+        with pytest.raises(DimensionMismatchError):
+            bias.evaluate_expression(expr, xs[:3])
 
     def test_perturbed_expression_rejected(self, params21):
         expr = bias.family_quad_expression(params21)

@@ -180,7 +180,8 @@ class TestExitCodes:
         ["cover", "--family", "--p", "2", "--n", "1", "--n-bound", "1", "--mode", "sampled"],
         ["bias", "--verify-quad", "--p", "3", "--n", "2"],
         ["bias", "--trilinear-bound", "--p", "3", "--n", "3"],
-    ], ids=["cover-sampled", "bias-verify-quad", "bias-trilinear-bound"])
+        ["family", "--p", "2", "--n", "1"],
+    ], ids=["cover-sampled", "bias-verify-quad", "bias-trilinear-bound", "family"])
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_sampled_modes_need_samples_is_two(self, capsys, argv, samples):
         code = main(argv + ["--samples", samples])
@@ -188,6 +189,47 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: need samples >= 1\n"
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_zero_is_a_cap(self, capsys, cap):
+        code = main(["d2", "--family", "--p", "2", "--n", "1", "--exact", "--cap", cap])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"cap exceeded: |G| = 512 exceeds d2 cap {cap}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["d1", "--exact"], ["d2", "--exact"], ["cover", "--n-bound", "1"],
+    ], ids=["d1", "d2", "cover"])
+    def test_family_with_table_is_two(self, capsys, argv):
+        code = main(argv + ["--family", "--table", "corpus:s3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --family and --table exclude each other\n"
+
+    @pytest.mark.parametrize("extra", [[], ["--mode", "sampled"], ["--minimal"]],
+                             ids=["exhaustive", "sampled", "minimal"])
+    def test_cover_bound_below_one_is_two(self, capsys, extra):
+        code = main(["cover", "--table", "corpus:s3", "--n-bound", "0"] + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: covering bound n must be >= 1\n"
+
+    def test_bias_both_modes_is_two(self, capsys):
+        code = main(["bias", "--verify-quad", "--trilinear-bound", "--p", "2", "--n", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: bias: pass only one of")
+
+    def test_series_engel_limit_below_one_is_two(self, capsys):
+        code = main(["series", "--table", "corpus:c4", "--max-l", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: Engel limit max_l must be >= 1\n"
 
     @pytest.mark.parametrize("index", ["99", "-1"])
     def test_s_file_index_out_of_range_is_two(self, capsys, tmp_path, index):

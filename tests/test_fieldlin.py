@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from nilprob import fieldlin
 from nilprob.errors import DimensionMismatchError
 from nilprob.fieldlin import (
     SUPPORTED_PRIMES,
@@ -113,6 +114,35 @@ class TestSymmAntisymm:
                 x, y = FpVector.basis(5, 3, i), FpVector.basis(5, 3, j)
                 assert (form_eval(fs, x, y) - form_eval(f, x, y) - form_eval(f, y, x)) % 5 == 0
                 assert (form_eval(fa, x, y) - form_eval(f, x, y) + form_eval(f, y, x)) % 5 == 0
+
+
+    @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+    def test_match_nested_loops(self, p):
+        # the nested coefficient loops the array forms replace
+        rng = random.Random(p)
+        for d in range(1, 6):
+            f = BilinearForm.from_rows(p, [[rng.randrange(p) for _ in range(d)] for _ in range(d)])
+            c = f.coeffs
+            fs = tuple(tuple((c[i][j] + c[j][i]) % p for j in range(d)) for i in range(d))
+            fa = tuple(tuple((c[i][j] - c[j][i]) % p for j in range(d)) for i in range(d))
+            assert symm_part(f) == BilinearForm(p, fs)
+            assert antisymm_part(f) == BilinearForm(p, fa)
+            assert all(type(v) is int for row in symm_part(f).coeffs + antisymm_part(f).coeffs
+                       for v in row)
+
+
+class TestAllVectors:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_little_endian_order(self, p, d):
+        # the mixed-radix remainder loop it replaces: column k is digit k
+        idx = np.arange(p**d)
+        cols = [idx // p**k % p for k in range(d)]
+        expect = np.stack(cols, axis=1) if d else np.zeros((1, 0), dtype=np.int64)
+        table = fieldlin.all_vectors(p, d)
+        assert table.shape == (p**d, d)
+        assert (table == expect).all()
+        assert sorted(map(tuple, table.tolist())) == sorted(v.coords for v in all_vectors(p, d))
 
 
 class TestRankKernel:

@@ -362,6 +362,12 @@ class TestCovering:
         assert w.S == [family21.identity]
         assert w.exact_minimum is True
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_check_rejects_bound_zero(self, mode):
+        # checked before any commutator work, so a tiny pair cap never trips
+        with pytest.raises(ValueError, match="covering bound n must be >= 1"):
+            stats.covering_check(corpus_group("s3"), 0, [0], mode=mode, cap=1)
+
     def test_minimal_s_rejects_bound_zero(self):
         with pytest.raises(ValueError):
             stats.covering_minimal_S(corpus_group("s3"), 0)

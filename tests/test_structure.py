@@ -6,7 +6,7 @@ import pytest
 
 from nilprob.algebra import AlgebraParams, lie_bracket, AlgebraElement
 from nilprob.errors import CapExceededError, DegenerateFormError
-from nilprob.fieldlin import BilinearForm, FpVector, form_eval
+from nilprob.fieldlin import BilinearForm, FpVector, form_eval, nullspace, rref
 from nilprob.groups import direct_product, subgroup_closure
 from nilprob.tables import corpus_group, cyclic, symmetric3
 from nilprob import structure as st
@@ -17,6 +17,53 @@ def lie4_formula(params, x, y, z, w):
     fa, fs = params.antisymm, params.symm
     value = form_eval(fa, x, w) * form_eval(fs, y, z) - form_eval(fa, y, w) * form_eval(fs, x, z)
     return value % params.p
+
+
+def hyperplanes_reference(p, d):
+    """Hyperplane bases by the digit loop over functional indices."""
+    out = []
+    for idx in range(1, p**d):
+        digits, rem = [], idx
+        for _ in range(d):
+            digits.append(rem % p)
+            rem //= p
+        if next(v for v in digits if v) == 1:
+            out.append(nullspace([digits], p, d))
+    return out
+
+
+def probe_reference(params, h_basis):
+    """The quadruple-bracket probe by scalar form evaluations, the first
+    nonzero pair taken by nested loops."""
+    p, d = params.p, params.d
+    basis = tuple(FpVector(p, tuple(r)) for r in rref([v.coords for v in h_basis], p)[0])
+    codim = d - len(basis)
+    if 2 * codim + 1 >= d:
+        return st.ProbeWitness(basis, codim, None, None,
+                               reason=f"need 2*codim + 1 < dim V; got codim {codim}, dim {d}")
+    fa, fs = params.antisymm, params.symm
+    pair = next(((a, b) for a in basis for b in basis if form_eval(fa, a, b)), None)
+    if pair is None:
+        return DegenerateFormError
+    x, w = pair
+    h1 = []
+    for cvec in nullspace([[form_eval(fs, x, b) for b in basis]], p, len(basis)):
+        acc = FpVector.zero(p, d)
+        for c, b in zip(cvec.coords, basis):
+            acc = acc + b.scale(c)
+        h1.append(acc)
+    pair = next(((a, b) for a in basis for b in h1 if form_eval(fs, a, b)), None)
+    if pair is None:
+        return DegenerateFormError
+    y, z = pair
+    return st.ProbeWitness(basis, codim, (x, y, z, w), lie4_formula(params, x, y, z, w))
+
+
+def probe_or_error(params, h_basis):
+    try:
+        return st.class3_subspace_probe(params, h_basis)
+    except DegenerateFormError:
+        return DegenerateFormError
 
 
 class TestSeries:
@@ -87,6 +134,11 @@ class TestEngel:
 
     def test_q8_is_two(self):
         assert st.engel_degree(corpus_group("q8")) == 2
+
+    @pytest.mark.parametrize("max_l", [0, -1])
+    def test_limit_below_one_rejected(self, max_l):
+        with pytest.raises(ValueError, match="max_l must be >= 1"):
+            st.engel_degree(cyclic(4), max_l=max_l)
 
     def test_s3_is_none(self):
         assert st.engel_degree(symmetric3()) is None
@@ -162,6 +214,46 @@ class TestSubspaceProbe:
 
     def test_hyperplane_count_f3(self):
         assert len(st.hyperplanes(3, 2)) == 4
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_hyperplanes_match_digit_loop(self, p, d):
+        planes = st.hyperplanes(p, d)
+        assert planes == hyperplanes_reference(p, d)
+        assert len(planes) == (p**d - 1) // (p - 1)
+
+    def test_probe_matches_scalar_scan_on_random_subspaces(self):
+        rng = random.Random(10)
+        for p, n in [(2, 2), (3, 2), (2, 3), (5, 2), (7, 2)]:
+            params = AlgebraParams.hyperbolic(p, n)
+            d = params.d
+            for _ in range(25):
+                h = [FpVector(p, tuple(rng.randrange(p) for _ in range(d)))
+                     for _ in range(rng.randrange(d + 2))]
+                if len(h) >= 2:   # a dependent vector: a combination of two others
+                    c = rng.randrange(p)
+                    h.append(h[0] + h[1].scale(c))
+                assert probe_or_error(params, h) == probe_reference(params, h)
+
+    def test_probe_matches_scalar_scan_on_dense_forms(self):
+        rng = random.Random(11)
+        errors = 0
+        for p in (2, 3, 5):
+            for d in (3, 4, 5, 6):
+                for _ in range(8):
+                    form = BilinearForm.from_rows(
+                        p, [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(d)]
+                            for _ in range(d)])
+                    params = AlgebraParams(p, d, form)
+                    k = rng.randrange(d - 1, d + 2)
+                    h = [FpVector(p, tuple(rng.randrange(p) for _ in range(d))) for _ in range(k)]
+                    for basis in (None, h):
+                        got = probe_or_error(params, basis)
+                        expect = probe_reference(params, basis or [
+                            FpVector.basis(p, d, i) for i in range(d)])
+                        assert got == expect
+                        errors += got is DegenerateFormError
+        assert errors  # some draws exercise the degenerate-form diagnoses
 
     def test_degenerate_form_diagnosed(self):
         # zero form: fA vanishes identically on V although the gate passes
