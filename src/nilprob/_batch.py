@@ -305,8 +305,7 @@ class BatchAlg:
         return self.grp_mul(self.grp_mul(inv, a), by)
 
     def is_identity(self, a: Batch) -> np.ndarray:
-        flat = self.coords(a)
-        return ~flat.any(axis=1)
+        return ~(a.r1.any(1) | a.r2.any((1, 2)) | a.r3.any(1) | (a.c4 != 0))
 
     def random_l1(self, rng: np.random.Generator, n: int) -> Batch:
         """Uniform over L1: independent uniform digits in every coordinate."""

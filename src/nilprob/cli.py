@@ -2,8 +2,9 @@
 covering checks, and emit machine-readable reports.
 
 Exit codes: 0 success, 1 verification failure (counterexample or violated
-bound), 2 usage error, 3 cap exceeded.  Identical configuration (including
-seed) produces byte-identical JSON output apart from elapsed_ms fields.
+bound), 2 usage error, 3 cap exceeded.  A flag that the chosen path does not
+read is a usage error.  Identical configuration (including seed) produces
+byte-identical JSON output apart from elapsed_ms fields.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -35,17 +35,6 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-@dataclass
-class RunConfig:
-    """Validated flags of one invocation."""
-
-    command: str
-    args: argparse.Namespace
-    threads: int
-    out_format: str
-    output: str | None
-
-
 def _thread_count(flag: int | None) -> int:
     if flag is not None:
         return max(1, flag)
@@ -58,45 +47,46 @@ def _thread_count(flag: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _resolve_table(source: str) -> TableGroup:
-    if source.startswith("corpus:"):
-        try:
-            return corpus_group(source.split(":", 1)[1])
-        except KeyError as exc:
-            raise UsageError(exc.args[0]) from None
-    return load_cayley_table(source)
-
-
-def _family(args: argparse.Namespace) -> AlgebraGroup:
-    if args.form:
-        form = load_form(args.form)
-        params = AlgebraParams(args.p, form.dim, form)
-    else:
-        params = AlgebraParams.hyperbolic(args.p, args.n)
-    return AlgebraGroup(params)
+def _refuse_unread(args: argparse.Namespace, path: str, *dests: str) -> None:
+    """Usage error for the first flag among `dests` that differs from its
+    parser default: the chosen `path` does not read it."""
+    for dest in dests:
+        if getattr(args, dest, None) != args.parser.get_default(dest):
+            raise UsageError(f"--{dest.replace('_', '-')} and {path} exclude each other")
 
 
 def _group_from_args(args: argparse.Namespace) -> tuple[Any, dict]:
+    """The group that the flags name, and the `group` block of its report."""
     if getattr(args, "table", None):
-        if getattr(args, "family", False):
-            raise UsageError("--family and --table exclude each other")
-        G = _resolve_table(args.table)
+        _refuse_unread(args, "--table", "family", "p", "n", "form")
+        if args.table.startswith("corpus:"):
+            try:
+                G = corpus_group(args.table.split(":", 1)[1])
+            except KeyError as exc:
+                raise UsageError(exc.args[0]) from None
+        else:
+            G = load_cayley_table(args.table)
         return G, {"kind": "table", "source": args.table, "order": G.order}
-    G = _family(args)
+    if args.form:
+        _refuse_unread(args, "--form", "n")
+        form = load_form(args.form)
+        G = AlgebraGroup(AlgebraParams(args.p, form.dim, form))
+    else:
+        G = AlgebraGroup(AlgebraParams.hyperbolic(args.p, args.n))
     return G, {
         "kind": "family",
         "p": G.params.p,
-        "n": G.params.d // 2 if not args.form else None,
+        "n": None if args.form else args.n,
         "form": args.form or f"hyperbolic:{args.p}:{args.n}",
         "order": G.order,
     }
 
 
-def _emit(payload: dict, config: RunConfig) -> None:
+def _emit(payload: dict, args: argparse.Namespace) -> None:
     text: str
-    if config.out_format == "json":
+    if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
-    elif config.out_format == "csv":
+    elif args.format == "csv":
         rows = ["schema,command,field,value"]
         flat = _flatten(payload)
         rows += [f"{SCHEMA_VERSION},{payload['command']},{k},{v}" for k, v in flat]
@@ -104,8 +94,8 @@ def _emit(payload: dict, config: RunConfig) -> None:
     else:
         flat = _flatten(payload)
         text = "\n".join(f"{k}: {v}" for k, v in flat) + "\n"
-    if config.output:
-        with open(config.output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -123,19 +113,17 @@ def _flatten(obj: Any, prefix: str = "") -> list[tuple[str, Any]]:
     return out
 
 
-def _payload(config: RunConfig, group_info: dict | None, report: dict) -> dict:
-    payload = {
+def _payload(args: argparse.Namespace, group_info: dict, report: dict) -> dict:
+    return {
         "schema": SCHEMA_VERSION,
-        "command": config.command,
-        "threads": config.threads,
+        "command": args.command,
+        "threads": args.threads,
+        "group": group_info,
         "report": report,
     }
-    if group_info:
-        payload["group"] = group_info
-    return payload
 
 
-# Subcommand implementations: each returns (exit_code, report dict).
+# Subcommand implementations: each returns (exit code, group block, report).
 
 
 def _cmd_family(args: argparse.Namespace) -> tuple[int, dict, dict]:
@@ -160,11 +148,13 @@ def _cmd_family(args: argparse.Namespace) -> tuple[int, dict, dict]:
 
 
 def _cmd_dk(args: argparse.Namespace, k: int) -> tuple[int, dict, dict]:
+    if args.mc:
+        _refuse_unread(args, "--mc", "cap")
+    else:
+        _refuse_unread(args, "--exact", "samples", "seed")
     G, info = _group_from_args(args)
     if args.mc:
-        rep = stats.dk_monte_carlo(
-            G, k, args.samples, seed=args.seed, threads=args.threads_resolved
-        )
+        rep = stats.dk_monte_carlo(G, k, args.samples, seed=args.seed, threads=args.threads)
     elif k == 1:
         rep = stats.d1_exact(G, cap=stats.D1_CAP if args.cap is None else args.cap)
     else:
@@ -191,6 +181,12 @@ def _parse_s_elements(args: argparse.Namespace, G) -> list:
 
 
 def _cmd_cover(args: argparse.Namespace) -> tuple[int, dict, dict]:
+    if args.minimal:
+        _refuse_unread(args, "--minimal", "s", "s_file", "mode", "samples", "seed")
+    elif args.mode == "exhaustive":
+        _refuse_unread(args, "--mode exhaustive", "samples", "seed")
+    if args.s_file:
+        _refuse_unread(args, "--s-file", "s")
     G, info = _group_from_args(args)
     if args.minimal:
         witness = stats.covering_minimal_S(G, args.n_bound)
@@ -217,8 +213,7 @@ def _cmd_cover(args: argparse.Namespace) -> tuple[int, dict, dict]:
 
 
 def _cmd_probe(args: argparse.Namespace) -> tuple[int, dict, dict]:
-    G = _family(args)
-    info = {"kind": "family", "p": args.p, "n": args.n, "order": G.order}
+    G, info = _group_from_args(args)
     params = G.params
     if args.exhaustive_hyperplanes:
         results = [
@@ -238,8 +233,7 @@ def _cmd_probe(args: argparse.Namespace) -> tuple[int, dict, dict]:
 
 
 def _cmd_series(args: argparse.Namespace) -> tuple[int, dict, dict]:
-    G = _resolve_table(args.table)
-    info = {"kind": "table", "source": args.table, "order": G.order}
+    G, info = _group_from_args(args)
     lower = structure.lower_central_series(G)
     upper = structure.upper_central_series(G)
     derived = structure.derived_series(G)
@@ -259,8 +253,7 @@ def _cmd_series(args: argparse.Namespace) -> tuple[int, dict, dict]:
 
 
 def _cmd_neumann(args: argparse.Namespace) -> tuple[int, dict, dict]:
-    G = _resolve_table(args.table)
-    info = {"kind": "table", "source": args.table, "order": G.order}
+    G, info = _group_from_args(args)
     norm = (
         structure.discrete_norm(G)
         if args.norm == "discrete"
@@ -272,11 +265,10 @@ def _cmd_neumann(args: argparse.Namespace) -> tuple[int, dict, dict]:
 
 
 def _cmd_bias(args: argparse.Namespace) -> tuple[int, dict, dict]:
-    G = _family(args)
-    info = {"kind": "family", "p": args.p, "n": args.n, "order": G.order}
-    params = G.params
     if args.verify_quad and args.trilinear_bound:
         raise UsageError("bias: pass only one of --verify-quad and --trilinear-bound")
+    G, info = _group_from_args(args)
+    params = G.params
     if args.verify_quad:
         expr = bias.family_quad_expression(params)
         res = bias.verify_expression(
@@ -327,11 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--form", help="form file or hyperbolic:p:n keyword")
         if with_table:
             p.add_argument("--table", help="Cayley table file or corpus:NAME")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     fam = sub.add_parser("family", parents=[common], help="construct a family group and report class")
     add_family_flags(fam)
     fam.add_argument("--samples", type=int, default=1000)
+    fam.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     for k in (1, 2):
         dk = sub.add_parser(f"d{k}", parents=[common], help=f"class-{k} nilpotency degree")
@@ -341,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         mode.add_argument("--exact", action="store_true")
         mode.add_argument("--mc", action="store_true")
         dk.add_argument("--samples", type=int, default=10**6)
+        dk.add_argument("--seed", type=int, default=DEFAULT_SEED)
         dk.add_argument("--cap", type=int, default=None)
 
     cov = sub.add_parser("cover", parents=[common], help="commutator covering-condition check")
@@ -352,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     cov.add_argument("--minimal", action="store_true", help="greedy minimal S search")
     cov.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     cov.add_argument("--samples", type=int, default=10000)
+    cov.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     probe = sub.add_parser("probe-class3", parents=[common], help="quadruple-bracket subspace probe")
     add_family_flags(probe)
@@ -373,7 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     bi.add_argument("--verify-quad", action="store_true")
     bi.add_argument("--trilinear-bound", action="store_true")
     bi.add_argument("--samples", type=int, default=10**6)
+    bi.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
+    for command_parser in sub.choices.values():
+        command_parser.set_defaults(parser=command_parser)   # read by _refuse_unread
     return parser
 
 
@@ -389,29 +386,20 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    args = config.args
-    args.threads_resolved = config.threads
-    code, info, report = _COMMANDS[config.command](args)
-    payload = _payload(config, info, report)
+    code, info, report = _COMMANDS[args.command](args)
+    payload = _payload(args, info, report)
     payload["elapsed_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
-    _emit(payload, config)
+    _emit(payload, args)
     return code
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            args=args,
-            threads=_thread_count(args.threads),
-            out_format=args.format,
-            output=args.output,
-        )
-        return run(config)
+        args.threads = _thread_count(args.threads)
+        return run(args)
     except CapExceededError as exc:
         sys.stderr.write(f"cap exceeded: {exc}\n")
         return EXIT_CAP

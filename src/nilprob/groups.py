@@ -594,22 +594,19 @@ def direct_product(A: TableGroup, B: TableGroup) -> TableGroup:
 
 
 def parse_cayley_table(text: str, name: str = "table") -> TableGroup:
-    tokens = text.split()
-    if not tokens:
+    if not text.strip():
         raise CayleyParseError("empty table source")
     try:
-        m = int(tokens[0])
+        values = np.fromstring(text, dtype=np.int64, sep=" ")
     except ValueError as exc:
-        raise CayleyParseError(f"bad order: {tokens[0]!r}") from exc
+        raise CayleyParseError(f"bad entry: {exc}") from exc
+    m = int(values[0])
     if m <= 0:
         raise CayleyParseError("order must be positive")
-    if len(tokens) != 1 + m * m:
-        raise CayleyParseError(f"expected {m * m} entries, found {len(tokens) - 1}")
-    try:
-        entries = np.array(tokens[1:], dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise CayleyParseError(f"bad entry: {exc}") from exc
-    return TableGroup(entries.reshape(m, m), name=name)
+    if len(values) != 1 + m * m:
+        raise CayleyParseError(f"expected {m * m} entries, found {len(values) - 1}")
+    # an entry past int64 reads as +-2^63, which TableGroup's [0, m) check rejects
+    return TableGroup(values[1:].reshape(m, m), name=name)
 
 
 def load_cayley_table(source: "str | Path | io.TextIOBase", name: str | None = None) -> TableGroup:

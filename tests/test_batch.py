@@ -238,6 +238,9 @@ def test_is_identity():
     assert eng.is_identity(z).all()
     z.r1[1, 0] = 1
     assert list(eng.is_identity(z)) == [True, False, True]
+    m = params.dim_l1   # a unit vector in any coordinate is not the identity
+    units = eng.from_coords(np.vstack([np.eye(m, dtype=np.int64), np.zeros((1, m), np.int64)]))
+    assert list(eng.is_identity(units)) == [False] * m + [True]
 
 
 @st.composite

@@ -137,6 +137,23 @@ class TestCommands:
         assert rep["bound_holds"] is True
         assert rep["bound"] == [1, 4]
 
+    @pytest.mark.parametrize("argv, order", [
+        (["probe-class3", "--p", "2", "--form", "hyperbolic:2:2"], 2**25),
+        (["bias", "--verify-quad", "--form", "hyperbolic:2:1"], 512),
+    ], ids=["probe-class3", "bias"])
+    def test_form_group_block(self, capsys, argv, order):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["group"] == {
+            "kind": "family", "p": 2, "n": None, "form": argv[-1], "order": order,
+        }
+
+    def test_unread_flag_at_its_default_is_accepted(self, capsys):
+        code, out = run_cli(capsys, "d1", "--table", "corpus:s3", "--exact",
+                            "--p", "2", "--samples", "1000000", "--seed", "1729")
+        assert code == 0
+        assert json.loads(out)["report"]["value_num"] == 1
+
 
 class TestExitCodes:
     def test_cap_exceeded_is_three(self, capsys):
@@ -216,6 +233,44 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: covering bound n must be >= 1\n"
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["cover", "--table", "corpus:s3", "--n-bound", "1", "--minimal",
+          "--s-file", "/no/such/file"], "--s-file and --minimal"),
+        (["cover", "--table", "corpus:s3", "--n-bound", "1", "--minimal",
+          "--mode", "sampled", "--samples", "5"], "--mode and --minimal"),
+        (["cover", "--table", "corpus:s3", "--n-bound", "1", "--s-file", "F", "--s", "foo"],
+         "--s and --s-file"),
+        (["cover", "--family", "--n-bound", "8", "--samples", "3"],
+         "--samples and --mode exhaustive"),
+        (["d1", "--table", "corpus:s3", "--exact", "--p", "3"], "--p and --table"),
+        (["d1", "--table", "corpus:s3", "--exact", "--form", "hyperbolic:3:1"],
+         "--form and --table"),
+        (["d2", "--table", "corpus:s3", "--exact", "--seed", "9"], "--seed and --exact"),
+        (["d2", "--table", "corpus:s3", "--mc", "--samples", "5000", "--cap", "3"],
+         "--cap and --mc"),
+        (["d2", "--form", "hyperbolic:2:1", "--n", "3", "--exact"], "--n and --form"),
+        (["bias", "--verify-quad", "--form", "hyperbolic:2:1", "--n", "2"], "--n and --form"),
+        # a usage error, not the cap of exact d2 at (2, 2)
+        (["d2", "--family", "--p", "2", "--n", "2", "--exact", "--seed", "5"],
+         "--seed and --exact"),
+    ], ids=["minimal-s-file", "minimal-sampled", "s-file-s", "exhaustive-samples",
+            "table-p", "table-form", "exact-seed", "mc-cap", "form-n", "bias-form-n",
+            "exact-seed-over-cap"])
+    def test_unread_flag_is_two(self, capsys, argv, flags):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {flags} exclude each other\n"
+
+    def test_probe_seed_is_unknown_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["probe-class3", "--p", "2", "--n", "1", "--seed", "5"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --seed 5" in captured.err
 
     def test_bias_both_modes_is_two(self, capsys):
         code = main(["bias", "--verify-quad", "--trilinear-bound", "--p", "2", "--n", "1"])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +34,12 @@ from nilprob.groups import (
     subgroup_closure,
     subgroup_table,
 )
-from nilprob.structure import power_closure_radius
+from nilprob.structure import (
+    derived_series,
+    lower_central_series,
+    power_closure_radius,
+    upper_central_series,
+)
 from nilprob.tables import CORPUS_NAMES, corpus_group, symmetric3
 
 
@@ -281,6 +287,18 @@ class TestTableGroup:
             parse_cayley_table("2\n0 1\n1 1.5\n")
         with pytest.raises(CayleyParseError):
             parse_cayley_table("2\n0 1\n1 99999999999999999999\n")   # overflows int64
+        with pytest.raises(CayleyParseError):
+            parse_cayley_table("2\n0 1\n1 -99999999999999999999\n")
+        with pytest.raises(CayleyParseError):
+            parse_cayley_table(" \n\t")
+        with pytest.raises(CayleyParseError):
+            parse_cayley_table("x\n0 1\n1 0\n")
+        with pytest.raises(CayleyParseError):
+            parse_cayley_table("2\n0 1\n1 0x1\n")
+
+    def test_parse_any_whitespace(self):
+        G = parse_cayley_table(" 2\t0 1\r\n1\t0")
+        assert G.table.tolist() == [[0, 1], [1, 0]]
 
     def test_class_size_times_centralizer_is_order(self, corpus_groups):
         for G in corpus_groups.values():
@@ -660,3 +678,42 @@ def test_permutation_check_matches_loop(oracle_groups):
             assert got == expect
             seen.add(None if expect is None else expect.split()[0])
     assert seen == {None, "row", "column"}
+
+
+@pytest.fixture(scope="module")
+def family21_table(family21):
+    """The (2,1) family as a Cayley table from one engine `grp_mul` over all
+    pairs; an element's index is the base-p number its digits spell, so the
+    identity is index 0."""
+    eng, m, p = family21.batch, family21.order, family21.params.p
+    place = p ** np.arange(family21.dim_l1 - 1, -1, -1)
+    digits = np.arange(m)[:, None] // place % p
+    products = eng.grp_mul(eng.from_coords(np.repeat(digits, m, axis=0)),
+                           eng.from_coords(np.tile(digits, (m, 1))))
+    return TableGroup((eng.coords(products) @ place).reshape(m, m), name="family21")
+
+
+class TestFamilyAsTable:
+    """The (2,1) family against its own Cayley table: one group, two arithmetics."""
+
+    def test_table_validates(self, family21_table):
+        # construction ran the permutation, identity and associativity checks
+        assert family21_table.order == 512
+
+    def test_exact_statistics_agree(self, family21, family21_table):
+        for G in (family21, family21_table):
+            assert stats.d1_exact(G).value == Fraction(7, 64)
+            assert stats.d2_exact(G).value == Fraction(65, 128)
+
+    def test_class_sizes_agree(self, family21, family21_table):
+        family_sizes = family21.class_sizes(family21.all_elements())
+        table_sizes = family21_table.class_sizes(family21_table.all_elements())
+        assert np.array_equal(family_sizes, table_sizes)
+
+    def test_commutator_set_sizes_agree(self, family21, family21_table):
+        assert len(stats.commutator_set(family21)) == len(stats.commutator_set(family21_table))
+
+    def test_series_orders(self, family21_table):
+        assert lower_central_series(family21_table).orders == [512, 16, 8, 2, 1]
+        assert upper_central_series(family21_table).orders == [1, 4, 16, 128, 512]
+        assert derived_series(family21_table).orders == [512, 16, 1]
