@@ -19,13 +19,13 @@ as `AlgebraParams.engine`), on one-element stacks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DimensionMismatchError, ParamsMismatchError
-from .fieldlin import BilinearForm, FpVector, antisymm_part, check_prime, hyperbolic_form, symm_part
+from .fieldlin import BilinearForm, FpVector, antisymm_part, hyperbolic_form, symm_part
 
 if TYPE_CHECKING:
     from ._batch import BatchAlg
@@ -36,22 +36,20 @@ Grades = tuple[tuple[int, ...], Matrix, tuple[int, ...], int]   # (r1, r2, r3, c
 
 @dataclass(frozen=True)
 class AlgebraParams:
-    """Prime p, vector space dimension d, and the driving form on V."""
+    """The driving form on V; its modulus is the prime p and its size the
+    dimension d, which are plain attributes because digit loops read them."""
 
-    p: int
-    d: int
     form: BilinearForm
+    p: int = field(init=False)
+    d: int = field(init=False)
 
     def __post_init__(self) -> None:
-        check_prime(self.p)
-        if self.form.p != self.p:
-            raise DimensionMismatchError("form modulus does not match params")
-        if self.form.dim != self.d:
-            raise DimensionMismatchError("form dimension does not match params")
+        object.__setattr__(self, "p", self.form.p)
+        object.__setattr__(self, "d", self.form.dim)
 
     @staticmethod
     def hyperbolic(p: int, n: int) -> "AlgebraParams":
-        return AlgebraParams(p, 2 * n, hyperbolic_form(p, n))
+        return AlgebraParams(hyperbolic_form(p, n))
 
     @property
     def dim_l1(self) -> int:

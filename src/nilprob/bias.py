@@ -259,10 +259,13 @@ def _domain_chunks(
 class VerifyResult:
     """Pointwise comparison of an expression against a multilinear map."""
 
-    ok: bool
     exhaustive: bool
     points_checked: int
     counterexample: tuple[FpVector, ...] | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.counterexample is None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -289,9 +292,9 @@ def verify_expression(
         if bad.size:
             i = int(bad[0])
             point = tuple(FpVector(expr.p, tuple(int(v) for v in arr[i])) for arr in arrays)
-            return VerifyResult(False, exhaustive, checked + i, point)
+            return VerifyResult(exhaustive, checked + i, point)
         checked += arrays[0].shape[0]
-    return VerifyResult(True, exhaustive, checked)
+    return VerifyResult(exhaustive, checked)
 
 
 def bias_probability(

@@ -37,14 +37,17 @@ EXIT_CAP = 3
 
 def _thread_count(flag: int | None) -> int:
     if flag is not None:
-        return max(1, flag)
-    env = os.environ.get("NILPROB_THREADS")
-    if env:
+        count = flag
+    elif env := os.environ.get("NILPROB_THREADS"):
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError:
             raise UsageError(f"bad NILPROB_THREADS value: {env!r}") from None
-    return os.cpu_count() or 1
+    else:
+        return os.cpu_count() or 1
+    if count < 1:
+        raise UsageError(f"need threads >= 1, got {count}")
+    return count
 
 
 def _refuse_unread(args: argparse.Namespace, path: str, *dests: str) -> None:
@@ -68,9 +71,8 @@ def _group_from_args(args: argparse.Namespace) -> tuple[Any, dict]:
             G = load_cayley_table(args.table)
         return G, {"kind": "table", "source": args.table, "order": G.order}
     if args.form:
-        _refuse_unread(args, "--form", "n")
-        form = load_form(args.form)
-        G = AlgebraGroup(AlgebraParams(args.p, form.dim, form))
+        _refuse_unread(args, "--form", "p", "n")
+        G = AlgebraGroup(AlgebraParams(load_form(args.form)))
     else:
         G = AlgebraGroup(AlgebraParams.hyperbolic(args.p, args.n))
     return G, {

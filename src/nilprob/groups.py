@@ -70,6 +70,11 @@ def _orbit_labels(perms: np.ndarray) -> np.ndarray:
         label = lowered
 
 
+def _check_enum_cap(order: int, cap: int) -> None:
+    if order > cap:
+        raise CapExceededError(f"group order {order} exceeds enumeration cap {cap}")
+
+
 def _label_classes(labels: np.ndarray) -> tuple[list[int], list[int]]:
     """Class representatives (the labelled points, in index order) and sizes."""
     reps = np.flatnonzero(labels == np.arange(len(labels)))
@@ -250,10 +255,6 @@ class AlgebraGroup:
         """All elements in lexicographic coordinate order (small groups only)."""
         return iter(_elements(self.params, self.batch.coords(self.all_elements(cap))))
 
-    def _check_cap(self, cap: int) -> None:
-        if self.order > cap:
-            raise CapExceededError(f"group order {self.order} exceeds enumeration cap {cap}")
-
     @cached_property
     def _place_values(self) -> np.ndarray:
         """p^(m-1), ..., p, 1: coordinates times these give the index in
@@ -262,7 +263,7 @@ class AlgebraGroup:
 
     def all_elements(self, cap: int = DEFAULT_ENUM_CAP) -> Batch:
         """Every element, in lexicographic coordinate order."""
-        self._check_cap(cap)
+        _check_enum_cap(self.order, cap)
         return self.batch.from_coords(self._digits(np.arange(self.order)))
 
     def _digits(self, idx: np.ndarray) -> np.ndarray:
@@ -291,7 +292,7 @@ class AlgebraGroup:
     def _class_label_array(self, cap: int) -> np.ndarray:
         """`_orbit_labels` over `all_elements`, built once; an element's index
         is the base-p number its coordinates spell."""
-        self._check_cap(cap)
+        _check_enum_cap(self.order, cap)
         if self._labels is None:
             flat = self.batch.coords(self.all_elements(cap))
             images = np.einsum("gij,nj->gni", self._conj_matrices, flat) % self.params.p
@@ -443,8 +444,7 @@ class TableGroup:
         return [int(v) for v in self.sample_batch(rng, count)]
 
     def all_elements(self, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-        if self.order > cap:
-            raise CapExceededError(f"group order {self.order} exceeds enumeration cap {cap}")
+        _check_enum_cap(self.order, cap)
         return np.arange(self.order)
 
     def repeat(self, g: int, n: int) -> np.ndarray:
@@ -496,9 +496,10 @@ class TableGroup:
             raise OrbitOverflowError(f"orbit exceeded cap {cap}")
         return set(int(x) for x in orbit)
 
-    def conjugacy_classes(self) -> list[tuple[int, int]]:
+    def conjugacy_classes(self, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[int, int]]:
         """(representative, size) pairs, each class represented by its least
         member."""
+        _check_enum_cap(self.order, cap)
         return list(zip(*_label_classes(self._labels)))
 
     def class_size(self, g: int) -> int:

@@ -27,6 +27,7 @@ D1_CAP = 1 << 16
 D2_CAP = 1 << 10
 COVER_PAIR_CAP = 1 << 24
 COVER_CHUNK = 1 << 12
+EXACT_COVER_BALLS = 20   # the exact search tries every subset of the distinct balls
 MC_CHUNK = 1 << 16
 
 Group = Union[AlgebraGroup, TableGroup]
@@ -111,7 +112,7 @@ def d2_exact(G: Group, cap: int = D2_CAP) -> StatReport:
     order = G.order
     elems = G.all_elements(cap)
     total = 0
-    for rep, size in G.conjugacy_classes():
+    for rep, size in G.conjugacy_classes(cap):
         comms = G.commutators(G.repeat(rep, order), elems)
         total += size * int((order // G.class_sizes(comms)).sum())
     return StatReport("exact", Fraction(total, order**3), elapsed_s=time.perf_counter() - t0)
@@ -127,7 +128,6 @@ def dk_monte_carlo(
     k: int,
     samples: int,
     seed: int = DEFAULT_SEED,
-    confidence: float = 0.99,
     threads: int = 1,
 ) -> StatReport:
     """Estimate P([x_1, ..., x_{k+1}] = 1) from uniform (k+1)-tuples."""
@@ -147,7 +147,7 @@ def dk_monte_carlo(
             hits = sum(pool.map(run, range(len(sizes))))
     else:
         hits = sum(run(i) for i in range(len(sizes)))
-    lo, hi = clopper_pearson(hits, samples, confidence)
+    lo, hi = clopper_pearson(hits, samples)
     return StatReport(
         "monte-carlo",
         hits / samples,
@@ -230,14 +230,10 @@ def covering_check(
     return CoveringWitness(n, S, Fraction(1), None, False, samples)
 
 
-def covering_minimal_S(
-    G: Group,
-    n: int,
-    cap: int = COVER_PAIR_CAP,
-    exact_limit: int = 20,
-) -> CoveringWitness:
+def covering_minimal_S(G: Group, n: int, cap: int = COVER_PAIR_CAP) -> CoveringWitness:
     """Greedy ball cover of Comm(G,G) by translates B*s with s a commutator
-    value; exact minimum confirmed when there are few distinct ball classes."""
+    value; exact minimum confirmed when there are at most EXACT_COVER_BALLS
+    distinct balls."""
     if n < 1:
         raise ValueError("covering bound n must be >= 1")
     comms = commutator_set(G, cap)
@@ -257,7 +253,7 @@ def covering_minimal_S(
     result = [comms[i] for i in chosen]
     exact: bool | None = None
     distinct = sorted(set(balls), key=lambda b: (-len(b), sorted(b)))
-    if len(distinct) <= exact_limit:
+    if len(distinct) <= EXACT_COVER_BALLS:
         best_subset = _exact_min_cover(distinct, universe)
         if len(best_subset) < len(result):
             result = [comms[balls.index(b)] for b in best_subset]

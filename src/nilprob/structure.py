@@ -33,13 +33,20 @@ class SeriesReport:
     kinds: "lower-central" (terms[i] = gamma_{i+1}, terms[0] = G),
     "upper-central" (terms[i] = Z_i, terms[0] = {identity}),
     "derived" (terms[i] = i-th derived subgroup, terms[0] = G).
-    stabilized_at: first index whose term equals all later ones.
+    The series stops at the first term that its step maps to itself.
     """
 
     kind: str
     terms: list[frozenset[int]]
-    orders: list[int]
-    stabilized_at: int
+
+    @property
+    def orders(self) -> list[int]:
+        return [len(term) for term in self.terms]
+
+    @property
+    def stabilized_at(self) -> int:
+        """First index whose term equals all later ones."""
+        return len(self.terms) - 1
 
     def trivial_at(self) -> int | None:
         """Index of the first trivial term; None when there is none."""
@@ -95,7 +102,7 @@ def _fixed_point_series(
     terms = [start]
     while (nxt := step(terms[-1])) != terms[-1]:
         terms.append(nxt)
-    return SeriesReport(kind, terms, [len(s) for s in terms], len(terms) - 1)
+    return SeriesReport(kind, terms)
 
 
 def lower_central_series(G: TableGroup, cap: int = SERIES_CAP) -> SeriesReport:
@@ -343,42 +350,30 @@ def _separated_centers(
     return centers
 
 
-def neumann_extract(
-    G: TableGroup,
-    norm: Callable[[int], float],
-    C: float,
-    A: Iterable[int] | None = None,
-    B: Iterable[int] | None = None,
-) -> NeumannReport:
-    """Extract H <= A and K <= B whose mutual commutators have a small ball
-    cover, given that P(norm[a, b] <= C) >= 1/C over A x B."""
-    if C <= 0:
-        raise ValueError("C must be positive")
-    a_list = sorted(set(A)) if A is not None else list(G.elements())
-    b_list = sorted(set(B)) if B is not None else list(G.elements())
+def _check_level(C: float) -> None:
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError("C must be finite and positive")
+
+
+def neumann_extract(G: TableGroup, norm: Callable[[int], float], C: float) -> NeumannReport:
+    """Extract subgroups H and K whose mutual commutators have a small ball
+    cover, given that P(norm[a, b] <= C) >= 1/C over G x G."""
+    _check_level(C)
     t, inv = G.table, G.inv_table
     norms = _norm_table(G, norm)
-    a_arr = np.array(a_list, dtype=np.int64)
-    b_arr = np.array(b_list, dtype=np.int64)
-    comm = G.commutators(a_arr[:, None], b_arr[None, :])
+    idx = np.arange(G.order)
+    comm = G.commutators(idx[:, None], idx[None, :])
     small = norms[comm] <= C
 
-    total = small.size
-    prob = Fraction(int(small.sum()), total)
+    prob = Fraction(int(small.sum()), small.size)
     if prob * C < 1:
         return NeumannReport(False, prob, C)
 
     # X = {a : P_b(norm[a,b] <= C) >= 1/(2C)}, H = <X>; symmetric for K.
-    row_frac = small.sum(axis=1)
-    X = [a for a, hits in zip(a_list, row_frac) if hits * 2 * C >= len(b_list)]
-    col_frac = small.sum(axis=0)
-    Y = [b for b, hits in zip(b_list, col_frac) if hits * 2 * C >= len(a_list)]
-    H = subgroup_closure(G, X)
-    K = subgroup_closure(G, Y)
+    H = subgroup_closure(G, np.flatnonzero(small.sum(axis=1) * 2 * C >= G.order))
+    K = subgroup_closure(G, np.flatnonzero(small.sum(axis=0) * 2 * C >= G.order))
 
-    h_arr = np.array(sorted(H), dtype=np.int64)
-    k_arr = np.array(sorted(K), dtype=np.int64)
-    comm_hk = G.commutators(h_arr[:, None], k_arr[None, :])
+    comm_hk = comm[np.ix_(sorted(H), sorted(K))]
     nm = norms[comm_hk]
     D = _measured_level(nm)
     radius = 4 * D + 1
@@ -397,8 +392,8 @@ def neumann_extract(
         C,
         H=H,
         K=K,
-        index_H=len(a_list) // len(H),
-        index_K=len(b_list) // len(K),
+        index_H=G.order // len(H),
+        index_K=G.order // len(K),
         D=D,
         radius=radius,
         centers=centers,
@@ -446,6 +441,7 @@ def neumann_converse(
 ) -> ConverseReport:
     """Measure P(norm[a, b] <= 2C) given subgroups of index <= C whose
     mutual commutators admit a greedy cover by <= C balls of radius C."""
+    _check_level(C)
     norms = _norm_table(G, norm)
     h_arr = np.array(sorted(set(H)), dtype=np.int64)
     k_arr = np.array(sorted(set(K)), dtype=np.int64)

@@ -15,22 +15,6 @@ import numpy as np
 
 from .groups import TableGroup
 
-CORPUS_NAMES = (
-    "trivial",
-    "c2",
-    "c3",
-    "c4",
-    "c5",
-    "c6",
-    "c7",
-    "c8",
-    "s3",
-    "d4",
-    "q8",
-    "a4",
-    "heis27",
-)
-
 
 def trivial() -> TableGroup:
     return TableGroup([[0]], name="trivial")
@@ -129,6 +113,7 @@ _BUILDERS = {
     "a4": alternating4,
     "heis27": heisenberg3,
 }
+CORPUS_NAMES = tuple(_BUILDERS)
 
 
 def corpus_group(name: str) -> TableGroup:

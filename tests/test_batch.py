@@ -138,7 +138,7 @@ def test_group_ops_match_scalar(p, n):
 
 def dense_params(p, d, seed):
     rows = np.random.default_rng(seed).integers(0, p, (d, d))
-    return AlgebraParams(p, d, BilinearForm.from_rows(p, rows.tolist()))
+    return AlgebraParams(BilinearForm.from_rows(p, rows.tolist()))
 
 
 def test_long_commutator_matches_scalar():

@@ -137,15 +137,17 @@ class TestCommands:
         assert rep["bound_holds"] is True
         assert rep["bound"] == [1, 4]
 
-    @pytest.mark.parametrize("argv, order", [
-        (["probe-class3", "--p", "2", "--form", "hyperbolic:2:2"], 2**25),
-        (["bias", "--verify-quad", "--form", "hyperbolic:2:1"], 512),
-    ], ids=["probe-class3", "bias"])
-    def test_form_group_block(self, capsys, argv, order):
+    @pytest.mark.parametrize("argv, p, order", [
+        (["probe-class3", "--p", "2", "--form", "hyperbolic:2:2"], 2, 2**25),
+        (["bias", "--verify-quad", "--form", "hyperbolic:2:1"], 2, 512),
+        # the form supplies p: no --p 3 is needed
+        (["bias", "--trilinear-bound", "--form", "hyperbolic:3:1"], 3, 3**9),
+    ], ids=["probe-class3", "bias", "bias-p3"])
+    def test_form_group_block(self, capsys, argv, p, order):
         code, out = run_cli(capsys, *argv)
         assert code == 0
         assert json.loads(out)["group"] == {
-            "kind": "family", "p": 2, "n": None, "form": argv[-1], "order": order,
+            "kind": "family", "p": p, "n": None, "form": argv[-1], "order": order,
         }
 
     def test_unread_flag_at_its_default_is_accepted(self, capsys):
@@ -187,6 +189,26 @@ class TestExitCodes:
         code = main(["d1", "--table", "corpus:q8", "--exact"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: bad NILPROB_THREADS")
+
+    @pytest.mark.parametrize("flag, env", [("0", None), ("-2", None), (None, "0"), (None, "-4")],
+                             ids=["flag-zero", "flag-negative", "env-zero", "env-negative"])
+    def test_threads_below_one_is_two(self, capsys, monkeypatch, flag, env):
+        if env is not None:
+            monkeypatch.setenv("NILPROB_THREADS", env)
+        code = main(["d1", "--table", "corpus:q8", "--exact"]
+                    + ([] if flag is None else ["--threads", flag]))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: need threads >= 1, got {flag or env}\n"
+
+    @pytest.mark.parametrize("C", ["nan", "inf", "-inf", "0"])
+    def test_neumann_level_not_finite_positive_is_two(self, capsys, C):
+        code = main(["neumann", "--table", "corpus:s3", "--norm", "discrete", f"--C={C}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: C must be finite and positive\n"
 
     def test_unsupported_s_value_is_two(self, capsys):
         code = main(["cover", "--table", "corpus:s3", "--n-bound", "1", "--s", "foo"])
@@ -251,12 +273,14 @@ class TestExitCodes:
          "--cap and --mc"),
         (["d2", "--form", "hyperbolic:2:1", "--n", "3", "--exact"], "--n and --form"),
         (["bias", "--verify-quad", "--form", "hyperbolic:2:1", "--n", "2"], "--n and --form"),
+        (["bias", "--trilinear-bound", "--p", "3", "--form", "hyperbolic:3:1"],
+         "--p and --form"),
         # a usage error, not the cap of exact d2 at (2, 2)
         (["d2", "--family", "--p", "2", "--n", "2", "--exact", "--seed", "5"],
          "--seed and --exact"),
     ], ids=["minimal-s-file", "minimal-sampled", "s-file-s", "exhaustive-samples",
             "table-p", "table-form", "exact-seed", "mc-cap", "form-n", "bias-form-n",
-            "exact-seed-over-cap"])
+            "form-p", "exact-seed-over-cap"])
     def test_unread_flag_is_two(self, capsys, argv, flags):
         code = main(argv)
         captured = capsys.readouterr()

@@ -16,6 +16,7 @@ from nilprob.errors import (
     OrbitOverflowError,
     ParamsMismatchError,
 )
+from nilprob.fieldlin import BilinearForm
 from nilprob.groups import (
     AlgebraGroup,
     GroupElement,
@@ -181,6 +182,12 @@ class TestOrbits:
         assert G.conjugacy_classes(cap=G.order)
         with pytest.raises(CapExceededError):
             G.conjugacy_classes(cap=G.order - 1)
+
+    def test_table_class_cap(self):
+        A4 = corpus_group("a4")
+        assert len(A4.conjugacy_classes(cap=12)) == 4
+        with pytest.raises(CapExceededError):
+            A4.conjugacy_classes(cap=11)
 
 
 class TestClassSizes:
@@ -680,21 +687,44 @@ def test_permutation_check_matches_loop(oracle_groups):
     assert seen == {None, "row", "column"}
 
 
-@pytest.fixture(scope="module")
-def family21_table(family21):
-    """The (2,1) family as a Cayley table from one engine `grp_mul` over all
+def _as_table(G, name):
+    """The family G as a Cayley table from one engine `grp_mul` over all
     pairs; an element's index is the base-p number its digits spell, so the
     identity is index 0."""
-    eng, m, p = family21.batch, family21.order, family21.params.p
-    place = p ** np.arange(family21.dim_l1 - 1, -1, -1)
-    digits = np.arange(m)[:, None] // place % p
-    products = eng.grp_mul(eng.from_coords(np.repeat(digits, m, axis=0)),
-                           eng.from_coords(np.tile(digits, (m, 1))))
-    return TableGroup((eng.coords(products) @ place).reshape(m, m), name="family21")
+    eng, m = G.batch, G.order
+    flat = eng.coords(G.all_elements())
+    products = eng.grp_mul(eng.from_coords(np.repeat(flat, m, axis=0)),
+                           eng.from_coords(np.tile(flat, (m, 1))))
+    return TableGroup(_index(G, eng.coords(products)).reshape(m, m), name=name)
+
+
+def _index(G, flat):
+    """Table indices of family coordinate rows (the base-p index map)."""
+    return np.asarray(flat, dtype=np.int64) @ (G.params.p ** np.arange(G.dim_l1 - 1, -1, -1))
+
+
+@pytest.fixture(scope="module")
+def family21_table(family21):
+    return _as_table(family21, "family21")
+
+
+# d = 2 forms at p = 2: the hyperbolic form and two dense ones
+TABLE_FORMS = {
+    "hyperbolic": [[0, 1], [0, 0]],
+    "dense-upper": [[1, 1], [0, 1]],
+    "dense-lower": [[1, 0], [1, 1]],
+}
+
+
+@pytest.fixture(scope="module", params=list(TABLE_FORMS))
+def family_and_table(request):
+    G = AlgebraGroup(AlgebraParams(BilinearForm.from_rows(2, TABLE_FORMS[request.param])))
+    return G, _as_table(G, request.param)
 
 
 class TestFamilyAsTable:
-    """The (2,1) family against its own Cayley table: one group, two arithmetics."""
+    """Families at p = 2, d = 2 against their own Cayley tables: one group,
+    two arithmetics, compared through the base-p index map."""
 
     def test_table_validates(self, family21_table):
         # construction ran the permutation, identity and associativity checks
@@ -717,3 +747,33 @@ class TestFamilyAsTable:
         assert lower_central_series(family21_table).orders == [512, 16, 8, 2, 1]
         assert upper_central_series(family21_table).orders == [1, 4, 16, 128, 512]
         assert derived_series(family21_table).orders == [512, 16, 1]
+
+    def test_commutators_agree(self, family_and_table):
+        G, T = family_and_table
+        eng, m = G.batch, G.order
+        flat = eng.coords(G.all_elements())
+        comms = G.commutators(eng.from_coords(np.repeat(flat, m, axis=0)),
+                              eng.from_coords(np.tile(flat, (m, 1))))
+        idx = np.arange(m)
+        table_comms = T.commutators(idx[:, None], idx[None, :])
+        assert np.array_equal(_index(G, eng.coords(comms)).reshape(m, m), table_comms)
+
+    def test_commutator_sets_agree(self, family_and_table):
+        G, T = family_and_table
+        family_set = stats.commutator_set(G)
+        assert set(_index(G, [g.digits for g in family_set]).tolist()) == set(
+            stats.commutator_set(T))
+
+    @pytest.mark.parametrize("n", [8, 2])
+    def test_covering_check_agrees(self, family_and_table, n):
+        G, T = family_and_table
+        wf, wt = stats.covering_check(G, n, [G.identity]), stats.covering_check(T, n, [0])
+        mapped = None if wf.ok else int(_index(G, wf.counterexample.digits))
+        assert (wf.ok, wf.checked, wf.verified_fraction, mapped) == (
+            wt.ok, wt.checked, wt.verified_fraction, wt.counterexample)
+
+    def test_covering_minimal_S_agrees(self, family_and_table):
+        G, T = family_and_table
+        wf, wt = stats.covering_minimal_S(G, 8), stats.covering_minimal_S(T, 8)
+        assert _index(G, [s.digits for s in wf.S]).tolist() == wt.S
+        assert wf.exact_minimum == wt.exact_minimum

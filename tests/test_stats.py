@@ -127,6 +127,15 @@ class TestD2:
         with pytest.raises(CapExceededError):
             stats.d2_exact(family22)
 
+    @pytest.mark.parametrize("name", ["family21", "a4"])
+    def test_cap_bounds_class_listing(self, request, monkeypatch, name):
+        # d2's cap, not the default enumeration cap, bounds the class listing
+        G = request.getfixturevalue(name) if name.startswith("family") else corpus_group(name)
+        listing, seen = G.conjugacy_classes, []
+        monkeypatch.setattr(G, "conjugacy_classes", lambda cap: seen.append(cap) or listing(cap))
+        stats.d2_exact(G, cap=G.order)
+        assert seen == [G.order]
+
 
 class TestMonteCarlo:
     def test_abelian_estimate_one(self):

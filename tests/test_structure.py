@@ -244,7 +244,7 @@ class TestSubspaceProbe:
                     form = BilinearForm.from_rows(
                         p, [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(d)]
                             for _ in range(d)])
-                    params = AlgebraParams(p, d, form)
+                    params = AlgebraParams(form)
                     k = rng.randrange(d - 1, d + 2)
                     h = [FpVector(p, tuple(rng.randrange(p) for _ in range(d))) for _ in range(k)]
                     for basis in (None, h):
@@ -257,7 +257,7 @@ class TestSubspaceProbe:
 
     def test_degenerate_form_diagnosed(self):
         # zero form: fA vanishes identically on V although the gate passes
-        params = AlgebraParams(2, 4, BilinearForm.from_rows(2, [[0] * 4] * 4))
+        params = AlgebraParams(BilinearForm.from_rows(2, [[0] * 4] * 4))
         with pytest.raises(DegenerateFormError):
             st.class3_subspace_probe(params)
 
@@ -285,7 +285,7 @@ class TestNeumannExtract:
         D4 = corpus_group("d4")
         rep = st.neumann_extract(D4, st.conjugacy_norm_fn(D4), 1.0)
         assert rep.hypothesis_holds
-        assert rep.index_H <= 2       # proof guarantees [A:H] <= 2C
+        assert rep.index_H <= 2       # proof guarantees [G:H] <= 2C
         assert rep.index_K <= 2
         assert len(rep.centers) <= rep.D**2 + 1e-9
 
@@ -297,7 +297,7 @@ class TestNeumannExtract:
         assert rep.H is None
 
     def test_index_bound_from_proof(self, corpus_groups):
-        # whenever the hypothesis holds, [A:H] <= 2C and [B:K] <= 2C
+        # whenever the hypothesis holds, [G:H] <= 2C and [G:K] <= 2C
         for G in corpus_groups.values():
             for C in (1.0, 2.0, 4.0):
                 rep = st.neumann_extract(G, st.conjugacy_norm_fn(G), C)
