@@ -19,9 +19,11 @@ the permutations of the enumerated elements that conjugation by each
 generator induces: every element is labelled by the least index in its
 class.  Both group types share a set of stack operations (`all_elements`,
 `repeat`, `stack`, `commutators`, `long_commutators`, `quotients`,
-`identity_mask`, `class_labels`, `class_sizes`, `sample_batch`), so
-statistics are written once for both.  A stack is a `Batch` of L1-parts
-for the family and an index array for tables.
+`identity_mask`, `class_labels`, `class_sizes`, `sample_batch`) and the
+sum behind d2, `commutator_centralizer_sum` (a class loop for tables, a
+graded average over grade-1 pairs for the family), so statistics are
+written once for both.  A stack is a `Batch` of L1-parts for the family
+and an index array for tables.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._batch import Batch, BatchAlg
+from ._batch import BLOCK, Batch, BatchAlg
 from .algebra import AlgebraElement, AlgebraParams, FlatDigits, Matrix, join_grades
 from .errors import (
     CapExceededError,
@@ -205,18 +207,36 @@ class AlgebraGroup:
         return _elements(self.params, np.eye(self.dim_l1, dtype=np.int64))
 
     @cached_property
-    def _ad_tensor(self) -> np.ndarray:
-        """(m, r, c): slice k is the matrix of ad_{e_k} = [e_k, .] on the
-        basis of L1, cut to the r rows and c columns that are nonzero for some
-        k (brackets land in grades 2..4, and the grade-4 line is central)."""
+    def _ad_tensor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(tensor, rows, cols): tensor[k] is the matrix of ad_{e_k} = [e_k, .]
+        on the basis of L1, cut to the L1 coordinates `rows` and `cols` that
+        are nonzero for some k (brackets land in grades 2..4, and the grade-4
+        line is central)."""
         eng, m = self.batch, self.dim_l1
         eye = np.eye(m, dtype=np.int64)
         brackets = eng.lie_bracket(
             eng.from_coords(np.repeat(eye, m, axis=0)), eng.from_coords(np.tile(eye, (m, 1)))
         )
         tensor = eng.coords(brackets).reshape(m, m, m).transpose(0, 2, 1)
-        rows, cols = tensor.any(axis=(0, 2)), tensor.any(axis=(0, 1))
-        return np.ascontiguousarray(tensor[:, rows][:, :, cols])
+        rows, cols = np.flatnonzero(tensor.any(axis=(0, 2))), np.flatnonzero(tensor.any(axis=(0, 1)))
+        return np.ascontiguousarray(tensor[:, rows][:, :, cols]), rows, cols
+
+    @cached_property
+    def _graded_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(X, rho, sigma), the blocks of ad_c for c = C + c3 + c4 in grades
+        >= 2, as slices of `_ad_tensor`: X[k] maps R1 to R3 and rho[k] maps R2
+        to R4 for the R2 coordinate k of C, and sigma[k] maps R1 to R4 for the
+        R3 coordinate k of c3.  Every other block of ad_c is 0 by grade.  The
+        R4 row is cut, and rho and sigma have no rows, when F is symmetric."""
+        tensor, rows, cols = self._ad_tensor
+        d = self.params.d
+        grade = np.repeat([1, 2, 3, 4], [d, d * d, d, 1])   # grade of each L1 coordinate
+        gr, gc = grade[rows], grade[cols]
+
+        def block(k: int, row: int, col: int) -> np.ndarray:
+            return tensor[grade == k][:, gr == row][:, :, gc == col]
+
+        return block(2, 3, 1), block(2, 4, 2), block(3, 4, 1)
 
     @cached_property
     def _conj_matrices(self) -> np.ndarray:
@@ -299,9 +319,10 @@ class AlgebraGroup:
             self._labels = _orbit_labels(images @ self._place_values)
         return self._labels
 
-    def class_labels(self, a: Batch) -> np.ndarray:
-        """Index in `all_elements` of the least member of each entry's class."""
-        return self._class_label_array(DEFAULT_ENUM_CAP)[self.batch.coords(a) @ self._place_values]
+    def class_labels(self, a: Batch, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+        """Index in `all_elements` of the least member of each entry's class;
+        `cap` bounds the enumeration that the labels are built from."""
+        return self._class_label_array(cap)[self.batch.coords(a) @ self._place_values]
 
     def class_sizes(self, a: Batch) -> np.ndarray:
         """|(1+a)^G| = p^rank(ad_a) for every entry of the stack.
@@ -309,19 +330,77 @@ class AlgebraGroup:
         int64 while the group order fits it (so order // sizes does too),
         Python ints otherwise.
         """
-        p, tensor = self.params.p, self._ad_tensor
+        p, (tensor, _, _) = self.params.p, self._ad_tensor
         m, r, c = tensor.shape
         flat = self.batch.coords(a)
         chunk = max(1, _AD_CHUNK_ENTRIES // max(1, r * c))
+        parts = (flat[i : i + chunk] for i in range(0, max(len(flat), 1), chunk))
+        # r = c = 0 when every bracket vanishes (d = 1): each rank is 0
         ranks = np.concatenate([
-            rank_stack((flat[i : i + chunk] @ tensor.reshape(m, r * c)).reshape(-1, r, c), p)
-            for i in range(0, max(len(flat), 1), chunk)
+            rank_stack((x @ tensor.reshape(m, r * c)).reshape(len(x), r, c), p) for x in parts
         ])
         dtype = np.int64 if self.order < 1 << 63 else object
         return np.array(p, dtype=dtype) ** ranks.astype(dtype)
 
     def sample_batch(self, rng: np.random.Generator, count: int) -> Batch:
         return self.batch.random_l1(rng, count)
+
+    def commutator_centralizer_sum(self, cap: int) -> int:
+        """The sum of |C_G([x, y])| over x, y in G, computed by grade (d2 is
+        this sum over |G|^3); `cap` bounds the p^(2d) grade-1 pairs (a1, b1).
+
+        Write [x, y] = 1 + c for x = 1 + a, y = 1 + b.  c has no grade-1
+        part, so ad_c has two nonzero row blocks (`_graded_blocks`): [X | 0]
+        into R3, where X depends only on C = a1 b1^T - b1 a1^T, and one R4
+        row [sigma(c3) | rho(C)] on the R1 and R2 columns.  So
+        rank ad_c = rank X + beta, with beta = 0 exactly when rho(C) = 0 and
+        sigma(c3) lies in row X.  For fixed (a1, b1), c3 is affine in (A, B)
+        and free of a3, b3, c4, so it is uniform on a coset u + W.  With
+        r0 = rank X, k = rank [X; sigma W] - r0 and q = p^-k, the mean of
+        |C_G(1 + c)| / |G| = p^-rank(ad_c) over the pair is
+
+            p^-(r0 + 1)               if rho(C) != 0 or sigma(u) is not in
+                                      row X + sigma W,
+            p^-r0 (q + (1 - q) / p)   otherwise:
+
+        three ranks per pair.  u and the generators of W are the grade-3
+        parts of commutators with A = B = 0 and with one unit A or B, taken
+        for whole pairs in blocks of about BLOCK rows.
+        """
+        p, d = self.params.p, self.params.d
+        pairs = p ** (2 * d)
+        if pairs > cap:
+            raise CapExceededError(f"p^(2d) = {pairs} grade-1 pairs exceed d2 cap {cap}")
+        eng, dd, per = self.batch, d * d, 1 + 2 * d * d
+        X_of, rho_of, sigma_of = self._graded_blocks
+        (_, n3, n1), n4 = X_of.shape, sigma_of.shape[1]   # n4 = 0 or 1 R4 rows
+        X_of, rho_of, sigma_of = (b.reshape(len(b), -1) for b in (X_of, rho_of, sigma_of))
+        # per pair: A = B = 0, then A = each unit with B = 0, then B = each unit
+        units_A = np.eye(per, dd, -1, dtype=np.int64).reshape(per, d, d)
+        units_B = np.eye(per, dd, -1 - dd, dtype=np.int64).reshape(per, d, d)
+        place = p ** np.arange(2 * d - 1, -1, -1)
+        step = max(1, BLOCK // per)
+        total = 0
+        for start in range(0, pairs, step):
+            ab = np.arange(start, min(start + step, pairs))[:, None] // place % p
+            n = len(ab)
+            x = eng.zeros(n * per)._replace(r1=np.repeat(ab[:, :d], per, axis=0),
+                                            r2=np.tile(units_A, (n, 1, 1)))
+            y = eng.zeros(n * per)._replace(r1=np.repeat(ab[:, d:], per, axis=0),
+                                            r2=np.tile(units_B, (n, 1, 1)))
+            c = eng.commutator(x, y)
+            C = c.r2[::per].reshape(n, dd)
+            s = (c.r3 @ sigma_of).reshape(n, per, n4, n1)   # sigma(u), sigma(u + w_i)
+            sigma_u, sigma_W = s[:, 0], (s[:, 1:] - s[:, :1]).reshape(n, (per - 1) * n4, n1)
+            X = (C @ X_of).reshape(n, n3, n1)
+            r0 = rank_stack(X, p)
+            rW = rank_stack(np.concatenate([X, sigma_W], axis=1), p)
+            rWu = rank_stack(np.concatenate([X, sigma_W, sigma_u], axis=1), p)
+            # the pair means above, times p^(d + 1)
+            k, full = rW - r0, (C @ rho_of % p).any(axis=1) | (rWu > rW)
+            total += int(np.where(full, p ** (d - r0), p ** (d - r0 - k) * (p + p**k - 1)).sum())
+        # the sum is |G|^3 d2 = p^(3m) total / p^(3d + 1), and m = d^2 + 2d + 1 >= 3d + 1
+        return total * p ** (3 * self.dim_l1 - 3 * d - 1)
 
     def conjugacy_orbit(self, g: GroupElement, cap: int = DEFAULT_ORBIT_CAP) -> set[GroupElement]:
         """The class of g, closed under the conjugation matrices one layer at
@@ -437,7 +516,11 @@ class TableGroup:
         t = self.table
         return int(t[t[self.inv_table[by], a], by])
 
-    def elements(self) -> range:
+    def elements(self, cap: int | None = None) -> range:
+        """Every index; a given `cap` bounds |G| as in `all_elements` (the
+        table is already in memory, so by default nothing does)."""
+        if cap is not None:
+            _check_enum_cap(self.order, cap)
         return range(self.order)
 
     def random_elements(self, rng: np.random.Generator, count: int) -> list[int]:
@@ -482,8 +565,11 @@ class TableGroup:
         t, g = self.table, np.array(self.generators, dtype=np.int64)
         return _orbit_labels(t[t[self.inv_table[g]], g[:, None]])
 
-    def class_labels(self, a) -> np.ndarray:
-        """Least member of each entry's class."""
+    def class_labels(self, a, cap: int | None = None) -> np.ndarray:
+        """Least member of each entry's class; a given `cap` bounds |G| as in
+        `conjugacy_classes`."""
+        if cap is not None:
+            _check_enum_cap(self.order, cap)
         return self._labels[a]
 
     def class_sizes(self, a) -> np.ndarray:
@@ -515,6 +601,21 @@ class TableGroup:
 
     def sample_batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.integers(0, self.order, size=count, dtype=np.int64)
+
+    def commutator_centralizer_sum(self, cap: int) -> int:
+        """The sum of |C_G([x, y])| over x, y in G (d2 is this sum over
+        |G|^3), with x reduced to class representatives weighted by class
+        size, since [x^g, y] = [x, y^(g^-1)]^g; `cap` bounds |G|, the
+        enumeration and the class listing."""
+        if self.order > cap:
+            raise CapExceededError(f"|G| = {self.order} exceeds d2 cap {cap}")
+        order = self.order
+        elems = self.all_elements(cap)
+        total = 0
+        for rep, size in self.conjugacy_classes(cap):
+            comms = self.commutators(self.repeat(rep, order), elems)
+            total += size * int((order // self.class_sizes(comms)).sum())
+        return total
 
     def __repr__(self) -> str:
         return f"TableGroup({self.name!r}, order={self.order})"

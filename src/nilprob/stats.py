@@ -104,18 +104,21 @@ def d1_exact(G: Group, cap: int = D1_CAP) -> StatReport:
 
 
 def d2_exact(G: Group, cap: int = D2_CAP) -> StatReport:
-    """P([x,y,z] = 1) via sum of centralizer orders of commutators, with the
-    outer variable reduced to class representatives weighted by class size."""
+    """P([x,y,z] = 1): the sum of |C_G([x,y])| over x, y in G, over |G|^3.
+
+    `G.commutator_centralizer_sum(cap)` gives the sum.  A table runs x over
+    class representatives weighted by class size, and `cap` bounds |G|.
+    The family averages over its p^(2d) grade-1 pairs (a1, b1), and `cap`
+    bounds their number.  There d2 = E p^-rank(ad_c) for [x,y] = 1 + c,
+    and rank ad_c = r0 + beta with r0 the rank of a block fixed by
+    C = a1 b1^T - b1 a1^T and beta in {0, 1}.  A pair contributes p^-(r0+1)
+    when beta is always 1, and p^-r0 (q + (1-q)/p) otherwise, where
+    q = p^-k is the chance that the grade-3 part of c, uniform on a coset,
+    gives beta = 0.
+    """
     t0 = time.perf_counter()
-    if G.order > cap:
-        raise CapExceededError(f"|G| = {G.order} exceeds d2 cap {cap}")
-    order = G.order
-    elems = G.all_elements(cap)
-    total = 0
-    for rep, size in G.conjugacy_classes(cap):
-        comms = G.commutators(G.repeat(rep, order), elems)
-        total += size * int((order // G.class_sizes(comms)).sum())
-    return StatReport("exact", Fraction(total, order**3), elapsed_s=time.perf_counter() - t0)
+    total = G.commutator_centralizer_sum(cap)
+    return StatReport("exact", Fraction(total, G.order**3), elapsed_s=time.perf_counter() - t0)
 
 
 def _mc_chunk_hits(G: Group, k: int, size: int, rng: np.random.Generator) -> int:
@@ -168,18 +171,19 @@ def conjugacy_norm(G: Group, g) -> float:
 def commutator_set(G: Group, cap: int = COVER_PAIR_CAP) -> list:
     """The full set Comm(G, G) of commutator values, in element order.
 
-    Requires |G|^2 <= cap.  Takes commutators of class representatives
-    against everything: [x^g, y] = [x, y^(g^-1)]^g, so every commutator is
-    conjugate to one with a representative on the left, and Comm(G, G) is
-    the union of the classes those commutators hit.
+    Requires |G|^2 <= cap, which also bounds the enumeration, the class
+    listing and the class labels.  Takes commutators of class
+    representatives against everything: [x^g, y] = [x, y^(g^-1)]^g, so
+    every commutator is conjugate to one with a representative on the left,
+    and Comm(G, G) is the union of the classes those commutators hit.
     """
     if G.order**2 > cap:
         raise CapExceededError(f"|G|^2 = {G.order ** 2} exceeds cap {cap}")
-    elems = G.all_elements()
+    elems = G.all_elements(cap)
     hit = np.zeros(G.order, dtype=bool)
-    for rep, _ in G.conjugacy_classes():
-        hit[G.class_labels(G.commutators(G.repeat(rep, G.order), elems))] = True
-    return list(compress(G.elements(), hit[G.class_labels(elems)]))
+    for rep, _ in G.conjugacy_classes(cap):
+        hit[G.class_labels(G.commutators(G.repeat(rep, G.order), elems), cap)] = True
+    return list(compress(G.elements(cap), hit[G.class_labels(elems, cap)]))
 
 
 def _ball_masks(G: Group, xs, count: int, S: Sequence, n: int) -> np.ndarray:

@@ -445,15 +445,14 @@ def neumann_converse(
     norms = _norm_table(G, norm)
     h_arr = np.array(sorted(set(H)), dtype=np.int64)
     k_arr = np.array(sorted(set(K)), dtype=np.int64)
-    comm_hk = G.commutators(h_arr[:, None], k_arr[None, :])
-    centers = _separated_centers(G, norms, np.unique(comm_hk).tolist(), C)
+    idx = np.arange(G.order)
+    comm = G.commutators(idx[:, None], idx[None, :])
+    centers = _separated_centers(G, norms, np.unique(comm[np.ix_(h_arr, k_arr)]).tolist(), C)
     index_H = G.order // len(h_arr)
     index_K = G.order // len(k_arr)
     cover_ok = len(centers) <= C and index_H <= C and index_K <= C
 
-    idx = np.arange(G.order)
-    comm_all = G.commutators(idx[:, None], idx[None, :])
-    hits = int((norms[comm_all] <= 2 * C).sum())
+    hits = int((norms[comm] <= 2 * C).sum())
     prob = Fraction(hits, G.order**2)
     floor = Fraction(1, math.ceil(C**3)) if C >= 1 else Fraction(0)
     return ConverseReport(cover_ok, len(centers), index_H, index_K, prob, floor)

@@ -114,11 +114,15 @@ def test_c04_d2_lower_bound(family21, family22):
     exact_ok = exact.value >= Fraction(1, 8) and exact.value == Fraction(65, 128)
     exact_elapsed = time.perf_counter() - t0
     mc = stats.dk_monte_carlo(family22, 2, 10**6, seed=20_004)
-    mc_ok = mc.ci_high >= 0.125
+    exact22 = stats.d2_exact(family22).value
+    mc_ok = mc.ci_high >= 0.125 and mc.ci_low <= exact22 <= mc.ci_high
     elapsed = time.perf_counter() - t0
-    report(4, "d2(n=1) = 65/128 >= 1/8 exact; n=2 MC 1e6 samples CI consistent with >= 1/8",
-           exact_ok and mc_ok and exact_elapsed < 120, elapsed,
-           f"exact={exact.value}, mc={mc.value:.5f} ci=({mc.ci_low:.5f},{mc.ci_high:.5f})")
+    report(4, "d2(n=1) = 65/128 >= 1/8 exact; n=2 MC 1e6 samples CI consistent with >= 1/8"
+              " and containing the exact 1691/8192",
+           exact_ok and mc_ok and exact22 == Fraction(1691, 8192) and exact_elapsed < 120,
+           elapsed,
+           f"exact={exact.value}, exact(n=2)={exact22}, mc={mc.value:.5f} "
+           f"ci=({mc.ci_low:.5f},{mc.ci_high:.5f})")
 
 
 def test_c05_class_exactly_four():

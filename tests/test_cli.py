@@ -42,6 +42,15 @@ class TestCommands:
         assert (rep["value_num"], rep["value_den"]) == (65, 128)
         assert rep["value_num"] * 8 >= rep["value_den"]   # >= 1/8
 
+    @pytest.mark.parametrize("n, cap, num, den", [(2, None, 1691, 8192), (3, "4096", 75203, 524288)])
+    def test_d2_family_exact_graded(self, capsys, n, cap, num, den):
+        # the cap counts the p^(2d) grade-1 pairs: 2^8 under the default, 2^12 at n = 3
+        argv = ["d2", "--family", "--p", "2", "--n", str(n), "--exact"]
+        code, out = run_cli(capsys, *argv, *(["--cap", cap] if cap else []))
+        assert code == 0
+        rep = json.loads(out)["report"]
+        assert (rep["value_num"], rep["value_den"]) == (num, den)
+
     def test_d1_family_p3_exact(self, capsys):
         # |G| = 19683 lies under the d1 cap (2^16) but over the 2^14 enumeration cap
         code, out = run_cli(capsys, "d1", "--family", "--p", "3", "--n", "1", "--exact")
@@ -159,7 +168,8 @@ class TestCommands:
 
 class TestExitCodes:
     def test_cap_exceeded_is_three(self, capsys):
-        code = main(["d2", "--family", "--p", "2", "--n", "2", "--exact"])
+        # (2,3) has 2^12 grade-1 pairs, over the default d2 cap 2^10
+        code = main(["d2", "--family", "--p", "2", "--n", "3", "--exact"])
         capsys.readouterr()
         assert code == 3
 
@@ -235,7 +245,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert captured.err == f"cap exceeded: |G| = 512 exceeds d2 cap {cap}\n"
+        assert captured.err == f"cap exceeded: p^(2d) = 16 grade-1 pairs exceed d2 cap {cap}\n"
 
     @pytest.mark.parametrize("argv", [
         ["d1", "--exact"], ["d2", "--exact"], ["cover", "--n-bound", "1"],
@@ -393,7 +403,7 @@ def readme_cli_lines():
 
 
 def test_readme_cli_block_is_found():
-    assert len(readme_cli_lines()) == 11
+    assert len(readme_cli_lines()) == 12
 
 
 @pytest.mark.parametrize("argv", readme_cli_lines(), ids=lambda argv: " ".join(argv))

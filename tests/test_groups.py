@@ -758,6 +758,11 @@ class TestFamilyAsTable:
         table_comms = T.commutators(idx[:, None], idx[None, :])
         assert np.array_equal(_index(G, eng.coords(comms)).reshape(m, m), table_comms)
 
+    def test_d2_agrees(self, family_and_table):
+        # the table's class loop against the family's graded route
+        G, T = family_and_table
+        assert stats.d2_exact(T).value == stats.d2_exact(G).value
+
     def test_commutator_sets_agree(self, family_and_table):
         G, T = family_and_table
         family_set = stats.commutator_set(G)

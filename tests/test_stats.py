@@ -1,12 +1,15 @@
+import inspect
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilprob.algebra import AlgebraParams
 from nilprob.errors import CapExceededError
+from nilprob.fieldlin import BilinearForm
 from nilprob.groups import AlgebraGroup, direct_product, quotient_table
 from nilprob.structure import subgroups
 from nilprob.tables import corpus_group, symmetric3
@@ -29,6 +32,34 @@ def d2_brute(G):
                 if G.commutator(c, z) == 0:
                     hits += 1
     return Fraction(hits, m**3)
+
+
+def d2_class_loop(G, cap):
+    """d2 by enumeration: x over class representatives weighted by class
+    size, y over G, and |C_G([x, y])| from the class size of each commutator
+    (the route the family used before its graded one)."""
+    order = G.order
+    elems = G.all_elements(cap)
+    total = 0
+    for rep, size in G.conjugacy_classes(cap):
+        comms = G.commutators(G.repeat(rep, order), elems)
+        total += size * int((order // G.class_sizes(comms)).sum())
+    return Fraction(total, order**3)
+
+
+def family(p, n):
+    return AlgebraGroup(AlgebraParams.hyperbolic(p, n))
+
+
+# Exact family d2 at (p, n), from the graded route
+FAMILY_D2 = {
+    (3, 1): Fraction(523, 2187),
+    (5, 1): Fraction(6701, 78125),
+    (7, 1): Fraction(35575, 823543),
+    (2, 2): Fraction(1691, 8192),
+    (3, 2): Fraction(84499, 1594323),
+    (2, 3): Fraction(75203, 524288),
+}
 
 
 def sampled_cover_reference(G, n, S, samples, seed):
@@ -123,18 +154,53 @@ class TestD2:
             total += int(cnt) * (G.order // G.class_size(g))
         assert stats.d2_exact(G).value == Fraction(total, G.order**3)
 
-    def test_cap(self, family22):
+    def test_cap(self):
+        # (2,3) has 2^12 grade-1 pairs, over the default cap 2^10
         with pytest.raises(CapExceededError):
-            stats.d2_exact(family22)
+            stats.d2_exact(family(2, 3))
 
-    @pytest.mark.parametrize("name", ["family21", "a4"])
-    def test_cap_bounds_class_listing(self, request, monkeypatch, name):
+    @pytest.mark.parametrize("name", ["a4"])
+    def test_cap_bounds_class_listing(self, monkeypatch, name):
         # d2's cap, not the default enumeration cap, bounds the class listing
-        G = request.getfixturevalue(name) if name.startswith("family") else corpus_group(name)
+        G = corpus_group(name)
         listing, seen = G.conjugacy_classes, []
         monkeypatch.setattr(G, "conjugacy_classes", lambda cap: seen.append(cap) or listing(cap))
         stats.d2_exact(G, cap=G.order)
         assert seen == [G.order]
+
+    def test_family_cap_bounds_pairs(self, monkeypatch):
+        # the family's cap counts the p^(2d) grade-1 pairs, not |G|, and the
+        # graded route lists no classes
+        G = family(2, 1)
+        monkeypatch.setattr(G, "conjugacy_classes", None)
+        assert stats.d2_exact(G, cap=16).value == Fraction(65, 128)
+        with pytest.raises(CapExceededError) as exc:
+            stats.d2_exact(G, cap=15)
+        assert str(exc.value) == "p^(2d) = 16 grade-1 pairs exceed d2 cap 15"
+
+    def test_graded_matches_class_loop(self, family21):
+        assert stats.d2_exact(family21).value == d2_class_loop(family21, family21.order)
+
+    @settings(max_examples=12)
+    @given(st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2)]).flatmap(
+        lambda pd: st.lists(st.integers(0, pd[0] - 1), min_size=pd[1] ** 2,
+                            max_size=pd[1] ** 2).map(lambda flat: (pd, flat))))
+    def test_graded_matches_class_loop_on_dense_forms(self, form):
+        (p, d), flat = form
+        rows = [flat[i : i + d] for i in range(0, d * d, d)]
+        G = AlgebraGroup(AlgebraParams(BilinearForm.from_rows(p, rows)))
+        assert stats.d2_exact(G, cap=G.order).value == d2_class_loop(G, G.order)
+
+    @pytest.mark.parametrize("shape", list(FAMILY_D2), ids=str)
+    def test_family_pinned_values(self, shape):
+        G = family(*shape)
+        pairs = G.params.p ** (2 * G.params.d)
+        assert stats.d2_exact(G, cap=pairs).value == FAMILY_D2[shape]
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2)], ids=str)
+    def test_family_inside_mc_interval(self, shape):
+        rep = stats.dk_monte_carlo(family(*shape), 2, 1 << 17, seed=stats.DEFAULT_SEED)
+        assert rep.ci_low <= FAMILY_D2[shape] <= rep.ci_high
 
 
 class TestMonteCarlo:
@@ -295,6 +361,27 @@ class TestCommutatorSet:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             stats.commutator_set(corpus_group("a4"), cap=143)
+
+    @pytest.mark.parametrize("name", ["family21", "a4"])
+    def test_pair_cap_bounds_every_enumeration(self, request, monkeypatch, name):
+        # the pair cap, not the default enumeration cap, reaches the element
+        # enumeration, the class listing and the class labels
+        G = request.getfixturevalue(name) if name.startswith("family") else corpus_group(name)
+        seen = []
+        for attr in ("all_elements", "elements", "conjugacy_classes", "class_labels"):
+            method = getattr(G, attr)
+
+            def spy(*args, _method=method, _attr=attr, **kwargs):
+                bound = inspect.signature(_method).bind(*args, **kwargs)
+                seen.append((_attr, bound.arguments.get("cap")))
+                return _method(*args, **kwargs)
+
+            monkeypatch.setattr(G, attr, spy)
+        cap = G.order**2
+        assert stats.commutator_set(G, cap=cap)
+        assert {attr for attr, _ in seen} == {
+            "all_elements", "elements", "conjugacy_classes", "class_labels"}
+        assert all(received == cap for _, received in seen), seen
 
 
 class TestCovering:
