@@ -241,13 +241,13 @@ def _domain_chunks(
     """
     if mode not in ("auto", "exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
+    if samples < 1:
+        raise ValueError("need samples >= 1")
     total = p ** sum(dims)
     if mode == "exhaustive" and total > cap:
         raise CapExceededError(f"domain size {total} exceeds cap {cap}")
     if mode == "exhaustive" or (mode == "auto" and total <= cap):
         return True, _iter_grid(p, dims)
-    if samples < 1:
-        raise ValueError("need samples >= 1")
     rng = np.random.default_rng(seed)
     sizes = [min(_EVAL_CHUNK, samples - start) for start in range(0, samples, _EVAL_CHUNK)]
     return False, (

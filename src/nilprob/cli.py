@@ -10,6 +10,8 @@ byte-identical JSON output apart from elapsed_ms fields.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -89,10 +91,11 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
     elif args.format == "csv":
-        rows = ["schema,command,field,value"]
-        flat = _flatten(payload)
-        rows += [f"{SCHEMA_VERSION},{payload['command']},{k},{v}" for k, v in flat]
-        text = "\n".join(rows) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["schema", "command", "field", "value"])
+        writer.writerows([SCHEMA_VERSION, payload["command"], k, f"{v}"] for k, v in _flatten(payload))
+        text = buf.getvalue()
     else:
         flat = _flatten(payload)
         text = "\n".join(f"{k}: {v}" for k, v in flat) + "\n"

@@ -222,12 +222,15 @@ class AlgebraGroup:
         return np.ascontiguousarray(tensor[:, rows][:, :, cols]), rows, cols
 
     @cached_property
-    def _graded_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(X, rho, sigma), the blocks of ad_c for c = C + c3 + c4 in grades
-        >= 2, as slices of `_ad_tensor`: X[k] maps R1 to R3 and rho[k] maps R2
-        to R4 for the R2 coordinate k of C, and sigma[k] maps R1 to R4 for the
-        R3 coordinate k of c3.  Every other block of ad_c is 0 by grade.  The
-        R4 row is cut, and rho and sigma have no rows, when F is symmetric."""
+    def _graded_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(X, rho, sigma, Sigma), slices of `_ad_tensor` by grade.  The first
+        three are the blocks of ad_c for c = C + c3 + c4 in grades >= 2: X[k]
+        maps R1 to R3 and rho[k] maps R2 to R4 for the R2 coordinate k of C,
+        and sigma[k] maps R1 to R4 for the R3 coordinate k of c3.  Every other
+        block of ad_c is 0 by grade.  Sigma[k][j] = sigma([e_k, e_j]) for the
+        R1 coordinate k and the kept R2 coordinates j, so the rows of
+        a1 @ Sigma span sigma([a1, R2]).  The R4 row is cut, and rho, sigma
+        and Sigma have no rows, when F is symmetric."""
         tensor, rows, cols = self._ad_tensor
         d = self.params.d
         grade = np.repeat([1, 2, 3, 4], [d, d * d, d, 1])   # grade of each L1 coordinate
@@ -236,7 +239,11 @@ class AlgebraGroup:
         def block(k: int, row: int, col: int) -> np.ndarray:
             return tensor[grade == k][:, gr == row][:, :, gc == col]
 
-        return block(2, 3, 1), block(2, 4, 2), block(3, 4, 1)
+        sigma = block(3, 4, 1)
+        # sigma covers every R3 coordinate, the tensor only the kept R3 rows
+        kept3 = rows[gr == 3] - d - d * d
+        Sigma = np.einsum("kij,iab->kjab", block(1, 3, 2), sigma[kept3]) % self.params.p
+        return block(2, 3, 1), block(2, 4, 2), sigma, Sigma
 
     @cached_property
     def _conj_matrices(self) -> np.ndarray:
@@ -363,36 +370,33 @@ class AlgebraGroup:
                                       row X + sigma W,
             p^-r0 (q + (1 - q) / p)   otherwise:
 
-        three ranks per pair.  u and the generators of W are the grade-3
-        parts of commutators with A = B = 0 and with one unit A or B, taken
-        for whole pairs in blocks of about BLOCK rows.
+        three ranks per pair.  u is the grade-3 part of the commutator of the
+        pure grade-1 pair (A = B = 0).  The part of c3 linear in (A, B) is
+        [a1, B]_3 + [A, b1]_3, so W = [a1, R2] + [R2, b1], the image of two
+        ad blocks, and sigma W is spanned by the rows of a1 @ Sigma and
+        b1 @ Sigma.  Pairs go in blocks of BLOCK // (1 + 2d^2), about BLOCK
+        rows of the rank stacks.
         """
         p, d = self.params.p, self.params.d
         pairs = p ** (2 * d)
         if pairs > cap:
             raise CapExceededError(f"p^(2d) = {pairs} grade-1 pairs exceed d2 cap {cap}")
-        eng, dd, per = self.batch, d * d, 1 + 2 * d * d
-        X_of, rho_of, sigma_of = self._graded_blocks
-        (_, n3, n1), n4 = X_of.shape, sigma_of.shape[1]   # n4 = 0 or 1 R4 rows
-        X_of, rho_of, sigma_of = (b.reshape(len(b), -1) for b in (X_of, rho_of, sigma_of))
-        # per pair: A = B = 0, then A = each unit with B = 0, then B = each unit
-        units_A = np.eye(per, dd, -1, dtype=np.int64).reshape(per, d, d)
-        units_B = np.eye(per, dd, -1 - dd, dtype=np.int64).reshape(per, d, d)
+        eng, dd = self.batch, d * d
+        X_of, rho_of, sigma_of, Sigma = self._graded_blocks
+        (_, n3, n1), (_, n2, n4, _) = X_of.shape, Sigma.shape   # n4 = 0 or 1 R4 rows
+        X_of, rho_of = X_of.reshape(dd, n3 * n1), rho_of.reshape(dd, n4 * n2)
+        sigma_of, Sigma = sigma_of.reshape(d, n4 * n1), Sigma.reshape(d, n2 * n4 * n1)
         place = p ** np.arange(2 * d - 1, -1, -1)
-        step = max(1, BLOCK // per)
+        step = max(1, BLOCK // (1 + 2 * dd))
         total = 0
         for start in range(0, pairs, step):
             ab = np.arange(start, min(start + step, pairs))[:, None] // place % p
-            n = len(ab)
-            x = eng.zeros(n * per)._replace(r1=np.repeat(ab[:, :d], per, axis=0),
-                                            r2=np.tile(units_A, (n, 1, 1)))
-            y = eng.zeros(n * per)._replace(r1=np.repeat(ab[:, d:], per, axis=0),
-                                            r2=np.tile(units_B, (n, 1, 1)))
-            c = eng.commutator(x, y)
-            C = c.r2[::per].reshape(n, dd)
-            s = (c.r3 @ sigma_of).reshape(n, per, n4, n1)   # sigma(u), sigma(u + w_i)
-            sigma_u, sigma_W = s[:, 0], (s[:, 1:] - s[:, :1]).reshape(n, (per - 1) * n4, n1)
+            n, a1, b1 = len(ab), ab[:, :d], ab[:, d:]
+            c = eng.commutator(eng.zeros(n)._replace(r1=a1), eng.zeros(n)._replace(r1=b1))
+            C = c.r2.reshape(n, dd)
             X = (C @ X_of).reshape(n, n3, n1)
+            sigma_u = (c.r3 @ sigma_of).reshape(n, n4, n1)
+            sigma_W = (ab.reshape(n, 2, d) @ Sigma).reshape(n, 2 * n2 * n4, n1)   # a1, b1 @ Sigma
             r0 = rank_stack(X, p)
             rW = rank_stack(np.concatenate([X, sigma_W], axis=1), p)
             rWu = rank_stack(np.concatenate([X, sigma_W, sigma_u], axis=1), p)

@@ -106,15 +106,8 @@ def d1_exact(G: Group, cap: int = D1_CAP) -> StatReport:
 def d2_exact(G: Group, cap: int = D2_CAP) -> StatReport:
     """P([x,y,z] = 1): the sum of |C_G([x,y])| over x, y in G, over |G|^3.
 
-    `G.commutator_centralizer_sum(cap)` gives the sum.  A table runs x over
-    class representatives weighted by class size, and `cap` bounds |G|.
-    The family averages over its p^(2d) grade-1 pairs (a1, b1), and `cap`
-    bounds their number.  There d2 = E p^-rank(ad_c) for [x,y] = 1 + c,
-    and rank ad_c = r0 + beta with r0 the rank of a block fixed by
-    C = a1 b1^T - b1 a1^T and beta in {0, 1}.  A pair contributes p^-(r0+1)
-    when beta is always 1, and p^-r0 (q + (1-q)/p) otherwise, where
-    q = p^-k is the chance that the grade-3 part of c, uniform on a coset,
-    gives beta = 0.
+    `G.commutator_centralizer_sum(cap)` gives the sum and documents how each
+    group type computes it and what `cap` bounds.
     """
     t0 = time.perf_counter()
     total = G.commutator_centralizer_sum(cap)

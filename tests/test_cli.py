@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -229,8 +231,12 @@ class TestExitCodes:
         ["cover", "--family", "--p", "2", "--n", "1", "--n-bound", "1", "--mode", "sampled"],
         ["bias", "--verify-quad", "--p", "3", "--n", "2"],
         ["bias", "--trilinear-bound", "--p", "3", "--n", "3"],
+        # domains small enough to enumerate, where samples are never drawn
+        ["bias", "--verify-quad", "--p", "2", "--n", "1"],
+        ["bias", "--trilinear-bound", "--p", "2", "--n", "1"],
         ["family", "--p", "2", "--n", "1"],
-    ], ids=["cover-sampled", "bias-verify-quad", "bias-trilinear-bound", "family"])
+    ], ids=["cover-sampled", "bias-verify-quad", "bias-trilinear-bound",
+            "bias-verify-quad-enumerated", "bias-trilinear-bound-enumerated", "family"])
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_sampled_modes_need_samples_is_two(self, capsys, argv, samples):
         code = main(argv + ["--samples", samples])
@@ -357,6 +363,19 @@ class TestOutput:
         lines = out.strip().splitlines()
         assert lines[0] == "schema,command,field,value"
         assert any("report.value_num,5" in ln for ln in lines)
+
+    @pytest.mark.parametrize("argv", [
+        ["series", "--table", "corpus:d4"],
+        ["cover", "--table", "corpus:s3", "--n-bound", "1", "--minimal"],
+    ], ids=["series", "cover-minimal"])
+    def test_csv_rows_have_four_fields(self, capsys, argv):
+        # list values hold commas, so they must come out quoted
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["schema", "command", "field", "value"]
+        assert any("," in row[3] for row in rows)
+        assert all(len(row) == 4 for row in rows)
 
     def test_text_format(self, capsys):
         code, out = run_cli(capsys, "d1", "--table", "corpus:q8", "--exact",

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from nilprob.algebra import AlgebraParams
 from nilprob.errors import CapExceededError
-from nilprob.fieldlin import BilinearForm
+from nilprob.fieldlin import BilinearForm, rank_stack
 from nilprob.groups import AlgebraGroup, direct_product, quotient_table
 from nilprob.structure import subgroups
 from nilprob.tables import corpus_group, symmetric3
@@ -201,6 +201,60 @@ class TestD2:
     def test_family_inside_mc_interval(self, shape):
         rep = stats.dk_monte_carlo(family(*shape), 2, 1 << 17, seed=stats.DEFAULT_SEED)
         assert rep.ci_low <= FAMILY_D2[shape] <= rep.ci_high
+
+
+def form_group(p, rows):
+    return AlgebraGroup(AlgebraParams(BilinearForm.from_rows(p, rows)))
+
+
+class TestGradedBlocks:
+    """The identity the graded d2 rests on: for fixed grade-1 parts, the
+    grade-3 part of [1+a, 1+b] is affine in (A, B) with linear part
+    [a1, B]_3 + [A, b1]_3, so sigma of it lies in the row space of
+    a1 @ Sigma and b1 @ Sigma."""
+
+    @pytest.mark.parametrize("G", [
+        family(2, 2), family(3, 1), form_group(5, [[1, 3], [4, 2]]),
+    ], ids=["hyperbolic-2-2", "hyperbolic-3-1", "dense-5-d2"])
+    def test_c3_linear_part_is_two_brackets(self, G):
+        eng, p, d, n = G.batch, G.params.p, G.params.d, 64
+        rng = np.random.default_rng(7)
+        x, y = eng.random_l1(rng, n), eng.random_l1(rng, n)
+        r1, r2 = (lambda s: eng.zeros(n)._replace(r1=s.r1)), (lambda s: eng.zeros(n)._replace(r2=s.r2))
+        diff = (eng.commutator(x, y).r3 - eng.commutator(r1(x), r1(y)).r3) % p
+        brackets = eng.add(eng.lie_bracket(r1(x), r2(y)), eng.lie_bracket(r2(x), r1(y)))
+        assert np.array_equal(diff, brackets.r3)
+
+        _, _, sigma, Sigma = G._graded_blocks
+        _, n2, n4, n1 = Sigma.shape
+        assert n4 == 1   # none of these forms is symmetric
+        flat = Sigma.reshape(d, n2 * n1)
+        span = np.concatenate([x.r1 @ flat, y.r1 @ flat], axis=1).reshape(n, 2 * n2, n1)
+        sigma_diff = (diff @ sigma.reshape(d, n1)).reshape(n, 1, n1)
+        assert (rank_stack(sigma_diff, p) > 0).any()
+        assert np.array_equal(rank_stack(np.concatenate([span, sigma_diff], axis=1), p),
+                              rank_stack(span, p))
+
+    def test_one_commutator_row_per_pair(self, monkeypatch):
+        G, rows = family(3, 1), []
+        eng = G.batch
+        commutator = eng.commutator
+        monkeypatch.setattr(eng, "commutator", lambda a, b: rows.append(a.count) or commutator(a, b))
+        assert stats.d2_exact(G, cap=3**4).value == FAMILY_D2[(3, 1)]
+        assert sum(rows) == 3**4
+
+    @pytest.mark.parametrize("rows", [[[0]], [[0, 0], [0, 0]]], ids=["d1", "d2"])
+    def test_zero_form_gives_one(self, rows):
+        # every bracket with F in it vanishes: abelian at d = 1, class 2 at d = 2
+        G = form_group(3, rows)
+        assert all(b.size == 0 for b in G._graded_blocks)
+        assert stats.d2_exact(G).value == 1
+
+    def test_symmetric_form_has_no_r4_row(self):
+        G = form_group(2, [[1, 1], [1, 0]])
+        X, rho, sigma, Sigma = G._graded_blocks
+        assert X.size > 0 and rho.size == sigma.size == Sigma.size == 0
+        assert stats.d2_exact(G, cap=G.order).value == d2_class_loop(G, G.order)
 
 
 class TestMonteCarlo:
