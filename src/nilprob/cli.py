@@ -19,8 +19,6 @@ import time
 from pathlib import Path
 from typing import Any, Sequence
 
-import numpy as np
-
 from . import bias, stats, structure
 from .algebra import AlgebraParams
 from .errors import CapExceededError, NilprobError, UsageError
@@ -135,12 +133,10 @@ def _cmd_family(args: argparse.Namespace) -> tuple[int, dict, dict]:
     if args.samples < 1:
         raise UsageError("need samples >= 1")
     G, info = _group_from_args(args)
-    rng = np.random.default_rng(args.seed)
-    draws = (G.sample_batch(rng, args.samples) for _ in range(5))
-    five_fold_trivial = bool(G.identity_mask(G.long_commutators(draws)).all())
+    rep = stats.dk_monte_carlo(G, 4, args.samples, seed=args.seed, threads=args.threads)
+    five_fold_trivial = rep.value == 1
     probe = structure.class3_subspace_probe(G.params)
-    quad_nonzero = probe.found
-    ok = five_fold_trivial and quad_nonzero
+    ok = five_fold_trivial and probe.found
     report = {
         "order": G.order,
         "generator_count": len(G.generators),

@@ -172,21 +172,18 @@ def matrix_rank(rows: Sequence[Sequence[int]], p: int) -> int:
     return len(rref(rows, p)[0])
 
 
-def rank_stack(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks mod p of a stack (N, r, c) of matrices, by one elimination loop
-    over columns that steps every matrix of the stack at once.
+def pivot_rows(mats: np.ndarray, p: int) -> np.ndarray:
+    """The (N, r) mask of pivot rows mod p of a stack (N, r, c) of matrices,
+    by one elimination loop over columns that steps every matrix at once.
 
-    A row that has supplied a pivot is marked used instead of being swapped
-    to the top, so the rank is the number of used rows.  Used rows and the
-    columns left of the current one are never read again, so they are not
-    kept up to date (the pivot row clears itself).
-    """
+    Each column's pivot is the first unused row with a nonzero entry; it is
+    marked used, not swapped up, and changes only unused rows below it.  So
+    used rows and earlier columns are never read again (nor kept up to
+    date), and a row is used iff it is not in the span of the rows above
+    it: the used rows among the first k number rank(first k rows)."""
     check_prime(p)
-    a = np.asarray(mats) % p
-    if a.shape[2] > a.shape[1]:
-        a = a.transpose(0, 2, 1)          # rank(A) = rank(A^T): loop the short side
     # int8 holds every intermediate: entries and factors lie in [0, p), p <= 7
-    a = a.astype(np.int8, order="C")
+    a = (np.asarray(mats) % p).astype(np.int8, order="C")
     n, nrows, ncols = a.shape
     inverse = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=np.int8)
     used = np.zeros((n, nrows), dtype=bool)
@@ -204,7 +201,13 @@ def rank_stack(mats: np.ndarray, p: int) -> np.ndarray:
         factors = column * inverse[column[idx, pivot]][:, None] % p * candidates
         rest -= factors[:, :, None] * pivot_row[:, None, :]
         rest %= p
-    return used.sum(axis=1)
+    return used
+
+
+def rank_stack(mats: np.ndarray, p: int) -> np.ndarray:
+    """Ranks mod p of a stack (N, r, c): its pivot rows on the short side."""
+    a = np.asarray(mats)
+    return pivot_rows(a.transpose(0, 2, 1) if a.shape[2] > a.shape[1] else a, p).sum(axis=1)
 
 
 def nullspace(rows: Sequence[Sequence[int]], p: int, ncols: int) -> list[FpVector]:
@@ -255,6 +258,8 @@ def parse_form(text: str) -> BilinearForm:
     except ValueError as exc:
         raise ValueError(f"bad form header: {exc}") from exc
     check_prime(p)
+    if d < 1:
+        raise ValueError("form dimension must be >= 1")
     if len(tokens) != 2 + d * d:
         raise ValueError(f"form file needs {d * d} entries, found {len(tokens) - 2}")
     try:

@@ -48,7 +48,7 @@ from .errors import (
     OrbitOverflowError,
     ParamsMismatchError,
 )
-from .fieldlin import rank_stack
+from .fieldlin import pivot_rows, rank_stack
 
 DEFAULT_ORBIT_CAP = 1 << 16
 DEFAULT_ENUM_CAP = 1 << 14
@@ -368,14 +368,14 @@ class AlgebraGroup:
 
             p^-(r0 + 1)               if rho(C) != 0 or sigma(u) is not in
                                       row X + sigma W,
-            p^-r0 (q + (1 - q) / p)   otherwise:
+            p^-r0 (q + (1 - q) / p)   otherwise.
 
-        three ranks per pair.  u is the grade-3 part of the commutator of the
-        pure grade-1 pair (A = B = 0).  The part of c3 linear in (A, B) is
-        [a1, B]_3 + [A, b1]_3, so W = [a1, R2] + [R2, b1], the image of two
-        ad blocks, and sigma W is spanned by the rows of a1 @ Sigma and
-        b1 @ Sigma.  Pairs go in blocks of BLOCK // (1 + 2d^2), about BLOCK
-        rows of the rank stacks.
+        u is c3 at A = B = 0.  The part of c3 linear in (A, B) is
+        [a1, B]_3 + [A, b1]_3, so W = [a1, R2] + [R2, b1] and the rows of
+        a1 @ Sigma and b1 @ Sigma span sigma W.  One elimination per block of
+        BLOCK // (1 + 2d^2) pairs gives all three: the pivot rows of
+        [X; sigma W; sigma(u)] number r0 among the X rows, k among the sigma W
+        rows, and hold the last row iff sigma(u) is not in row X + sigma W.
         """
         p, d = self.params.p, self.params.d
         pairs = p ** (2 * d)
@@ -397,11 +397,10 @@ class AlgebraGroup:
             X = (C @ X_of).reshape(n, n3, n1)
             sigma_u = (c.r3 @ sigma_of).reshape(n, n4, n1)
             sigma_W = (ab.reshape(n, 2, d) @ Sigma).reshape(n, 2 * n2 * n4, n1)   # a1, b1 @ Sigma
-            r0 = rank_stack(X, p)
-            rW = rank_stack(np.concatenate([X, sigma_W], axis=1), p)
-            rWu = rank_stack(np.concatenate([X, sigma_W, sigma_u], axis=1), p)
+            used = pivot_rows(np.concatenate([X, sigma_W, sigma_u], axis=1), p)
+            in_X, in_W, in_u = np.split(used, [n3, n3 + 2 * n2 * n4], axis=1)
             # the pair means above, times p^(d + 1)
-            k, full = rW - r0, (C @ rho_of % p).any(axis=1) | (rWu > rW)
+            r0, k, full = in_X.sum(1), in_W.sum(1), (C @ rho_of % p).any(1) | in_u.any(1)
             total += int(np.where(full, p ** (d - r0), p ** (d - r0 - k) * (p + p**k - 1)).sum())
         # the sum is |G|^3 d2 = p^(3m) total / p^(3d + 1), and m = d^2 + 2d + 1 >= 3d + 1
         return total * p ** (3 * self.dim_l1 - 3 * d - 1)

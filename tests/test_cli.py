@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import nilprob
+from nilprob import stats
 from nilprob.cli import main
+from nilprob.groups import AlgebraGroup
 from nilprob.tables import corpus_path
 
 
@@ -36,6 +38,18 @@ class TestCommands:
         assert payload["report"]["class"] == 4
         assert payload["report"]["order"] == 512
         assert payload["report"]["generator_count"] == 9
+
+    def test_family_samples_in_chunks(self, capsys, monkeypatch):
+        sizes = []
+        sample_batch = AlgebraGroup.sample_batch
+        monkeypatch.setattr(AlgebraGroup, "sample_batch",
+                            lambda G, rng, count: sizes.append(count) or sample_batch(G, rng, count))
+        samples = str(stats.MC_CHUNK + 1)
+        code, out = run_cli(capsys, "family", "--p", "2", "--n", "1",
+                            "--samples", samples, "--threads", "1")
+        assert code == 0
+        assert json.loads(out)["report"]["five_fold_trivial"] is True
+        assert sorted(sizes) == [1] * 5 + [stats.MC_CHUNK] * 5
 
     def test_d2_family_exact(self, capsys):
         code, out = run_cli(capsys, "d2", "--family", "--p", "2", "--n", "1", "--exact")
@@ -318,6 +332,16 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: bias: pass only one of")
+
+    @pytest.mark.parametrize("text", ["2 0\n", "2 -1\n1\n"])
+    def test_form_dimension_below_one_is_two(self, capsys, tmp_path, text):
+        form = tmp_path / "form.txt"
+        form.write_text(text)
+        code = main(["bias", "--verify-quad", "--form", str(form)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: form dimension must be >= 1\n"
 
     def test_series_engel_limit_below_one_is_two(self, capsys):
         code = main(["series", "--table", "corpus:c4", "--max-l", "0"])

@@ -21,6 +21,7 @@ from nilprob.fieldlin import (
     matrix_rank,
     nullspace,
     parse_form,
+    pivot_rows,
     rank,
     rank_stack,
     slice_kernel,
@@ -258,6 +259,12 @@ class TestFormIO:
         with pytest.raises(ValueError):
             parse_form("9 1\n0")
 
+    @pytest.mark.parametrize("text", ["2 0", "2 -1\n1"])
+    def test_parse_rejects_dimension_below_one(self, text):
+        # (-1)^2 = 1 entry would pass the count check
+        with pytest.raises(ValueError, match="form dimension must be >= 1"):
+            parse_form(text)
+
 
 @st.composite
 def matrix_stacks(draw):
@@ -286,3 +293,18 @@ class TestRankStack:
     def test_empty_stack_and_zero_columns(self):
         assert rank_stack(np.zeros((0, 3, 4), dtype=np.int64), 3).shape == (0,)
         assert rank_stack(np.zeros((2, 3, 0), dtype=np.int64), 5).tolist() == [0, 0]
+
+
+class TestPivotRows:
+    @given(matrix_stacks())
+    def test_prefix_counts_are_prefix_ranks(self, case):
+        p, mats = case
+        used = pivot_rows(mats, p)
+        assert used.shape == mats.shape[:2] and used.dtype == bool
+        for k in range(mats.shape[1] + 1):
+            assert np.array_equal(used[:, :k].sum(axis=1), rank_stack(mats[:, :k], p))
+
+    def test_empty_stack_and_zero_columns(self):
+        assert pivot_rows(np.zeros((0, 3, 4), dtype=np.int64), 3).shape == (0, 3)
+        assert not pivot_rows(np.zeros((2, 3, 0), dtype=np.int64), 5).any()
+        assert pivot_rows(np.zeros((2, 0, 3), dtype=np.int64), 7).shape == (2, 0)

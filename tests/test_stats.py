@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from nilprob.algebra import AlgebraParams
 from nilprob.errors import CapExceededError
-from nilprob.fieldlin import BilinearForm, rank_stack
+from nilprob.fieldlin import BilinearForm, pivot_rows, rank_stack
 from nilprob.groups import AlgebraGroup, direct_product, quotient_table
 from nilprob.structure import subgroups
 from nilprob.tables import corpus_group, symmetric3
-from nilprob import stats
+from nilprob import groups, stats
+from nilprob._batch import BLOCK
 
 
 def commuting_pair_count(G):
@@ -242,6 +243,18 @@ class TestGradedBlocks:
         monkeypatch.setattr(eng, "commutator", lambda a, b: rows.append(a.count) or commutator(a, b))
         assert stats.d2_exact(G, cap=3**4).value == FAMILY_D2[(3, 1)]
         assert sum(rows) == 3**4
+
+    @pytest.mark.parametrize("shape", [(3, 1), (2, 2)], ids=str)
+    def test_one_elimination_per_block(self, monkeypatch, shape):
+        G, calls = family(*shape), []
+        d = G.params.d
+        pairs = G.params.p ** (2 * d)
+        monkeypatch.setattr(groups, "pivot_rows",
+                            lambda m, p: calls.append(len(m)) or pivot_rows(m, p))
+        monkeypatch.setattr(groups, "rank_stack", None)
+        assert stats.d2_exact(G, cap=pairs).value == FAMILY_D2[shape]
+        step = BLOCK // (1 + 2 * d * d)
+        assert calls == [min(step, pairs - s) for s in range(0, pairs, step)]
 
     @pytest.mark.parametrize("rows", [[[0]], [[0, 0], [0, 0]]], ids=["d1", "d2"])
     def test_zero_form_gives_one(self, rows):
