@@ -20,10 +20,8 @@ from .fieldlin import (
     antisymm_part,
     form_eval,
     hyperbolic_form,
-    is_nondegenerate,
     load_form,
     rank,
-    slice_kernel,
     symm_part,
 )
 from .groups import (

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import AlgebraParams
 from .errors import CapExceededError, DimensionMismatchError, ExpressionShapeError
-from .fieldlin import FpVector, all_vectors, check_prime, matrix_rank
+from .fieldlin import FpVector, all_vectors, check_prime, matrix_rank, rank_stack
 from .stats import DEFAULT_SEED, StatReport, clopper_pearson
 
 BIAS_ENUM_CAP = 1 << 24
@@ -30,7 +30,9 @@ class MultilinearMap:
     """Multilinear F : F_p^{d_1} x ... x F_p^{d_k} -> F_p^{e}.
 
     Backed either by a dense coefficient tensor of shape dims + (e,) or by a
-    vectorized closed-form evaluator.
+    vectorized closed-form evaluator.  `batch_fn` must be multilinear:
+    exhaustive modes read each fibre of the last slot from its d_k basis
+    images, by linearity in that slot.
     """
 
     def __init__(
@@ -230,15 +232,10 @@ def _iter_grid(p: int, dims: Sequence[int], chunk: int = _EVAL_CHUNK) -> Iterato
         yield [table[i] for table, i in zip(tables, idx)]
 
 
-def _domain_chunks(
-    p: int, dims: Sequence[int], mode: str, cap: int, samples: int, seed: int
-) -> tuple[bool, Iterator[list[np.ndarray]]]:
-    """Whether the domain is enumerated, and its points in chunks.
-
-    mode "exhaustive" enumerates (the domain must fit the cap), "random"
-    draws `samples` uniform points, one `rng.integers` call per slot per
-    chunk, and "auto" enumerates under the cap and samples above it.
-    """
+def _enumerates(p: int, dims: Sequence[int], mode: str, cap: int, samples: int) -> bool:
+    """Whether the domain is enumerated: mode "exhaustive" does (the
+    p^(sum d) domain points must fit the cap), "random" samples, and
+    "auto" enumerates under the cap and samples above it."""
     if mode not in ("auto", "exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
     if samples < 1:
@@ -246,13 +243,41 @@ def _domain_chunks(
     total = p ** sum(dims)
     if mode == "exhaustive" and total > cap:
         raise CapExceededError(f"domain size {total} exceeds cap {cap}")
-    if mode == "exhaustive" or (mode == "auto" and total <= cap):
-        return True, _iter_grid(p, dims)
+    return mode == "exhaustive" or (mode == "auto" and total <= cap)
+
+
+def _sample_chunks(
+    p: int, dims: Sequence[int], samples: int, seed: int
+) -> Iterator[list[np.ndarray]]:
+    """`samples` uniform points, one `rng.integers` call per slot per chunk."""
     rng = np.random.default_rng(seed)
-    sizes = [min(_EVAL_CHUNK, samples - start) for start in range(0, samples, _EVAL_CHUNK)]
-    return False, (
-        [rng.integers(0, p, size=(size, d), dtype=np.int64) for d in dims] for size in sizes
-    )
+    for start in range(0, samples, _EVAL_CHUNK):
+        size = min(_EVAL_CHUNK, samples - start)
+        yield [rng.integers(0, p, size=(size, d), dtype=np.int64) for d in dims]
+
+
+def _fibres(p: int, dims: Sequence[int]) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """The domain fibre by fibre, as (fibre count, arrays) chunks.
+
+    A fibre fixes the head slots dims[:-1]; the head points run in
+    mixed-radix order, each repeated d_k times beside the identity rows of
+    F_p^(d_k), so a chunk of m fibres has m d_k <= _EVAL_CHUNK rows.  A
+    multilinear map is linear in its last slot, so these basis images fix
+    it on the whole fibre.  With no head slot there is one empty fibre."""
+    *head, dk = dims
+    basis = np.eye(dk, dtype=np.int64)
+    heads = _iter_grid(p, head, max(1, _EVAL_CHUNK // max(dk, 1))) if head else iter([[]])
+    for points in heads:
+        m = len(points[0]) if points else 1
+        yield m, [np.repeat(a, dk, axis=0) for a in points] + [np.tile(basis, (m, 1))]
+
+
+def _first_difference(
+    expr: StructuredExpression, F: MultilinearMap, arrays: Sequence[np.ndarray]
+) -> int | None:
+    """The first row on which expr and F differ, if any."""
+    bad = np.nonzero((expr.eval_batch(arrays) != F.eval_batch(arrays)).any(axis=1))[0]
+    return int(bad[0]) if bad.size else None
 
 
 @dataclass
@@ -271,6 +296,30 @@ class VerifyResult:
         return self.ok
 
 
+def _verify_fibres(expr: StructuredExpression, F: MultilinearMap) -> VerifyResult:
+    """Exhaustive check: a fibre agrees iff its d_k basis images agree.  The
+    first fibre that fails is enumerated in `all_vectors` order, so the
+    counterexample and its index are those of whole-domain enumeration."""
+    p, dk = expr.p, expr.dims[-1]
+    before = 0
+    for m, arrays in _fibres(p, expr.dims):
+        row = _first_difference(expr, F, arrays)
+        if row is None:
+            before += m
+            continue
+        head = [a[row] for a in arrays[:-1]]
+        offset = (before + row // dk) * p**dk
+        for (last,) in _iter_grid(p, (dk,), _EVAL_CHUNK):
+            points = [np.tile(h, (len(last), 1)) for h in head] + [last]
+            i = _first_difference(expr, F, points)
+            if i is not None:
+                xs = tuple(FpVector(p, tuple(int(v) for v in a[i])) for a in points)
+                return VerifyResult(True, offset + i, xs)
+            offset += len(last)
+        raise AssertionError("basis images differ on a fibre where no point does")
+    return VerifyResult(True, p ** sum(expr.dims))
+
+
 def verify_expression(
     expr: StructuredExpression,
     F: MultilinearMap,
@@ -279,22 +328,25 @@ def verify_expression(
     samples: int = 10**6,
     seed: int = DEFAULT_SEED,
 ) -> VerifyResult:
-    """Check expr(x) == F(x): exhaustively under the cap, else on random
-    points with the sample count reported."""
+    """Check expr(x) == F(x) on the whole domain under the cap, else on
+    random points with the sample count reported.
+
+    The whole domain is decided fibre by fibre from the d_k basis images of
+    the last slot (both sides are multilinear), p^(sum d - d_k) d_k
+    evaluations; a failure is the first failing point in mixed-radix order
+    and `points_checked` is its index, as if every point were evaluated."""
     if F.p != expr.p or F.dims != expr.dims or F.cod_dim != expr.cod_dim:
         raise DimensionMismatchError("expression and map domains differ")
-    exhaustive, chunks = _domain_chunks(expr.p, expr.dims, mode, cap, samples, seed)
+    if _enumerates(expr.p, expr.dims, mode, cap, samples):
+        return _verify_fibres(expr, F)
     checked = 0
-    for arrays in chunks:
-        lhs = expr.eval_batch(arrays)
-        rhs = F.eval_batch(arrays)
-        bad = np.nonzero((lhs != rhs).any(axis=1))[0]
-        if bad.size:
-            i = int(bad[0])
+    for arrays in _sample_chunks(expr.p, expr.dims, samples, seed):
+        i = _first_difference(expr, F, arrays)
+        if i is not None:
             point = tuple(FpVector(expr.p, tuple(int(v) for v in arr[i])) for arr in arrays)
-            return VerifyResult(exhaustive, checked + i, point)
+            return VerifyResult(False, checked + i, point)
         checked += arrays[0].shape[0]
-    return VerifyResult(exhaustive, checked)
+    return VerifyResult(False, checked)
 
 
 def bias_probability(
@@ -304,14 +356,24 @@ def bias_probability(
     samples: int = 10**6,
     seed: int = DEFAULT_SEED,
 ) -> StatReport:
-    """P(F = 0) over the uniform domain: exact rational by enumeration, or a
-    Monte Carlo estimate with a 99% Clopper-Pearson interval."""
+    """P(F = 0) over the uniform domain: an exact rational under the cap,
+    else a Monte Carlo estimate with a 99% Clopper-Pearson interval.
+
+    The exact value counts zeros fibre by fibre: F is linear in its last
+    slot, so a fibre with basis images of rank r holds p^(d_k - r) zeros."""
     t0 = time.perf_counter()
-    exhaustive, chunks = _domain_chunks(F.p, F.dims, mode, cap, samples, seed)
-    zeros = sum(int((~F.eval_batch(arrays).any(axis=1)).sum()) for arrays in chunks)
-    if exhaustive:
-        total = F.p ** sum(F.dims)
+    p = F.p
+    if _enumerates(p, F.dims, mode, cap, samples):
+        dk = F.dims[-1]
+        zeros = 0
+        for m, arrays in _fibres(p, F.dims):
+            ranks = rank_stack(F.eval_batch(arrays).reshape(m, dk, F.cod_dim), p)
+            counts = np.bincount(ranks, minlength=dk + 1)
+            zeros += sum(int(c) * p ** (dk - r) for r, c in enumerate(counts))
+        total = p ** sum(F.dims)
         return StatReport("exact", Fraction(zeros, total), elapsed_s=time.perf_counter() - t0)
+    zeros = sum(int((~F.eval_batch(arrays).any(axis=1)).sum())
+                for arrays in _sample_chunks(p, F.dims, samples, seed))
     lo, hi = clopper_pearson(zeros, samples)
     return StatReport(
         "monte-carlo", zeros / samples, ci_low=lo, ci_high=hi, samples=samples,

@@ -233,18 +233,6 @@ def rank(f: BilinearForm) -> int:
     return matrix_rank(f.coeffs, f.p)
 
 
-def is_nondegenerate(f: BilinearForm) -> bool:
-    return rank(f) == f.dim
-
-
-def slice_kernel(f: BilinearForm, x: FpVector) -> list[FpVector]:
-    """Basis of {y : f(x, y) = 0}."""
-    if x.p != f.p or x.dim != f.dim:
-        raise DimensionMismatchError("slice_kernel: vector does not match form")
-    row = [sum(xi * f.coeffs[i][j] for i, xi in enumerate(x.coords)) % f.p for j in range(f.dim)]
-    return nullspace([row], f.p, f.dim)
-
-
 # Form file I/O.  Text format: line 1 "p d", then d lines of d residues.
 # The keyword "hyperbolic:p:n" is accepted wherever a form file is accepted.
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilprob.algebra import AlgebraParams
 from nilprob.errors import DimensionMismatchError, ExpressionShapeError
@@ -43,6 +44,47 @@ def span_dim_reference(m):
     if not rows or m.cod_dim == 0:
         return 0
     return matrix_rank(rows, m.p)
+
+
+def first_difference_reference(expr, F):
+    """(index, point) of the first point where expr and F differ, by
+    evaluating both on the whole domain in mixed-radix order."""
+    checked = 0
+    for arrays in grid_reference(F.p, F.dims, 1 << 12):
+        bad = np.nonzero((expr.eval_batch(arrays) != F.eval_batch(arrays)).any(axis=1))[0]
+        if bad.size:
+            i = int(bad[0])
+            return checked + i, tuple(FpVector(F.p, tuple(int(v) for v in a[i])) for a in arrays)
+        checked += len(arrays[0])
+    return None
+
+
+@st.composite
+def tensor_maps(draw, max_points=1 << 12):
+    """(map, rng): a random tensor map with p in {2, 3, 5, 7}, arity 1-4,
+    slots of width 0-3 (at most max_points domain points), codomain width
+    0-2, and a sparse, dense or zero tensor."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    dims = []
+    for _ in range(draw(st.integers(1, 4))):
+        room = 0
+        while room < 3 and p ** (sum(dims) + room + 1) <= max_points:
+            room += 1
+        dims.append(draw(st.integers(0, room)))
+    cod = draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((0.0, 0.1, 0.5, 1.0)))
+    shape = tuple(dims) + (cod,)
+    tensor = rng.integers(0, p, size=shape) * (rng.random(shape) < density)
+    return bias.MultilinearMap.from_tensor(p, tensor), rng
+
+
+def expression_tensor(expr):
+    """The coefficient tensor of a structured expression, from its values on
+    all basis tuples."""
+    combos = np.unravel_index(np.arange(math.prod(expr.dims)), expr.dims)
+    rows = expr.eval_batch([np.eye(d, dtype=np.int64)[i] for i, d in zip(combos, expr.dims)])
+    return rows.reshape(expr.dims + (expr.cod_dim,))
 
 
 class TestMultilinearMap:
@@ -161,6 +203,48 @@ class TestBiasProbability:
         assert rep.ci_low <= float(exact) <= rep.ci_high
 
 
+    @pytest.mark.parametrize("p, n, value", [
+        (2, 2, Fraction(197, 512)), (2, 3, Fraction(2333, 8192)),
+        (3, 2, Fraction(3043, 19683)), (5, 1, Fraction(821, 3125)),
+        (7, 1, Fraction(2983, 16807)), (2, 4, Fraction(33917, 131072)),
+    ])
+    def test_family_trilinear_pinned(self, p, n, value):
+        rep = bias.bias_probability(bias.family_trilinear_map(AlgebraParams.hyperbolic(p, n)))
+        assert (rep.kind, rep.value) == ("exact", value)
+
+    @pytest.mark.parametrize("p, tensor, value", [
+        (3, [[1], [0]], Fraction(1, 3)),                     # arity 1: x_1 = 0
+        (5, np.zeros((3, 0), dtype=np.int64), 1),              # arity 1, cod_dim 0
+        (2, np.ones((2, 3, 0), dtype=np.int64), 1),            # cod_dim 0
+        (3, np.zeros((2, 0, 2), dtype=np.int64), 1),           # d_k = 0
+        (7, np.zeros((0,) * 4 + (1,), dtype=np.int64), 1),     # every slot of width 0
+    ])
+    def test_edge_shapes(self, p, tensor, value):
+        m = bias.MultilinearMap.from_tensor(p, np.asarray(tensor))
+        rep = bias.bias_probability(m)
+        assert (rep.kind, rep.value) == ("exact", value)
+
+    @given(tensor_maps(), st.sampled_from((1, 3, 64, 1 << 16)))
+    def test_exact_matches_enumeration(self, case, chunk):
+        m, _ = case
+        zeros = sum(int((~m.eval_batch(arrays).any(axis=1)).sum())
+                    for arrays in grid_reference(m.p, m.dims, 1 << 12))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bias, "_EVAL_CHUNK", chunk)
+            rep = bias.bias_probability(m, mode="exhaustive")
+        assert rep.value == Fraction(zeros, m.p ** sum(m.dims))
+
+    def test_exact_evaluates_basis_rows_per_fibre(self, monkeypatch):
+        # (2,3): 2^12 fibres of the head slots, 6 basis rows each, in one call
+        rows = []
+        eval_batch = bias.MultilinearMap.eval_batch
+        monkeypatch.setattr(bias.MultilinearMap, "eval_batch",
+                            lambda m, arrays: rows.append(len(arrays[0])) or eval_batch(m, arrays))
+        tri = bias.family_trilinear_map(AlgebraParams.hyperbolic(2, 3))
+        assert bias.bias_probability(tri).value == Fraction(2333, 8192)
+        assert rows == [4096 * 6]
+
+
 class TestExpressions:
     def test_empty_expression_is_zero_map(self, params21):
         d = params21.d
@@ -215,6 +299,58 @@ class TestExpressions:
         got = bias.evaluate_expression(bad, list(res.counterexample))
         want = bias.family_quad_map(params21).eval(list(res.counterexample))
         assert got != want
+
+    @settings(max_examples=100)
+    @given(tensor_maps(), st.data())
+    def test_first_counterexample_matches_enumeration(self, case, data):
+        m, rng = case
+        p, dims = m.p, m.dims
+        slots = tuple(s for s in range(len(dims)) if data.draw(st.booleans()))
+        free = tuple(s for s in range(len(dims)) if s not in slots)
+        if slots and free:
+            # one inner map on the drawn slots; the outer map takes its output
+            c = data.draw(st.integers(0, 2))
+            inner = bias.MultilinearMap.from_tensor(
+                p, rng.integers(0, p, size=tuple(dims[s] for s in slots) + (c,)))
+            outer = bias.MultilinearMap.from_tensor(
+                p, rng.integers(0, p, size=(c,) + tuple(dims[s] for s in free) + (m.cod_dim,)))
+            term = bias.Term(inners=((slots, inner),), outer=outer)
+        else:
+            term = bias.Term(inners=(), outer=m)
+        expr = bias.StructuredExpression(p, dims, m.cod_dim, (term,))
+        tensor = expression_tensor(expr)
+        for _ in range(data.draw(st.integers(0, 2)) if tensor.size else 0):
+            entry = tuple(int(rng.integers(0, k)) for k in tensor.shape)
+            tensor[entry] = (tensor[entry] + rng.integers(1, p)) % p
+        F = bias.MultilinearMap.from_tensor(p, tensor)
+        chunk = data.draw(st.sampled_from((1, 3, 64, 1 << 16)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bias, "_EVAL_CHUNK", chunk)
+            res = bias.verify_expression(expr, F, mode="exhaustive")
+        expect = first_difference_reference(expr, F)
+        assert res.exhaustive
+        if expect is None:
+            assert res.ok and res.points_checked == p ** sum(dims)
+        else:
+            assert (res.points_checked, res.counterexample) == expect
+
+    def test_failing_fibre_enumerated_in_chunks(self, monkeypatch):
+        # F(x, y) = x_0 y_16 on F_2^1 x F_2^17 against the zero expression:
+        # fibre x = 0 agrees, and in fibre x = 1 the first failing y is
+        # e_16, the 2^16-th vector; no call evaluates more than _EVAL_CHUNK rows
+        tensor = np.zeros((1, 17, 1), dtype=np.int64)
+        tensor[0, 16, 0] = 1
+        F = bias.MultilinearMap.from_tensor(2, tensor)
+        expr = bias.StructuredExpression(2, (1, 17), 1, ())
+        rows = []
+        eval_batch = bias.MultilinearMap.eval_batch
+        monkeypatch.setattr(bias.MultilinearMap, "eval_batch",
+                            lambda m, arrays: rows.append(len(arrays[0])) or eval_batch(m, arrays))
+        res = bias.verify_expression(expr, F)
+        assert res.exhaustive and res.points_checked == 2**17 + 2**16
+        assert [v.coords for v in res.counterexample] == [(1,), (0,) * 16 + (1,)]
+        assert rows == [2 * 17, 1 << 16, 1 << 16]
+        assert max(rows) <= bias._EVAL_CHUNK
 
     @pytest.mark.parametrize("mode", ["exhastive", "sampled", ""])
     def test_unknown_mode_raises(self, params21, mode):

@@ -446,7 +446,7 @@ def readme_cli_lines():
 
 
 def test_readme_cli_block_is_found():
-    assert len(readme_cli_lines()) == 12
+    assert len(readme_cli_lines()) == 13
 
 
 @pytest.mark.parametrize("argv", readme_cli_lines(), ids=lambda argv: " ".join(argv))

@@ -16,7 +16,6 @@ from nilprob.fieldlin import (
     form_eval,
     format_form,
     hyperbolic_form,
-    is_nondegenerate,
     load_form,
     matrix_rank,
     nullspace,
@@ -24,7 +23,6 @@ from nilprob.fieldlin import (
     pivot_rows,
     rank,
     rank_stack,
-    slice_kernel,
     symm_part,
 )
 
@@ -154,28 +152,11 @@ class TestRankKernel:
             f = hyperbolic_form(p, n)
             assert rank(f) == n
             assert rank(symm_part(f)) == 2 * n
-            assert is_nondegenerate(symm_part(f))
-            assert is_nondegenerate(antisymm_part(f))
+            assert rank(antisymm_part(f)) == f.dim
 
     def test_zero_form(self):
         f = BilinearForm.from_rows(2, [[0] * 3] * 3)
         assert rank(f) == 0
-        basis = slice_kernel(f, FpVector.basis(2, 3, 0))
-        assert len(basis) == 3
-
-    def test_rank_one_slice_kernel_by_enumeration(self):
-        f = BilinearForm.from_rows(2, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-        e1 = FpVector.basis(2, 3, 0)
-        basis = slice_kernel(f, e1)
-        assert len(basis) == 2
-        expected = {v.coords for v in all_vectors(2, 3) if form_eval(f, e1, v) == 0}
-        spanned = {
-            (b1.scale(c1) + b2.scale(c2)).coords
-            for b1 in [basis[0]] for b2 in [basis[1]]
-            for c1 in range(2) for c2 in range(2)
-        }
-        assert len(expected) == 4
-        assert spanned == expected
 
     def test_rank_matches_right_kernel_enumeration_f2(self):
         rng = random.Random(17)
@@ -188,7 +169,8 @@ class TestRankKernel:
                 assert rank(f) == d - kdim
 
     def test_antisymm_of_hyperbolic_32_nondegenerate(self):
-        assert is_nondegenerate(antisymm_part(hyperbolic_form(3, 2)))
+        f = antisymm_part(hyperbolic_form(3, 2))
+        assert rank(f) == f.dim
 
     def test_symm_equals_antisymm_char2(self):
         for n in (1, 2, 3):
