@@ -189,25 +189,6 @@ class StructuredExpression:
             acc = (acc + term.outer.eval_batch(args)) % self.p
         return acc
 
-    def to_json_dict(self) -> dict:
-        terms = []
-        for term in self.terms:
-            terms.append(
-                {
-                    "inners": [
-                        {
-                            "slots": list(slots),
-                            "cod_dim": inner.cod_dim,
-                            "coeffs": None if inner.tensor is None else inner.tensor.tolist(),
-                        }
-                        for slots, inner in term.inners
-                    ],
-                    "outer_coeffs": None if term.outer.tensor is None else term.outer.tensor.tolist(),
-                }
-            )
-        return {"p": self.p, "dims": list(self.dims), "cod_dim": self.cod_dim,
-                "rank": self.rank, "terms": terms}
-
 
 def _eval_point(F: MultilinearMap | StructuredExpression, xs: Sequence[FpVector]) -> FpVector:
     """F at one point, as a one-row `eval_batch`."""

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -167,6 +168,8 @@ def _cmd_dk(args: argparse.Namespace, k: int) -> tuple[int, dict, dict]:
 def _parse_s_elements(args: argparse.Namespace, G) -> list:
     if args.s_file:
         lines = [ln.strip() for ln in Path(args.s_file).read_text().splitlines() if ln.strip()]
+        if not lines:
+            raise UsageError("--s-file holds no elements")
         if isinstance(G, TableGroup):
             indices = [int(ln) for ln in lines]
             bad = next((i for i in indices if not 0 <= i < G.order), None)
@@ -258,7 +261,7 @@ def _cmd_neumann(args: argparse.Namespace) -> tuple[int, dict, dict]:
     norm = (
         structure.discrete_norm(G)
         if args.norm == "discrete"
-        else structure.conjugacy_norm_fn(G)
+        else partial(stats.conjugacy_norm, G)
     )
     rep = structure.neumann_extract(G, norm, args.C)
     report = {"norm": args.norm, **rep.to_json_dict()}

@@ -272,9 +272,3 @@ def load_form(source: "str | Path | io.TextIOBase") -> BilinearForm:
     else:
         text = source.read()
     return parse_form(text)
-
-
-def format_form(f: BilinearForm) -> str:
-    lines = [f"{f.p} {f.dim}"]
-    lines += [" ".join(str(c) for c in row) for row in f.coeffs]
-    return "\n".join(lines) + "\n"

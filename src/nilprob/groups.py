@@ -428,9 +428,6 @@ class AlgebraGroup:
     def class_size(self, g: GroupElement) -> int:
         return int(self.class_sizes(self.stack([g]))[0])
 
-    def centralizer_order(self, g: GroupElement) -> int:
-        return self.order // self.class_size(g)
-
     def conjugacy_classes(self, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[GroupElement, int]]:
         """(representative, size) pairs, each class represented by its least
         member in coordinate order; requires an enumerable group."""
@@ -594,10 +591,6 @@ class TableGroup:
     def class_size(self, g: int) -> int:
         return int(self.class_sizes(g))
 
-    def centralizer_order(self, g: int) -> int:
-        """Exact loop: count h with gh = hg."""
-        return int(np.count_nonzero(self.table[g, :] == self.table[:, g]))
-
     @cached_property
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
@@ -660,10 +653,14 @@ def subgroup_table(G: TableGroup, H: Iterable[int]) -> tuple[TableGroup, list[in
     """Reindex a subgroup as its own TableGroup; returns (group, element list).
 
     element list maps new indices back to indices in G; index 0 is G's identity.
+    Raises ValueError unless H is a subset of [0, |G|) closed under products
+    and containing 0.
     """
     members = np.unique(np.fromiter(H, dtype=np.int64))
-    if members[0] != 0:
+    if not members.size or members[0] != 0:
         raise ValueError("subgroup must contain the identity 0")
+    if members[-1] >= G.order:
+        raise ValueError(f"element index {members[-1]} outside [0, {G.order})")
     pos = np.full(G.order, -1, dtype=np.int64)
     pos[members] = np.arange(len(members))
     tbl = pos[G.table[np.ix_(members, members)]]

@@ -14,13 +14,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 from scipy.special import betaincinv
 
 from .errors import CapExceededError
-from .groups import AlgebraGroup, TableGroup, subgroup_table
+from .groups import AlgebraGroup, TableGroup
 
 DEFAULT_SEED = 1729
 D1_CAP = 1 << 16
@@ -272,20 +272,3 @@ def _exact_min_cover(balls: list[frozenset[int]], universe: set[int]) -> list[fr
                 return list(combo)
     raise RuntimeError("universe not coverable by the full ball list")  # pragma: no cover
 
-
-def covering_for_subgroup(
-    G: TableGroup, H: Iterable[int], n: int, S: Sequence[int]
-) -> tuple[int, TableGroup, list[int]]:
-    """Transfer a covering certificate of G to a subgroup H.
-
-    Returns (n^2, H as TableGroup, S' in H's indices): S' keeps one point of
-    B*s intersected with H for each s where that intersection is nonempty.
-    """
-    members = sorted(set(int(h) for h in H))
-    Hgrp, mapping = subgroup_table(G, members)
-    pos = {g: i for i, g in enumerate(mapping)}
-    s_prime: list[int] = []
-    for row in _ball_masks(G, G.stack(members), len(members), S, n):
-        if row.any():
-            s_prime.append(pos[members[int(np.argmax(row))]])
-    return n * n, Hgrp, s_prime

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -20,7 +19,6 @@ from .algebra import AlgebraParams
 from .errors import CapExceededError, DegenerateFormError
 from .fieldlin import FpVector, all_vectors, nullspace, rref
 from .groups import TableGroup, _orbit_labels, _power_closure, subgroup_closure
-from .stats import conjugacy_norm
 
 SERIES_CAP = 1 << 12
 SUBGROUP_ENUM_CAP = 64
@@ -327,40 +325,13 @@ def discrete_norm(G: TableGroup) -> Callable[[int], float]:
     return lambda g: 0.0 if g == 0 else math.inf
 
 
-def conjugacy_norm_fn(G: TableGroup) -> Callable[[int], float]:
-    """`stats.conjugacy_norm` on G (the natural log of the class size)."""
-    return partial(conjugacy_norm, G)
-
-
-def _norm_table(G: TableGroup, norm: Callable[[int], float]) -> np.ndarray:
-    return np.array([norm(g) for g in range(G.order)], dtype=float)
-
-
-def _separated_centers(
-    G: TableGroup, norms: np.ndarray, values: list[int], radius: float
-) -> list[int]:
-    """Greedy maximal separated set: each value in turn becomes a center
-    unless norm(c s^-1) <= radius for a center s already chosen, so every
-    value lies in the ball of some center."""
-    t, inv = G.table, G.inv_table
-    centers: list[int] = []
-    for c in values:
-        if all(norms[t[c, inv[s]]] > radius for s in centers):
-            centers.append(c)
-    return centers
-
-
-def _check_level(C: float) -> None:
-    if not (math.isfinite(C) and C > 0):
-        raise ValueError("C must be finite and positive")
-
-
 def neumann_extract(G: TableGroup, norm: Callable[[int], float], C: float) -> NeumannReport:
     """Extract subgroups H and K whose mutual commutators have a small ball
     cover, given that P(norm[a, b] <= C) >= 1/C over G x G."""
-    _check_level(C)
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError("C must be finite and positive")
     t, inv = G.table, G.inv_table
-    norms = _norm_table(G, norm)
+    norms = np.array([norm(g) for g in range(G.order)], dtype=float)
     idx = np.arange(G.order)
     comm = G.commutators(idx[:, None], idx[None, :])
     small = norms[comm] <= C
@@ -379,7 +350,12 @@ def neumann_extract(G: TableGroup, norm: Callable[[int], float], C: float) -> Ne
     radius = 4 * D + 1
 
     comm_vals = np.unique(comm_hk).tolist()
-    centers = _separated_centers(G, norms, comm_vals, radius)
+    # Greedy maximal separated set: each value in turn becomes a center unless
+    # norm(c s^-1) <= radius for a center s already chosen.
+    centers: list[int] = []
+    for c in comm_vals:
+        if all(norms[t[c, inv[s]]] > radius for s in centers):
+            centers.append(c)
     balls = [
         frozenset(c for c in comm_vals if norms[t[c, inv[s]]] <= radius) for s in centers
     ]
@@ -418,44 +394,6 @@ def _measured_level(norm_matrix: np.ndarray) -> float:
     if not math.isfinite(best):
         raise DegenerateFormError("no finite concentration level exists")
     return best
-
-
-@dataclass
-class ConverseReport:
-    """Measured concentration implied by a ball cover of Comm(H, K)."""
-
-    cover_ok: bool
-    cover_size: int
-    index_H: int
-    index_K: int
-    probability: Fraction        # P over G x G of norm([a, b]) <= 2C
-    floor: Fraction              # the guaranteed 1/C^3 when cover_ok
-
-
-def neumann_converse(
-    G: TableGroup,
-    norm: Callable[[int], float],
-    C: float,
-    H: Iterable[int],
-    K: Iterable[int],
-) -> ConverseReport:
-    """Measure P(norm[a, b] <= 2C) given subgroups of index <= C whose
-    mutual commutators admit a greedy cover by <= C balls of radius C."""
-    _check_level(C)
-    norms = _norm_table(G, norm)
-    h_arr = np.array(sorted(set(H)), dtype=np.int64)
-    k_arr = np.array(sorted(set(K)), dtype=np.int64)
-    idx = np.arange(G.order)
-    comm = G.commutators(idx[:, None], idx[None, :])
-    centers = _separated_centers(G, norms, np.unique(comm[np.ix_(h_arr, k_arr)]).tolist(), C)
-    index_H = G.order // len(h_arr)
-    index_K = G.order // len(k_arr)
-    cover_ok = len(centers) <= C and index_H <= C and index_K <= C
-
-    hits = int((norms[comm] <= 2 * C).sum())
-    prob = Fraction(hits, G.order**2)
-    floor = Fraction(1, math.ceil(C**3)) if C >= 1 else Fraction(0)
-    return ConverseReport(cover_ok, len(centers), index_H, index_K, prob, floor)
 
 
 def _double_coset_reps(G: TableGroup, H: frozenset[int]) -> list[int]:

@@ -398,13 +398,6 @@ class TestExpressions:
                            outer=bias.MultilinearMap.bilinear_form(2, [[1]])),),
             )
 
-    def test_json_serialization(self, params21):
-        import json
-
-        expr = bias.family_quad_expression(params21)
-        blob = json.dumps(expr.to_json_dict())
-        assert "rank" in blob
-
 
 class TestTrilinearBound:
     def test_all_zero_inners_bound_one(self):

@@ -360,6 +360,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: --s-file index {index} outside [0, 6)\n"
 
+    @pytest.mark.parametrize("group", [["--table", "corpus:s3"], ["--family", "--p", "2", "--n", "1"]])
+    @pytest.mark.parametrize("text", ["", "\n \n"])
+    def test_empty_s_file_is_two(self, capsys, tmp_path, group, text):
+        # zero balls cover nothing, not even the identity commutator
+        s_file = tmp_path / "s.txt"
+        s_file.write_text(text)
+        code = main(["cover", *group, "--n-bound", "1", "--s-file", str(s_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --s-file holds no elements\n"
+
     @pytest.mark.parametrize("digit", ["3", "-1"])
     def test_family_s_file_digit_out_of_range_is_two(self, capsys, tmp_path, digit):
         s_file = tmp_path / "s.txt"

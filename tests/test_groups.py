@@ -144,7 +144,7 @@ class TestOrbits:
             family21.params, (0,) * (family21.dim_l1 - 1) + (1,)
         )
         assert family21.conjugacy_orbit(central) == {central}
-        assert family21.centralizer_order(central) == family21.order
+        assert family21.order // family21.class_size(central) == family21.order
 
     def test_orbit_matches_full_conjugation(self, family21):
         rng = np.random.default_rng(8)
@@ -215,7 +215,7 @@ class TestClassSizes:
         sizes = G.class_sizes(G.stack(elems)).tolist()
         assert sizes == [len(G.conjugacy_orbit(g)) for g in elems]
         assert sizes == [G.class_size(g) for g in elems]
-        assert all(G.centralizer_order(g) * s == G.order for g, s in zip(elems, sizes))
+        assert all(G.order // G.class_size(g) * s == G.order for g, s in zip(elems, sizes))
 
     def test_exact_beyond_int64_order(self):
         # |G| = 3^49: sizes are Python ints, so order // size stays exact
@@ -223,7 +223,7 @@ class TestClassSizes:
         g = G.random_elements(np.random.default_rng(4), 1)[0]
         size = G.class_size(g)
         rank = round(math.log(size, 3))
-        assert size == 3**rank and G.centralizer_order(g) == 3 ** (49 - rank)
+        assert size == 3**rank and G.order // size == 3 ** (49 - rank)
 
 
 class TestTableGroup:
@@ -310,7 +310,9 @@ class TestTableGroup:
     def test_class_size_times_centralizer_is_order(self, corpus_groups):
         for G in corpus_groups.values():
             for g in G.elements():
-                assert G.class_size(g) * G.centralizer_order(g) == G.order
+                # orbit-stabilizer, with |C(g)| counted from the table
+                centralizer = np.count_nonzero(G.table[g] == G.table[:, g])
+                assert G.class_size(g) * centralizer == G.order
 
     def test_classes_partition_and_divide(self, corpus_groups):
         for G in corpus_groups.values():
@@ -334,6 +336,14 @@ class TestSubQuotientProduct:
         Hgrp, members = subgroup_table(s3, H)
         assert Hgrp.order == 3
         assert members[0] == 0
+
+    def test_subgroup_table_rejects_empty_set(self):
+        with pytest.raises(ValueError, match="identity"):
+            subgroup_table(symmetric3(), [])
+
+    def test_subgroup_table_rejects_index_out_of_range(self):
+        with pytest.raises(ValueError, match=r"element index 9 outside \[0, 6\)"):
+            subgroup_table(symmetric3(), [0, 9])
 
     def test_quotient_by_center(self):
         q8 = corpus_group("q8")
@@ -395,7 +405,7 @@ def ref_is_normal(G, H):
 
 def ref_subgroup_table(G, H):
     members = sorted(set(int(h) for h in H))
-    if members[0] != 0:
+    if not members or members[0] != 0:
         raise ValueError("subgroup must contain the identity 0")
     pos = {g: i for i, g in enumerate(members)}
     try:
@@ -447,11 +457,11 @@ def element_sets(data, G):
 
 
 def outcome(fn, *args):
-    """fn's result, or the name of the ValueError or IndexError it raised."""
+    """fn's result, or "ValueError" if it raised one."""
     try:
         return fn(*args)
-    except (ValueError, IndexError) as exc:
-        return type(exc).__name__
+    except ValueError:
+        return "ValueError"
 
 
 @pytest.mark.parametrize("name", ORACLE_GROUPS)

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -9,7 +10,7 @@ from nilprob.errors import CapExceededError, DegenerateFormError
 from nilprob.fieldlin import BilinearForm, FpVector, form_eval, nullspace, rref
 from nilprob.groups import direct_product, subgroup_closure
 from nilprob.tables import corpus_group, cyclic, symmetric3
-from nilprob import structure as st
+from nilprob import stats, structure as st
 
 
 def lie4_formula(params, x, y, z, w):
@@ -283,7 +284,7 @@ class TestNeumannExtract:
 
     def test_d4_conjugacy_norm(self):
         D4 = corpus_group("d4")
-        rep = st.neumann_extract(D4, st.conjugacy_norm_fn(D4), 1.0)
+        rep = st.neumann_extract(D4, partial(stats.conjugacy_norm, D4), 1.0)
         assert rep.hypothesis_holds
         assert rep.index_H <= 2       # proof guarantees [G:H] <= 2C
         assert rep.index_K <= 2
@@ -300,32 +301,18 @@ class TestNeumannExtract:
         # whenever the hypothesis holds, [G:H] <= 2C and [G:K] <= 2C
         for G in corpus_groups.values():
             for C in (1.0, 2.0, 4.0):
-                rep = st.neumann_extract(G, st.conjugacy_norm_fn(G), C)
+                rep = st.neumann_extract(G, partial(stats.conjugacy_norm, G), C)
                 if rep.hypothesis_holds:
                     assert rep.index_H <= 2 * C
                     assert rep.index_K <= 2 * C
 
     def test_balls_cover_commutators(self, corpus_groups):
         for G in corpus_groups.values():
-            rep = st.neumann_extract(G, st.conjugacy_norm_fn(G), 2.0)
+            rep = st.neumann_extract(G, partial(stats.conjugacy_norm, G), 2.0)
             if not rep.hypothesis_holds:
                 continue
             comm = st._commutator_values(G, rep.H, rep.K)
             assert set().union(*rep.balls) == comm
-
-    def test_converse_direction(self, corpus_groups):
-        # given the extracted cover, concentration at level 2C holds with
-        # probability at least 1/C^3
-        for G in corpus_groups.values():
-            norm = st.conjugacy_norm_fn(G)
-            for C in (1.0, 2.0):
-                rep = st.neumann_extract(G, norm, C)
-                if not rep.hypothesis_holds:
-                    continue
-                radius = max(C, rep.radius)
-                conv = st.neumann_converse(G, norm, radius, rep.H, rep.K)
-                if conv.cover_ok:
-                    assert conv.probability >= conv.floor
 
 
 class TestSubgroupsPareto:
