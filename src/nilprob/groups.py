@@ -12,7 +12,8 @@ Conjugation by a fixed element is linear on L1, so each family generator
 contributes one matrix; `conjugacy_orbit` closes one orbit under these
 matrices, which works past the enumeration cap.
 Cayley-table groups are validated on load, exactly, by Light's test over a
-generating set, and cache their inverse array.
+generating set, and cache their inverse array; every table commutator is
+one gather from an m x m commutator table built on first use.
 
 Conjugacy classes of both types come from one pass, `_orbit_labels`, over
 the permutations of the enumerated elements that conjugation by each
@@ -31,6 +32,7 @@ from __future__ import annotations
 import io
 import math
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -53,7 +55,17 @@ from .fieldlin import pivot_rows, rank_stack
 DEFAULT_ORBIT_CAP = 1 << 16
 DEFAULT_ENUM_CAP = 1 << 14
 _AD_CHUNK_ENTRIES = 1 << 22   # ad-matrix entries per rank_stack call, bounds memory
-_ASSOC_BLOCK_ENTRIES = 1 << 20   # table entries per associativity comparison, bounds memory
+_ASSOC_BLOCK_ENTRIES = 1 << 20   # table entries per block of a whole-table pass, bounds memory
+
+
+def _element_indices(m: int, idx) -> np.ndarray:
+    """`idx` as int64 indices into a group of order m; ValueError naming the
+    first entry outside [0, m), which numpy would wrap or reject unclearly."""
+    arr = np.asarray(idx, dtype=np.int64)
+    if arr.size and arr.view(np.uint64).max() >= m:   # a negative entry views as >= 2^63
+        bad = arr[(arr < 0) | (arr >= m)].flat[0]
+        raise ValueError(f"element index {bad} outside [0, {m})")
+    return arr
 
 
 def _orbit_labels(perms: np.ndarray) -> np.ndarray:
@@ -536,10 +548,24 @@ class TableGroup:
     def stack(self, elems: Sequence[int]) -> np.ndarray:
         return np.array(elems, dtype=np.int64)
 
+    @cached_property
+    def _commutator_table(self) -> np.ndarray:
+        """[a, b] = a^-1 b^-1 a b at flat position a m + b, in the narrowest
+        unsigned dtype that holds m - 1; built on first use, in row blocks."""
+        m, t, inv = self.order, self.table, self.inv_table
+        flat = np.empty(m * m, dtype=np.min_scalar_type(m - 1))
+        rows = max(1, _ASSOC_BLOCK_ENTRIES // m)
+        for x in range(0, m, rows):
+            ab = t[x : x + rows]                      # a b for the rows a, every column b
+            flat[x * m : x * m + ab.size] = t[t[inv[x : x + rows, None], inv], ab].ravel()
+        return flat
+
     def commutators(self, a, b) -> np.ndarray:
-        """[a, b] = a^-1 b^-1 a b entrywise; index arrays broadcast like numpy."""
-        t, inv = self.table, self.inv_table
-        return t[t[inv[a], inv[b]], t[a, b]]
+        """[a, b] entrywise as int64; index arrays broadcast like numpy, and
+        an index outside [0, |G|) raises ValueError."""
+        m = self.order
+        flat = _element_indices(m, a) * m + _element_indices(m, b)
+        return self._commutator_table.take(flat).astype(np.int64)
 
     def long_commutators(self, stacks: Iterable) -> np.ndarray:
         """Left-normed [a_1, ..., a_k] entrywise for k >= 2 index arrays,
@@ -572,8 +598,13 @@ class TableGroup:
             _check_enum_cap(self.order, cap)
         return self._labels[a]
 
+    @cached_property
+    def _class_size_of(self) -> np.ndarray:
+        """The size of every element's conjugacy class."""
+        return np.bincount(self._labels)[self._labels]
+
     def class_sizes(self, a) -> np.ndarray:
-        return np.bincount(self._labels)[self._labels[a]]
+        return self._class_size_of[a]
 
     def conjugacy_orbit(self, g: int, cap: int | None = None) -> set[int]:
         t = self.table
@@ -623,28 +654,29 @@ def _power_closure(G: TableGroup, X: np.ndarray) -> tuple[np.ndarray, int]:
     With 1 in X the powers grow, and X^{r+1} = X^r u L X for the newest layer
     L = X^r minus X^{r-1}.  In a finite group the fixed point is <X>.
     """
-    X = layer = np.unique(X)
     member = np.zeros(G.order, dtype=bool)
     member[X] = True
+    X = layer = np.flatnonzero(member)
     r = 1
     while True:
-        prods = G.table[layer[:, None], X].ravel()
-        layer = np.unique(prods[~member[prods]])
+        grown = member.copy()
+        grown[G.table[layer[:, None], X]] = True
+        layer = np.flatnonzero(grown & ~member)
         if not layer.size:
             return np.flatnonzero(member), r
-        member[layer] = True
+        member = grown
         r += 1
 
 
 def subgroup_closure(G: TableGroup, seed: Iterable[int]) -> frozenset[int]:
     """Subgroup generated by the given element indices."""
-    X = np.append(np.fromiter(seed, dtype=np.int64), 0)
+    X = _element_indices(G.order, np.fromiter(chain(seed, (0,)), dtype=np.int64))
     return frozenset(_power_closure(G, X)[0].tolist())
 
 
 def is_normal(G: TableGroup, H: Iterable[int]) -> bool:
     """Whether g^-1 h g lies in H for every g in G and h in H."""
-    h = np.fromiter(H, dtype=np.int64)
+    h = _element_indices(G.order, np.fromiter(H, dtype=np.int64))
     t = G.table
     return bool(np.isin(t[t[G.inv_table[:, None], h], np.arange(G.order)[:, None]], h).all())
 
@@ -656,11 +688,9 @@ def subgroup_table(G: TableGroup, H: Iterable[int]) -> tuple[TableGroup, list[in
     Raises ValueError unless H is a subset of [0, |G|) closed under products
     and containing 0.
     """
-    members = np.unique(np.fromiter(H, dtype=np.int64))
+    members = np.unique(_element_indices(G.order, np.fromiter(H, dtype=np.int64)))
     if not members.size or members[0] != 0:
         raise ValueError("subgroup must contain the identity 0")
-    if members[-1] >= G.order:
-        raise ValueError(f"element index {members[-1]} outside [0, {G.order})")
     pos = np.full(G.order, -1, dtype=np.int64)
     pos[members] = np.arange(len(members))
     tbl = pos[G.table[np.ix_(members, members)]]
@@ -674,7 +704,7 @@ def quotient_table(G: TableGroup, N: Iterable[int]) -> tuple[TableGroup, np.ndar
 
     Cosets are numbered in the order of their least elements.
     """
-    n = np.unique(np.fromiter(N, dtype=np.int64))
+    n = np.unique(_element_indices(G.order, np.fromiter(N, dtype=np.int64)))
     if subgroup_closure(G, n) != frozenset(n.tolist()):
         raise ValueError("element set is not a subgroup")
     if not is_normal(G, n):

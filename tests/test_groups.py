@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -513,6 +514,73 @@ class TestTableGathersMatchLoops:
         G = oracle_groups[name]
         X = {0} | {h for g in element_sets(data, G) for h in (g, G.inverse(g))}
         assert power_closure_radius(G, X) == ref_power_closure_radius(G, X)
+
+
+def relabelled(G, seed):
+    """G with its non-identity elements renamed by a seeded permutation."""
+    perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(G.order - 1)])
+    t = np.empty_like(G.table)
+    t[np.ix_(perm, perm)] = perm[G.table]
+    return TableGroup(t, name=f"{G.name}~{seed}")
+
+
+def ref_commutators(G, a, b):
+    """a^-1 b^-1 a b by the definition, with inverses found from the table."""
+    t = G.table
+    inv = np.argmax(t == 0, axis=1)
+    a, b = np.asarray(a), np.asarray(b)
+    return t[t[inv[a], inv[b]], t[a, b]]
+
+
+class TestCommutatorTable:
+    @settings(max_examples=30)
+    @given(names=st.lists(st.sampled_from(CORPUS_NAMES), min_size=1, max_size=2),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_matches_definition(self, names, seed, data):
+        G = relabelled(reduce(direct_product, [corpus_group(n) for n in names]), seed)
+        m = G.order
+        idx = st.integers(0, m - 1)
+        a, b = data.draw(idx), data.draw(idx)
+        stack = np.array(data.draw(st.lists(idx, min_size=1, max_size=20)), dtype=np.int64)
+        col, row = stack[:, None], np.arange(m)[None, :]
+        for x, y in ((a, b), (a, stack), (stack, b), (col, row)):
+            got = G.commutators(x, y)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, ref_commutators(G, x, y))
+        assert G.commutator(a, b) == ref_commutators(G, a, b)
+        for bad in (-1, m):
+            with pytest.raises(ValueError, match=rf"element index {bad} outside \[0, {m}\)"):
+                G.commutators(a, bad)
+            with pytest.raises(ValueError, match=rf"element index {bad} outside"):
+                G.commutators(np.append(stack, bad), b)
+
+    def test_order_one(self):
+        G = TableGroup([[0]])
+        assert G.commutators(0, 0) == 0 and G.commutators(0, 0).dtype == np.int64
+        assert G._commutator_table.dtype == np.uint8
+        for bad in (-1, 1):
+            with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+                G.commutators(bad, 0)
+
+    def test_s3_flat_index_does_not_wrap_rows(self):
+        s3 = symmetric3()
+        with pytest.raises(ValueError, match=r"element index 7 outside \[0, 6\)"):
+            s3.commutators(0, 7)
+
+    def test_built_on_first_commutator_only(self):
+        G = direct_product(corpus_group("a4"), corpus_group("d4"))
+        G.conjugacy_classes()
+        stats.d1_exact(G)
+        assert "_commutator_table" not in vars(G)
+        G.commutators(1, 2)
+        assert vars(G)["_commutator_table"].dtype == np.uint8
+
+
+@pytest.mark.parametrize("fn", [subgroup_closure, is_normal, quotient_table])
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_element_index_out_of_range(fn, bad):
+    with pytest.raises(ValueError, match=rf"element index {bad} outside \[0, 6\)"):
+        fn(symmetric3(), [0, bad])
 
 
 # Loop references for the exact associativity check, the one class-label pass

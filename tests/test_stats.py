@@ -343,6 +343,20 @@ class TestMonteCarlo:
             assert rep.value == hits / samples
             assert (rep.ci_low, rep.ci_high) == stats.clopper_pearson(hits, samples)
 
+    @pytest.mark.parametrize("names,k,report", [
+        (("d4", "q8"), 2, (1.0, 0.9999595781718432, 1.0)),
+        (("d4", "q8"), 3, (1.0, 0.9999595781718432, 1.0)),
+        (("heis27", "a4"), 2, (0.5536304196897912, 0.5500878483991989, 0.5571690927366001)),
+        (("heis27", "a4"), 3, (0.7015708803491184, 0.6983042883193809, 0.7048228188653838)),
+    ])
+    def test_seeded_table_products_pinned(self, names, k, report):
+        # Reports measured while table commutators were five gathers per
+        # lookup, before they were read from one cached commutator table.
+        G = direct_product(*(corpus_group(n) for n in names))
+        for threads in (1, 2):
+            rep = stats.dk_monte_carlo(G, k, 2 * stats.MC_CHUNK + 1, threads=threads)
+            assert (rep.value, rep.ci_low, rep.ci_high) == report
+
     def test_validation(self, family21):
         with pytest.raises(ValueError):
             stats.dk_monte_carlo(family21, 0, 10)
