@@ -510,13 +510,14 @@ class TableGroup:
             closure = _power_closure(self, np.array([0, *gens]))[0]
         return gens
 
-    # Element operations (elements are indices).
+    # Element operations (elements are indices; one outside [0, |G|) raises ValueError).
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        m = self.order
+        return int(self.table[_element_indices(m, a), _element_indices(m, b)])
 
     def inverse(self, a: int) -> int:
-        return int(self.inv_table[a])
+        return int(self.inv_table[_element_indices(self.order, a)])
 
     def commutator(self, a: int, b: int) -> int:
         return int(self.commutators(a, b))
@@ -525,7 +526,7 @@ class TableGroup:
         return int(self.long_commutators(elems))
 
     def conjugate(self, a: int, by: int) -> int:
-        t = self.table
+        t, a, by = self.table, _element_indices(self.order, a), _element_indices(self.order, by)
         return int(t[t[self.inv_table[by], a], by])
 
     def elements(self, cap: int | None = None) -> range:
@@ -580,7 +581,8 @@ class TableGroup:
 
     def quotients(self, a, b) -> np.ndarray:
         """a b^-1 entrywise."""
-        return self.table[a, self.inv_table[b]]
+        m = self.order
+        return self.table[_element_indices(m, a), self.inv_table[_element_indices(m, b)]]
 
     def identity_mask(self, a: np.ndarray) -> np.ndarray:
         return a == 0
@@ -596,7 +598,7 @@ class TableGroup:
         `conjugacy_classes`."""
         if cap is not None:
             _check_enum_cap(self.order, cap)
-        return self._labels[a]
+        return self._labels[_element_indices(self.order, a)]
 
     @cached_property
     def _class_size_of(self) -> np.ndarray:
@@ -604,10 +606,10 @@ class TableGroup:
         return np.bincount(self._labels)[self._labels]
 
     def class_sizes(self, a) -> np.ndarray:
-        return self._class_size_of[a]
+        return self._class_size_of[_element_indices(self.order, a)]
 
     def conjugacy_orbit(self, g: int, cap: int | None = None) -> set[int]:
-        t = self.table
+        t, g = self.table, _element_indices(self.order, g)
         orbit = np.unique(t[t[self.inv_table, g], np.arange(self.order)])
         if cap is not None and len(orbit) > cap:
             raise OrbitOverflowError(f"orbit exceeded cap {cap}")

@@ -341,8 +341,8 @@ def neumann_extract(G: TableGroup, norm: Callable[[int], float], C: float) -> Ne
         return NeumannReport(False, prob, C)
 
     # X = {a : P_b(norm[a,b] <= C) >= 1/(2C)}, H = <X>; symmetric for K.
-    H = subgroup_closure(G, np.flatnonzero(small.sum(axis=1) * 2 * C >= G.order))
-    K = subgroup_closure(G, np.flatnonzero(small.sum(axis=0) * 2 * C >= G.order))
+    H = subgroup_closure(G, np.flatnonzero(small.sum(axis=1) * (2 * C) >= G.order))
+    K = subgroup_closure(G, np.flatnonzero(small.sum(axis=0) * (2 * C) >= G.order))
 
     comm_hk = comm[np.ix_(sorted(H), sorted(K))]
     nm = norms[comm_hk]

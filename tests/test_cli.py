@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,15 @@ class TestCommands:
         )
         assert code == 1
         assert json.loads(out)["report"]["hypothesis_holds"] is False
+
+    def test_neumann_huge_level_does_not_overflow(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(
+                capsys, "neumann", "--table", "corpus:s3", "--norm", "discrete", "--C", "1e308",
+            )
+        assert code == 0
+        assert json.loads(out)["report"]["hypothesis_holds"] is True
 
     def test_bias_verify_quad(self, capsys):
         code, out = run_cli(capsys, "bias", "--verify-quad", "--p", "2", "--n", "1")

@@ -42,7 +42,7 @@ from nilprob.structure import (
     power_closure_radius,
     upper_central_series,
 )
-from nilprob.tables import CORPUS_NAMES, corpus_group, symmetric3
+from nilprob.tables import CORPUS_NAMES, corpus_group
 
 
 class TestFamilyElements:
@@ -229,7 +229,7 @@ class TestClassSizes:
 
 class TestTableGroup:
     def test_s3_loads_with_three_classes(self, tmp_path):
-        s3 = symmetric3()
+        s3 = corpus_group("s3")
         path = tmp_path / "s3.tbl"
         path.write_text(format_cayley_table(s3))
         loaded = load_cayley_table(path)
@@ -330,7 +330,7 @@ class TestTableGroup:
 
 class TestSubQuotientProduct:
     def test_subgroup_closure_and_table(self):
-        s3 = symmetric3()
+        s3 = corpus_group("s3")
         rot = next(g for g in s3.elements() if g != 0 and s3.mul(g, s3.mul(g, g)) == 0)
         H = subgroup_closure(s3, {rot})
         assert len(H) == 3
@@ -340,11 +340,11 @@ class TestSubQuotientProduct:
 
     def test_subgroup_table_rejects_empty_set(self):
         with pytest.raises(ValueError, match="identity"):
-            subgroup_table(symmetric3(), [])
+            subgroup_table(corpus_group("s3"), [])
 
     def test_subgroup_table_rejects_index_out_of_range(self):
         with pytest.raises(ValueError, match=r"element index 9 outside \[0, 6\)"):
-            subgroup_table(symmetric3(), [0, 9])
+            subgroup_table(corpus_group("s3"), [0, 9])
 
     def test_quotient_by_center(self):
         q8 = corpus_group("q8")
@@ -355,7 +355,7 @@ class TestSubQuotientProduct:
         assert Q.is_abelian
 
     def test_quotient_requires_normal(self):
-        s3 = symmetric3()
+        s3 = corpus_group("s3")
         refl = next(g for g in s3.elements() if g != 0 and s3.mul(g, g) == 0)
         H = subgroup_closure(s3, {refl})
         with pytest.raises(ValueError):
@@ -371,7 +371,7 @@ class TestSubQuotientProduct:
         prod = direct_product(c2, c3)
         assert prod.order == 6
         assert prod.is_abelian
-        s3xs3 = direct_product(symmetric3(), symmetric3())
+        s3xs3 = direct_product(corpus_group("s3"), corpus_group("s3"))
         assert s3xs3.order == 36
         assert not s3xs3.is_abelian
 
@@ -449,7 +449,7 @@ def oracle_groups(corpus_groups):
     return {
         **corpus_groups,
         "d4xc2": direct_product(corpus_group("d4"), corpus_group("c2")),
-        "s3xc3": direct_product(symmetric3(), corpus_group("c3")),
+        "s3xc3": direct_product(corpus_group("s3"), corpus_group("c3")),
     }
 
 
@@ -563,7 +563,7 @@ class TestCommutatorTable:
                 G.commutators(bad, 0)
 
     def test_s3_flat_index_does_not_wrap_rows(self):
-        s3 = symmetric3()
+        s3 = corpus_group("s3")
         with pytest.raises(ValueError, match=r"element index 7 outside \[0, 6\)"):
             s3.commutators(0, 7)
 
@@ -580,7 +580,21 @@ class TestCommutatorTable:
 @pytest.mark.parametrize("bad", [-1, 6])
 def test_element_index_out_of_range(fn, bad):
     with pytest.raises(ValueError, match=rf"element index {bad} outside \[0, 6\)"):
-        fn(symmetric3(), [0, bad])
+        fn(corpus_group("s3"), [0, bad])
+
+
+@pytest.mark.parametrize("call", [
+    lambda G, x: G.mul(x, 1), lambda G, x: G.mul(1, x), lambda G, x: G.inverse(x),
+    lambda G, x: G.conjugate(x, 1), lambda G, x: G.conjugate(1, x),
+    lambda G, x: G.quotients(x, 0), lambda G, x: G.quotients(0, x),
+    lambda G, x: G.class_labels(x), lambda G, x: G.class_sizes(x),
+    lambda G, x: G.class_size(x), lambda G, x: G.conjugacy_orbit(x),
+], ids=["mul-a", "mul-b", "inverse", "conjugate-a", "conjugate-by", "quotients-a",
+        "quotients-b", "class_labels", "class_sizes", "class_size", "conjugacy_orbit"])
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_table_method_index_out_of_range(call, bad):
+    with pytest.raises(ValueError, match=rf"element index {bad} outside \[0, 6\)"):
+        call(corpus_group("s3"), bad)
 
 
 # Loop references for the exact associativity check, the one class-label pass

@@ -12,7 +12,7 @@ from nilprob.errors import CapExceededError
 from nilprob.fieldlin import BilinearForm, pivot_rows, rank_stack
 from nilprob.groups import AlgebraGroup, direct_product, quotient_table, subgroup_table
 from nilprob.structure import subgroups
-from nilprob.tables import corpus_group, symmetric3
+from nilprob.tables import corpus_group
 from nilprob import groups, stats
 from nilprob._batch import BLOCK
 
@@ -80,7 +80,7 @@ class TestD1:
         assert stats.d1_exact(corpus_group("c6")).value == 1
 
     def test_s3_pair_count(self):
-        S3 = symmetric3()
+        S3 = corpus_group("s3")
         rep = stats.d1_exact(S3)
         assert rep.value == Fraction(1, 2)
         assert rep.value == Fraction(commuting_pair_count(S3), S3.order**2)
@@ -125,7 +125,7 @@ class TestD2:
         assert stats.d2_exact(corpus_group("d4")).value == 1
 
     def test_s3_brute_force(self):
-        S3 = symmetric3()
+        S3 = corpus_group("s3")
         assert stats.d2_exact(S3).value == d2_brute(S3) == Fraction(3, 4)
 
     def test_matches_brute_force_on_small_groups(self):
@@ -299,7 +299,7 @@ class TestMonteCarlo:
         assert hits >= 48
 
     def test_table_group_k1_matches_d1(self):
-        S3 = symmetric3()
+        S3 = corpus_group("s3")
         exact = float(stats.d1_exact(S3).value)
         rep = stats.dk_monte_carlo(S3, 1, 200_000, seed=4)
         assert rep.ci_low <= exact <= rep.ci_high
@@ -368,7 +368,7 @@ class TestMonteCarlo:
         d = rep.to_json_dict()
         assert d["kind"] == "monte-carlo"
         assert set(d) == {"kind", "estimate", "ci_low", "ci_high", "samples", "seed", "elapsed_ms"}
-        exact = stats.d1_exact(symmetric3()).to_json_dict()
+        exact = stats.d1_exact(corpus_group("s3")).to_json_dict()
         assert set(exact) == {"kind", "value_num", "value_den", "elapsed_ms"}
         json.dumps(d), json.dumps(exact)
 
@@ -392,7 +392,7 @@ class TestClopperPearson:
 class TestConjugacyNorm:
     def test_identity_is_zero(self, family21):
         assert stats.conjugacy_norm(family21, family21.identity) == 0.0
-        assert stats.conjugacy_norm(symmetric3(), 0) == 0.0
+        assert stats.conjugacy_norm(corpus_group("s3"), 0) == 0.0
 
     def test_invariance_and_symmetry(self, family21):
         rng = np.random.default_rng(6)
@@ -477,7 +477,7 @@ class TestCovering:
         assert w.ok
 
     def test_s3_bound1_counterexample(self):
-        S3 = symmetric3()
+        S3 = corpus_group("s3")
         w = stats.covering_check(S3, 1, [0])
         assert not w.ok
         assert w.counterexample is not None
@@ -497,7 +497,7 @@ class TestCovering:
         assert (w.checked, w.counterexample, w.verified_fraction) == (500, 8, 0)
 
     def test_sampled_matches_per_sample_loop(self, family21, family22):
-        s3 = symmetric3()
+        s3 = corpus_group("s3")
         s3_cubed = direct_product(direct_product(s3, s3), s3)
         rrr = 3 * 36 + 3 * 6 + 3          # (r, r, r) with r = 3 of order 3 in s3
         comm = stats.commutator_set(s3_cubed)
@@ -528,7 +528,7 @@ class TestCovering:
                     assert stats.covering_check(G, n + 1, [0]).ok
                     for extra in comm[:3]:
                         assert stats.covering_check(G, n, [0, extra]).ok
-        S3 = symmetric3()
+        S3 = corpus_group("s3")
         assert not stats.covering_check(S3, 1, [0]).ok
         assert stats.covering_check(S3, 2, [0]).ok
         assert stats.covering_check(S3, 1, stats.commutator_set(S3)).ok
@@ -560,7 +560,7 @@ class TestCovering:
     def test_minimal_s_s3_exact_cover(self):
         # with n = 1 the ball around s is {s} itself, so S must be the whole
         # commutator set: all three rotations' values
-        S3 = symmetric3()
+        S3 = corpus_group("s3")
         w = stats.covering_minimal_S(S3, 1)
         assert w.ok
         assert w.exact_minimum is True
@@ -570,7 +570,7 @@ class TestCovering:
 
 class TestSubmultiplicativity:
     def pairs(self):
-        S3 = symmetric3()
+        S3 = corpus_group("s3")
         D4 = corpus_group("d4")
         Q8 = corpus_group("q8")
         A4 = corpus_group("a4")
@@ -597,6 +597,6 @@ class TestSubmultiplicativity:
 
     def test_direct_product_tightness(self):
         # d2(S3 x S3) = d2(S3)^2: the inequality is sharp here
-        S3 = symmetric3()
+        S3 = corpus_group("s3")
         prod = direct_product(S3, S3)
         assert stats.d2_exact(prod).value == stats.d2_exact(S3).value ** 2

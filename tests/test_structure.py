@@ -9,7 +9,7 @@ from nilprob.algebra import AlgebraParams, lie_bracket, AlgebraElement
 from nilprob.errors import CapExceededError, DegenerateFormError
 from nilprob.fieldlin import BilinearForm, FpVector, form_eval, nullspace, rref
 from nilprob.groups import direct_product, subgroup_closure
-from nilprob.tables import corpus_group, cyclic, symmetric3
+from nilprob.tables import corpus_group
 from nilprob import stats, structure as st
 
 
@@ -88,7 +88,7 @@ class TestSeries:
         assert upper.orders[-1] == 27
 
     def test_s3_not_nilpotent(self):
-        S3 = symmetric3()
+        S3 = corpus_group("s3")
         assert st.nilpotency_class(S3) is None
         assert st.derived_length(S3) == 2
         lower = st.lower_central_series(S3)
@@ -131,7 +131,7 @@ class TestBaer:
 
 class TestEngel:
     def test_abelian_is_one(self):
-        assert st.engel_degree(cyclic(4)) == 1
+        assert st.engel_degree(corpus_group("c4")) == 1
 
     def test_q8_is_two(self):
         assert st.engel_degree(corpus_group("q8")) == 2
@@ -139,11 +139,11 @@ class TestEngel:
     @pytest.mark.parametrize("max_l", [0, -1])
     def test_limit_below_one_rejected(self, max_l):
         with pytest.raises(ValueError, match="max_l must be >= 1"):
-            st.engel_degree(cyclic(4), max_l=max_l)
+            st.engel_degree(corpus_group("c4"), max_l=max_l)
 
     def test_s3_is_none(self):
-        assert st.engel_degree(symmetric3()) is None
-        assert st.engel_degree(symmetric3(), max_l=25) is None
+        assert st.engel_degree(corpus_group("s3")) is None
+        assert st.engel_degree(corpus_group("s3"), max_l=25) is None
 
     def test_heisenberg_is_two(self):
         assert st.engel_degree(corpus_group("heis27")) == 2
@@ -151,19 +151,19 @@ class TestEngel:
 
 class TestPowerClosure:
     def test_whole_group(self):
-        assert st.power_closure_radius(symmetric3(), range(6)) == 1
+        assert st.power_closure_radius(corpus_group("s3"), range(6)) == 1
 
     def test_c8_generator(self):
-        C8 = cyclic(8)
+        C8 = corpus_group("c8")
         r = st.power_closure_radius(C8, {0, 1, 7})
         assert r == 4
         assert r <= 3 * (8 // 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            st.power_closure_radius(cyclic(4), {1, 3})       # no identity
+            st.power_closure_radius(corpus_group("c4"), {1, 3})       # no identity
         with pytest.raises(ValueError):
-            st.power_closure_radius(cyclic(4), {0, 1})       # not symmetric
+            st.power_closure_radius(corpus_group("c4"), {0, 1})       # not symmetric
 
     def test_bound_on_random_symmetric_subsets(self, corpus_groups):
         rng = random.Random(0)
@@ -291,7 +291,7 @@ class TestNeumannExtract:
         assert len(rep.centers) <= rep.D**2 + 1e-9
 
     def test_hypothesis_failure_reported(self):
-        S3 = symmetric3()
+        S3 = corpus_group("s3")
         rep = st.neumann_extract(S3, st.discrete_norm(S3), 1.0)
         assert not rep.hypothesis_holds
         assert rep.hypothesis_probability == Fraction(1, 2)
@@ -317,17 +317,17 @@ class TestNeumannExtract:
 
 class TestSubgroupsPareto:
     def test_subgroup_counts(self):
-        assert len(st.subgroups(symmetric3())) == 6
+        assert len(st.subgroups(corpus_group("s3"))) == 6
         assert len(st.subgroups(corpus_group("q8"))) == 6
         assert len(st.subgroups(corpus_group("d4"))) == 10
         assert len(st.subgroups(corpus_group("a4"))) == 10
         assert len(st.subgroups(corpus_group("heis27"))) == 19
 
     def test_pareto_abelian(self):
-        assert st.neumann_pareto(cyclic(6)) == [(1, 1)]
+        assert st.neumann_pareto(corpus_group("c6")) == [(1, 1)]
 
     def test_pareto_s3(self):
-        frontier = st.neumann_pareto(symmetric3())
+        frontier = st.neumann_pareto(corpus_group("s3"))
         assert (2, 1) in frontier        # the cyclic rotation subgroup
         assert frontier == [(1, 3), (2, 1)]
 
