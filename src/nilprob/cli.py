@@ -154,6 +154,8 @@ def _cmd_dk(args: argparse.Namespace, k: int) -> tuple[int, dict, dict]:
         _refuse_unread(args, "--mc", "cap")
     else:
         _refuse_unread(args, "--exact", "samples", "seed")
+    if args.cap is not None and args.cap < 0:
+        raise UsageError(f"need cap >= 0, got {args.cap}")
     G, info = _group_from_args(args)
     if args.mc:
         rep = stats.dk_monte_carlo(G, k, args.samples, seed=args.seed, threads=args.threads)

@@ -21,10 +21,10 @@ generator induces: every element is labelled by the least index in its
 class.  Both group types share a set of stack operations (`all_elements`,
 `repeat`, `stack`, `commutators`, `long_commutators`, `quotients`,
 `identity_mask`, `class_labels`, `class_sizes`, `sample_batch`) and the
-sum behind d2, `commutator_centralizer_sum` (a class loop for tables, a
-graded average over grade-1 pairs for the family), so statistics are
-written once for both.  A stack is a `Batch` of L1-parts for the family
-and an index array for tables.
+sum behind d2, `commutator_centralizer_sum` (a count of commutator-table
+values for tables, a graded average over grade-1 pairs for the family),
+so statistics are written once for both.  A stack is a `Batch` of
+L1-parts for the family and an index array for tables.
 """
 
 from __future__ import annotations
@@ -89,12 +89,6 @@ def _check_enum_cap(order: int, cap: int) -> None:
         raise CapExceededError(f"group order {order} exceeds enumeration cap {cap}")
 
 
-def _label_classes(labels: np.ndarray) -> tuple[list[int], list[int]]:
-    """Class representatives (the labelled points, in index order) and sizes."""
-    reps = np.flatnonzero(labels == np.arange(len(labels)))
-    return reps.tolist(), np.bincount(labels)[reps].tolist()
-
-
 class GroupElement(FlatDigits):
     """Element 1 + a of the family group, stored by the L1 digits of a."""
 
@@ -143,14 +137,15 @@ class GroupElement(FlatDigits):
         return f"GroupElement(coords={self.digits!r})"
 
 
-def _same_params(g: GroupElement, h: GroupElement) -> AlgebraParams:
-    if g.params != h.params:
+def _checked(params: AlgebraParams, elems: Sequence[GroupElement]) -> Sequence[GroupElement]:
+    """elems, checked to be elements of the group of params."""
+    if [g.params for g in elems].count(params) != len(elems):
         raise ParamsMismatchError("elements belong to different groups")
-    return g.params
+    return elems
 
 
 def _stack(params: AlgebraParams, elems: Sequence[GroupElement]) -> Batch:
-    flat = np.array([g.digits for g in elems], dtype=np.int64)
+    flat = np.array([g.digits for g in _checked(params, elems)], dtype=np.int64)
     return params.engine.from_coords(flat.reshape(len(elems), params.dim_l1))
 
 
@@ -164,7 +159,7 @@ def _one(params: AlgebraParams, b: Batch) -> GroupElement:
 
 def grp_mul(g: GroupElement, h: GroupElement) -> GroupElement:
     """(1+a)(1+b) = 1 + a + b + ab."""
-    params = _same_params(g, h)
+    params = g.params
     return _one(params, params.engine.grp_mul(_stack(params, [g]), _stack(params, [h])))
 
 
@@ -270,22 +265,22 @@ class AlgebraGroup:
             mats[k] = eng.coords(conj).T % self.params.p
         return mats
 
-    # Element-level conveniences mirroring the module functions.
+    # Element-level conveniences mirroring the module functions, for this group's elements.
 
     def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        return grp_mul(g, h)
+        return grp_mul(*_checked(self.params, (g, h)))
 
     def inverse(self, g: GroupElement) -> GroupElement:
-        return grp_inv(g)
+        return grp_inv(*_checked(self.params, (g,)))
 
     def commutator(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        return commutator(g, h)
+        return commutator(*_checked(self.params, (g, h)))
 
     def long_commutator(self, elems: Sequence[GroupElement]) -> GroupElement:
-        return long_commutator(elems)
+        return long_commutator(_checked(self.params, elems))
 
     def conjugate(self, g: GroupElement, by: GroupElement) -> GroupElement:
-        return conjugate(g, by)
+        return conjugate(*_checked(self.params, (g, by)))
 
     def random_elements(self, rng: np.random.Generator, count: int) -> list[GroupElement]:
         return _elements(self.params, self.batch.coords(self.sample_batch(rng, count)))
@@ -310,6 +305,7 @@ class AlgebraGroup:
         return idx[:, None] // self._place_values % self.params.p
 
     def repeat(self, g: GroupElement, n: int) -> Batch:
+        _checked(self.params, (g,))
         return self.batch.from_coords(np.tile(np.array(g.digits, dtype=np.int64), (n, 1)))
 
     def stack(self, elems: Sequence[GroupElement]) -> Batch:
@@ -420,7 +416,7 @@ class AlgebraGroup:
     def conjugacy_orbit(self, g: GroupElement, cap: int = DEFAULT_ORBIT_CAP) -> set[GroupElement]:
         """The class of g, closed under the conjugation matrices one layer at
         a time; needs no enumeration of G."""
-        start = np.array(g.digits, dtype=np.uint8)
+        start = self.batch.coords(self.stack([g]))[0].astype(np.uint8)
         seen = {start.tobytes()}
         frontier = [start]
         while frontier:
@@ -443,8 +439,10 @@ class AlgebraGroup:
     def conjugacy_classes(self, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[GroupElement, int]]:
         """(representative, size) pairs, each class represented by its least
         member in coordinate order; requires an enumerable group."""
-        reps, sizes = _label_classes(self._class_label_array(cap))
-        return list(zip(_elements(self.params, self._digits(np.array(reps))), sizes))
+        labels = self._class_label_array(cap)
+        reps = np.flatnonzero(labels == np.arange(self.order))
+        sizes = np.bincount(labels)[reps].tolist()
+        return list(zip(_elements(self.params, self._digits(reps)), sizes))
 
 
 class TableGroup:
@@ -619,7 +617,8 @@ class TableGroup:
         """(representative, size) pairs, each class represented by its least
         member."""
         _check_enum_cap(self.order, cap)
-        return list(zip(*_label_classes(self._labels)))
+        reps = np.flatnonzero(self._labels == np.arange(self.order))
+        return list(zip(reps.tolist(), self._class_size_of[reps].tolist()))
 
     def class_size(self, g: int) -> int:
         return int(self.class_sizes(g))
@@ -633,18 +632,15 @@ class TableGroup:
 
     def commutator_centralizer_sum(self, cap: int) -> int:
         """The sum of |C_G([x, y])| over x, y in G (d2 is this sum over
-        |G|^3), with x reduced to class representatives weighted by class
-        size, since [x^g, y] = [x, y^(g^-1)]^g; `cap` bounds |G|, the
-        enumeration and the class listing."""
-        if self.order > cap:
-            raise CapExceededError(f"|G| = {self.order} exceeds d2 cap {cap}")
-        order = self.order
-        elems = self.all_elements(cap)
-        total = 0
-        for rep, size in self.conjugacy_classes(cap):
-            comms = self.commutators(self.repeat(rep, order), elems)
-            total += size * int((order // self.class_sizes(comms)).sum())
-        return total
+        |G|^3): every value v of the commutator table, counted N(v) times,
+        has |C_G(v)| = |G| / |v^G|.  The values are counted in the row blocks
+        the table is built in; `cap` bounds |G|."""
+        m = self.order
+        if m > cap:
+            raise CapExceededError(f"|G| = {m} exceeds d2 cap {cap}")
+        flat, block = self._commutator_table, max(1, _ASSOC_BLOCK_ENTRIES // m) * m
+        counts = sum(np.bincount(flat[i : i + block], minlength=m) for i in range(0, m * m, block))
+        return int(counts @ (m // self._class_size_of))
 
     def __repr__(self) -> str:
         return f"TableGroup({self.name!r}, order={self.order})"

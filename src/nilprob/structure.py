@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import AlgebraParams
 from .errors import CapExceededError, DegenerateFormError
 from .fieldlin import FpVector, all_vectors, nullspace, rref
-from .groups import TableGroup, _orbit_labels, _power_closure, subgroup_closure
+from .groups import TableGroup, _element_indices, _orbit_labels, _power_closure, subgroup_closure
 
 SERIES_CAP = 1 << 12
 SUBGROUP_ENUM_CAP = 64
@@ -202,7 +202,7 @@ def power_closure_radius(G: TableGroup, X: Iterable[int]) -> int:
 
     The radius always satisfies r <= 3 * floor(|G| / |X|).
     """
-    x = np.unique(np.fromiter(X, dtype=np.int64))
+    x = np.unique(_element_indices(G.order, np.fromiter(X, dtype=np.int64)))
     if not (x == 0).any():
         raise ValueError("X must contain the identity")
     if not np.isin(G.inv_table[x], x).all():

@@ -269,13 +269,24 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: need samples >= 1\n"
 
-    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("cap", ["0"])
     def test_cap_zero_is_a_cap(self, capsys, cap):
         code = main(["d2", "--family", "--p", "2", "--n", "1", "--exact", "--cap", cap])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
         assert captured.err == f"cap exceeded: p^(2d) = 16 grade-1 pairs exceed d2 cap {cap}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["d1", "--table", "corpus:s3"], ["d2", "--table", "corpus:s3"],
+        ["d2", "--family", "--p", "2", "--n", "1"],
+    ], ids=["d1", "d2", "d2-family"])
+    def test_negative_cap_is_two(self, capsys, argv):
+        code = main(argv + ["--exact", "--cap", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: need cap >= 0, got -1\n"
 
     @pytest.mark.parametrize("argv", [
         ["d1", "--exact"], ["d2", "--exact"], ["cover", "--n-bound", "1"],

@@ -74,6 +74,20 @@ class TestFamilyElements:
         with pytest.raises(ParamsMismatchError):
             grp_mul(family21.identity, family22.identity)
 
+    @pytest.mark.parametrize("call", [
+        lambda G, g, h: G.stack([g, h]), lambda G, g, h: G.repeat(g, 2),
+        lambda G, g, h: G.class_size(g), lambda G, g, h: G.conjugacy_orbit(g),
+        lambda G, g, h: G.mul(g, h), lambda G, g, h: G.inverse(g),
+        lambda G, g, h: G.commutator(g, h), lambda G, g, h: G.long_commutator([g, h]),
+        lambda G, g, h: G.conjugate(g, h),
+    ], ids=["stack", "repeat", "class_size", "conjugacy_orbit", "mul", "inverse",
+            "commutator", "long_commutator", "conjugate"])
+    def test_method_rejects_other_params(self, family21, family31, call):
+        # (2,1) and (3,1) share dim_l1 = 9, so only the params tell them apart
+        g, h = family31.generators[0], family31.generators[1]
+        with pytest.raises(ParamsMismatchError):
+            call(family21, g, h)
+
     def test_associativity_sampled(self, family22):
         rng = np.random.default_rng(2)
         eng = family22.batch
@@ -576,7 +590,7 @@ class TestCommutatorTable:
         assert vars(G)["_commutator_table"].dtype == np.uint8
 
 
-@pytest.mark.parametrize("fn", [subgroup_closure, is_normal, quotient_table])
+@pytest.mark.parametrize("fn", [subgroup_closure, is_normal, quotient_table, power_closure_radius])
 @pytest.mark.parametrize("bad", [-1, 6])
 def test_element_index_out_of_range(fn, bad):
     with pytest.raises(ValueError, match=rf"element index {bad} outside \[0, 6\)"):

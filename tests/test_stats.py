@@ -12,7 +12,7 @@ from nilprob.errors import CapExceededError
 from nilprob.fieldlin import BilinearForm, pivot_rows, rank_stack
 from nilprob.groups import AlgebraGroup, direct_product, quotient_table, subgroup_table
 from nilprob.structure import subgroups
-from nilprob.tables import corpus_group
+from nilprob.tables import CORPUS_NAMES, corpus_group
 from nilprob import groups, stats
 from nilprob._batch import BLOCK
 
@@ -38,7 +38,8 @@ def d2_brute(G):
 def d2_class_loop(G, cap):
     """d2 by enumeration: x over class representatives weighted by class
     size, y over G, and |C_G([x, y])| from the class size of each commutator
-    (the route the family used before its graded one)."""
+    (independent of the family's graded average and of the tables' count of
+    commutator-table values)."""
     order = G.order
     elems = G.all_elements(cap)
     total = 0
@@ -160,14 +161,28 @@ class TestD2:
         with pytest.raises(CapExceededError):
             stats.d2_exact(family(2, 3))
 
-    @pytest.mark.parametrize("name", ["a4"])
-    def test_cap_bounds_class_listing(self, monkeypatch, name):
-        # d2's cap, not the default enumeration cap, bounds the class listing
-        G = corpus_group(name)
-        listing, seen = G.conjugacy_classes, []
-        monkeypatch.setattr(G, "conjugacy_classes", lambda cap: seen.append(cap) or listing(cap))
-        stats.d2_exact(G, cap=G.order)
-        assert seen == [G.order]
+    def test_table_cap_bounds_order(self, monkeypatch):
+        # a table's cap bounds |G|, and the commutator-table count lists no
+        # classes
+        G = corpus_group("a4")
+        monkeypatch.setattr(G, "conjugacy_classes", None)
+        assert stats.d2_exact(G, cap=12).value == Fraction(5, 9)
+        with pytest.raises(CapExceededError) as exc:
+            stats.d2_exact(G, cap=11)
+        assert str(exc.value) == "|G| = 12 exceeds d2 cap 11"
+
+    def test_table_count_over_row_blocks(self, monkeypatch):
+        # 5-row blocks of a4's 12 rows, the last one short
+        monkeypatch.setattr(groups, "_ASSOC_BLOCK_ENTRIES", 60)
+        assert stats.d2_exact(corpus_group("a4")).value == Fraction(5, 9)
+
+    @pytest.mark.parametrize("factors", [(name,) for name in CORPUS_NAMES]
+                             + [("d4", "q8"), ("heis27", "a4")], ids="x".join)
+    def test_table_matches_class_loop(self, factors):
+        G = corpus_group(factors[0])
+        for name in factors[1:]:
+            G = direct_product(G, corpus_group(name))
+        assert stats.d2_exact(G, cap=G.order).value == d2_class_loop(G, G.order)
 
     def test_family_cap_bounds_pairs(self, monkeypatch):
         # the family's cap counts the p^(2d) grade-1 pairs, not |G|, and the
