@@ -33,21 +33,35 @@ and in the last two terms the rank-one part of U leaves
 -vec(A + B) M vec(C).  `commutator` evaluates these terms and no others:
 no U matrix and no general product.
 
-A commutator value has no grade-1 part, so each step of a left-normed
-commutator [x1, ..., xk] after the first has a1 = 0.  Then C = 0, u c is
-the one term -b1^T F c3, and the step is
+A commutator value has no grade-1 part.  For an a with a1 = 0, C = 0
+and u c is the one term -b1^T F c3, so [1+a, 1+b] has grades 1 and 2 zero
+and
 
     c3 = A F b1 - b1^T F A
-    c4 = a3^T (F - F^T) b1 + vec(A) M_A vec(B) - b1^T F c3,  M_A = M - M^T
+    c4 = a3^T (F - F^T) b1 + vec(A) M_A vec(B) - b1^T F c3,  M_A = M - M^T.
 
-with grades 1 and 2 of the result 0: two matvecs, one bilinear form and a
-few dots.  `long_commutator` runs the first step and these steps in blocks
-of BLOCK rows, into one output stack.  The blocks bound peak memory and
-keep a step's temporaries in cache.  The temporaries of a whole 65536-row
-Monte Carlo chunk are tens of megabytes per thread, and the allocator
-keeps them after two threads have run: on the benchmark's family-mc
-workload (2-vCPU VM), whole-chunk steps measured peak_rss_mb 292 and
-stage1_ref 7.6, 4096-row blocks 204 and 5.3.
+`long_commutator` of two stacks is `commutator`, run in blocks of BLOCK
+rows like the steps below.  A longer chain computes only the grades its
+later steps read.  Step 2 reads of [1+a, 1+b] only C and the grade-3 part
+u3 = c3 + w3, where w3 = (b1^T F s) a1 - (a1^T F s) b1, so step 1 builds
+nothing else: no grade-4 terms and no d x d matrix.
+Since C = a1 b1^T - b1 a1^T has rank two, step 2, against 1+z, is
+
+    c3' = (b1^T F z1 + z1^T F b1) a1 - (a1^T F z1 + z1^T F a1) b1
+    c4' = u3^T (F - F^T) z1 - z1^T F c3' + vec(C) M_A vec(Z),
+
+four dot products where the general step has two batched d x d products,
+and vec(C) is formed only on the rows of the cut M_A.  Its value lies in
+grades 3 and 4, so every later step has A = 0: c3 = 0 and
+c4 = c3_prev^T (F - F^T) w1, which makes every 5-fold commutator 1.
+Steps 1 and 2 each run in blocks of BLOCK rows, which keep their
+temporaries in cache and bounded.  The chain draws each stack only when
+it reaches it: it holds the first two while step 1 runs, then a1, b1 and
+u3 (3d columns) and the third stack, then only (c3, c4), d + 1 columns,
+while each later stack is drawn.  So the third stack reuses the memory the
+first two just freed, and a Monte Carlo tuple of three or more entries is
+decided from (c3, c4) alone (`trivial_long_commutator`): no full output
+stack is built.
 
 The independent oracle lives in the tests: the structure-constant tensor
 of R, built from the generating rules on basis vectors alone.
@@ -55,7 +69,7 @@ of R, built from the generating rules on basis vectors alone.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -264,41 +278,79 @@ class BatchAlg:
         m = self._mod
         return Batch(np.zeros(n, dtype=np.int64), np.zeros_like(a1), m(C), m(c3 + w3), m(c4 + w4))
 
-    def _reduced_commutator(self, a: Batch, b: Batch) -> tuple[np.ndarray, np.ndarray]:
-        """Grades 3 and 4 of [1+a, 1+b] for an a with no grade-1 part; the
-        other grades of the result are 0."""
-        A, a3, b1 = a.r2, a.r3, b.r1
-        n, dd = a.count, self.d * self.d
-        fb, gb = _times(b1, self.F.T), _times(b1, self.F)
-        c3 = _matvec(A, fb) - _vecmat(gb, A)
-        c4 = (
-            _dot(a3, fb - gb) - _dot(gb, c3)
-            + _bilinear(A.reshape(n, dd), b.r2.reshape(n, dd), self.MA)
-        )
+    def _first_step(self, a: Batch, b: Batch) -> np.ndarray:
+        """Grade 3 of [1+a, 1+b], c3 + w3, where w3 = (b1^T F s) a1 - (a1^T F s) b1
+        with s = a1 + b1; it reads only the grade-1 and grade-2 parts."""
+        a1, A, b1, B, F = a.r1, a.r2, b.r1, b.r2, self.F
+        fa, fb, ga, gb = _times(a1, F.T), _times(b1, F.T), _times(a1, F), _times(b1, F)
+        fs = fa + fb
+        c3 = _vecmat(ga, B) + _matvec(A, fb) - _vecmat(gb, A) - _matvec(B, fa)
+        return self._mod(c3 + _dot(b1, fs)[:, None] * a1 - _dot(a1, fs)[:, None] * b1)
+
+    def _second_step(self, a1, b1, u3, z: Batch) -> tuple[np.ndarray, np.ndarray]:
+        """Grades 3 and 4 of [[1+a, 1+b], 1+z] from a1, b1, the grade-3 part
+        u3 of [1+a, 1+b] and z (see the module docstring)."""
+        z1, F = z.r1, self.F
+        fz, gz = _times(z1, F.T), _times(z1, F)
+        hz = fz + gz
+        c3 = _dot(b1, hz)[:, None] * a1 - _dot(a1, hz)[:, None] * b1
+        # vec(C) on the rows of the cut M_A only, C_ik = a1_i b1_k - b1_i a1_k.
+        rows, cols, block = self.MA
+        i, k = np.divmod(rows, self.d)
+        C = a1[:, i] * b1[:, k] - b1[:, i] * a1[:, k]
+        Z = z.r2.reshape(len(z1), self.d * self.d)[:, cols]
+        c4 = _dot(u3, fz - gz) - _dot(gz, c3) + _dot(_times(C, block), Z)
         return self._mod(c3), self._mod(c4)
 
-    def long_commutator(self, stacks: Iterable[Batch]) -> Batch:
-        """Left-normed [1+a_1, ..., 1+a_k] for k >= 2 stacks, taken from the
-        iterable one at a time: `commutator` for the first step and
-        `_reduced_commutator` for each later one, in blocks of BLOCK rows."""
-        it = iter(stacks)
-        first, second = next(it, None), next(it, None)
-        if second is None:
+    def _chain(self, draw: Callable[[], Batch], count: int) -> Batch | tuple[np.ndarray, np.ndarray]:
+        """Left-normed [1+a_1, ..., 1+a_count] for count >= 2 stacks, each
+        taken from `draw()` only when the chain reaches it (see the module
+        docstring): the `commutator` stack of two stacks, and the grades 3
+        and 4, (c3, c4), of more."""
+        if count < 2:
             raise ValueError("long commutator needs at least 2 entries")
-        n = first.count
-        out = self.zeros(n)
+        first, second = draw(), draw()
+        n, d = first.count, self.d
         blocks = [slice(i, i + BLOCK) for i in range(0, n, BLOCK)]
-        for rows in blocks:
-            step = self.commutator(_rows(first, rows), _rows(second, rows))
-            for dst, src in zip(out, step):
-                dst[rows] = src
-        del first, second   # free them before the next stack is drawn
-        for b in it:
+        if count == 2:
+            out = self.zeros(n)
             for rows in blocks:
-                acc = _rows(out, rows)
-                acc.r3[:], acc.c4[:] = self._reduced_commutator(acc, _rows(b, rows))
-                acc.r2[:] = 0
-        return out
+                step = self.commutator(_rows(first, rows), _rows(second, rows))
+                for dst, src in zip(out, step):
+                    dst[rows] = src
+            return out
+        a1, b1, u3 = first.r1, second.r1, np.empty((n, d), dtype=np.int64)
+        for rows in blocks:
+            u3[rows] = self._first_step(_rows(first, rows), _rows(second, rows))
+        del first, second   # free them before the next stack is drawn
+        z = draw()
+        c3, c4 = np.empty_like(u3), np.empty(n, dtype=np.int64)
+        for rows in blocks:
+            c3[rows], c4[rows] = self._second_step(a1[rows], b1[rows], u3[rows], _rows(z, rows))
+        del a1, b1, u3, z
+        for _ in range(count - 3):
+            w1 = draw().r1
+            c3, c4 = np.zeros_like(c3), self._mod(_dot(c3, _times(w1, self.F.T - self.F)))
+        return c3, c4
+
+    def long_commutator(self, stacks: Iterable[Batch]) -> Batch:
+        """Left-normed [1+a_1, ..., 1+a_k] for k >= 2 stacks."""
+        stacks = list(stacks)
+        out = self._chain(iter(stacks).__next__, len(stacks))
+        if isinstance(out, Batch):
+            return out
+        c3, c4 = out
+        return self.zeros(len(c4))._replace(r3=c3, c4=c4)
+
+    def trivial_long_commutator(self, draw: Callable[[], Batch], count: int) -> np.ndarray:
+        """Which entries of the left-normed commutator of `count` stacks,
+        drawn one at a time by `draw()`, are the identity; reads only the
+        grades the chain computes."""
+        out = self._chain(draw, count)
+        if isinstance(out, Batch):
+            return self.is_identity(out)
+        c3, c4 = out
+        return ~c3.any(1) & (c4 == 0)
 
     def conjugate(self, a: Batch, by: Batch) -> Batch:
         inv = self.grp_inv(by)

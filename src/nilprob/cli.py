@@ -59,6 +59,14 @@ def _refuse_unread(args: argparse.Namespace, path: str, *dests: str) -> None:
             raise UsageError(f"--{dest.replace('_', '-')} and {path} exclude each other")
 
 
+def _check_sampling(args: argparse.Namespace) -> None:
+    """Usage errors for the --samples and --seed of a sampled path."""
+    if args.samples < 1:
+        raise UsageError("need samples >= 1")
+    if args.seed < 0:
+        raise UsageError(f"need seed >= 0, got {args.seed}")
+
+
 def _group_from_args(args: argparse.Namespace) -> tuple[Any, dict]:
     """The group that the flags name, and the `group` block of its report."""
     if getattr(args, "table", None):
@@ -131,8 +139,7 @@ def _payload(args: argparse.Namespace, group_info: dict, report: dict) -> dict:
 
 
 def _cmd_family(args: argparse.Namespace) -> tuple[int, dict, dict]:
-    if args.samples < 1:
-        raise UsageError("need samples >= 1")
+    _check_sampling(args)
     G, info = _group_from_args(args)
     rep = stats.dk_monte_carlo(G, 4, args.samples, seed=args.seed, threads=args.threads)
     five_fold_trivial = rep.value == 1
@@ -152,6 +159,7 @@ def _cmd_family(args: argparse.Namespace) -> tuple[int, dict, dict]:
 def _cmd_dk(args: argparse.Namespace, k: int) -> tuple[int, dict, dict]:
     if args.mc:
         _refuse_unread(args, "--mc", "cap")
+        _check_sampling(args)
     else:
         _refuse_unread(args, "--exact", "samples", "seed")
     if args.cap is not None and args.cap < 0:
@@ -191,6 +199,8 @@ def _cmd_cover(args: argparse.Namespace) -> tuple[int, dict, dict]:
         _refuse_unread(args, "--minimal", "s", "s_file", "mode", "samples", "seed")
     elif args.mode == "exhaustive":
         _refuse_unread(args, "--mode exhaustive", "samples", "seed")
+    else:
+        _check_sampling(args)
     if args.s_file:
         _refuse_unread(args, "--s-file", "s")
     G, info = _group_from_args(args)
@@ -273,6 +283,7 @@ def _cmd_neumann(args: argparse.Namespace) -> tuple[int, dict, dict]:
 def _cmd_bias(args: argparse.Namespace) -> tuple[int, dict, dict]:
     if args.verify_quad and args.trilinear_bound:
         raise UsageError("bias: pass only one of --verify-quad and --trilinear-bound")
+    _check_sampling(args)
     G, info = _group_from_args(args)
     params = G.params
     if args.verify_quad:

@@ -19,11 +19,11 @@ Conjugacy classes of both types come from one pass, `_orbit_labels`, over
 the permutations of the enumerated elements that conjugation by each
 generator induces: every element is labelled by the least index in its
 class.  Both group types share a set of stack operations (`all_elements`,
-`repeat`, `stack`, `commutators`, `long_commutators`, `quotients`,
-`identity_mask`, `class_labels`, `class_sizes`, `sample_batch`) and the
-sum behind d2, `commutator_centralizer_sum` (a count of commutator-table
-values for tables, a graded average over grade-1 pairs for the family),
-so statistics are written once for both.  A stack is a `Batch` of
+`repeat`, `stack`, `commutators`, `trivial_long_commutators`, `quotients`,
+`class_labels`, `class_sizes`, `sample_batch`) and the sum behind d2,
+`commutator_centralizer_sum` (a count of commutator-table values for
+tables, a graded average over grade-1 pairs for the family), so
+statistics are written once for both.  A stack is a `Batch` of
 L1-parts for the family and an index array for tables.
 """
 
@@ -34,7 +34,7 @@ import math
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -314,15 +314,14 @@ class AlgebraGroup:
     def commutators(self, a: Batch, b: Batch) -> Batch:
         return self.batch.commutator(a, b)
 
-    def long_commutators(self, stacks: Iterable[Batch]) -> Batch:
-        return self.batch.long_commutator(stacks)
+    def trivial_long_commutators(self, draw: Callable[[], Batch], count: int) -> np.ndarray:
+        """Which left-normed commutators of `count` stacks, drawn one at a
+        time by `draw()`, are 1."""
+        return self.batch.trivial_long_commutator(draw, count)
 
     def quotients(self, a: Batch, b: Batch) -> Batch:
         """a b^-1 entrywise."""
         return self.batch.grp_mul(a, self.batch.grp_inv(b))
-
-    def identity_mask(self, a: Batch) -> np.ndarray:
-        return self.batch.is_identity(a)
 
     def _class_label_array(self, cap: int) -> np.ndarray:
         """`_orbit_labels` over `all_elements`, built once; an element's index
@@ -542,10 +541,10 @@ class TableGroup:
         return np.arange(self.order)
 
     def repeat(self, g: int, n: int) -> np.ndarray:
-        return np.full(n, g, dtype=np.int64)
+        return np.full(n, _element_indices(self.order, g))
 
     def stack(self, elems: Sequence[int]) -> np.ndarray:
-        return np.array(elems, dtype=np.int64)
+        return _element_indices(self.order, elems)
 
     @cached_property
     def _commutator_table(self) -> np.ndarray:
@@ -582,8 +581,8 @@ class TableGroup:
         m = self.order
         return self.table[_element_indices(m, a), self.inv_table[_element_indices(m, b)]]
 
-    def identity_mask(self, a: np.ndarray) -> np.ndarray:
-        return a == 0
+    def trivial_long_commutators(self, draw: Callable[[], np.ndarray], count: int) -> np.ndarray:
+        return self.long_commutators(draw() for _ in range(count)) == 0
 
     @cached_property
     def _labels(self) -> np.ndarray:

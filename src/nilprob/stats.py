@@ -13,6 +13,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import compress
 from typing import Sequence, Union
 
@@ -115,8 +116,8 @@ def d2_exact(G: Group, cap: int = D2_CAP) -> StatReport:
 
 
 def _mc_chunk_hits(G: Group, k: int, size: int, rng: np.random.Generator) -> int:
-    draws = (G.sample_batch(rng, size) for _ in range(k + 1))
-    return int(np.count_nonzero(G.identity_mask(G.long_commutators(draws))))
+    draw = partial(G.sample_batch, rng, size)
+    return int(np.count_nonzero(G.trivial_long_commutators(draw, k + 1)))
 
 
 def dk_monte_carlo(

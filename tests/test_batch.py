@@ -278,15 +278,40 @@ def test_closed_form_group_ops_match_definitions_and_scalar(case):
     assert eng.is_identity(eng.grp_mul(a, inv)).all()
 
 
-@given(l1_stack_pairs())
-def test_reduced_step_matches_definition(case):
-    # The step long_commutator takes after the first: its input is a
-    # commutator value, which has no grade-1 part.
-    eng, a, b = case
-    c = eng.from_coords(ref_commutator(eng, full(a), full(b))[:, 1:])
-    c3, c4 = eng._reduced_commutator(c, a)
-    got = eng.zeros(len(c4))._replace(r3=c3, c4=c4)
-    assert np.array_equal(full(got), ref_commutator(eng, full(c), full(a)))
+@st.composite
+def reference_chains(draw):
+    """(engine, stacks, expected): k + 1 stacks of one of the sizes around
+    BLOCK, over a hyperbolic or a dense random form, for k = 1..5, and the
+    structure-constant chain of every row.  Each row repeats one of a few
+    random tuples of entries, so the reference runs on those tuples alone
+    while the engine still works through every block edge."""
+    p = draw(st.sampled_from(SUPPORTED_PRIMES))
+    k = draw(st.integers(1, 5))
+    size = draw(st.sampled_from((0, 1, BLOCK - 1, BLOCK + 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        params = AlgebraParams.hyperbolic(p, draw(st.integers(1, 3)))
+    else:
+        params = dense_params(p, draw(st.integers(1, 4)), seed)
+    eng = BatchAlg(params)
+    tuples = [full(eng.random_l1(rng, 4)) for _ in range(k + 1)]
+    pick = rng.integers(0, 4, size)
+    stacks = [eng.from_coords(t[pick, 1:]) for t in tuples]
+    expect = tuples[0]
+    for t in tuples[1:]:
+        expect = ref_commutator(eng, expect, t)
+    return eng, stacks, expect[pick]
+
+
+@given(reference_chains())
+def test_long_commutator_matches_reference_chain(case):
+    # The chain computes only the grades its later steps read, and the Monte
+    # Carlo mask reads only the grades the chain computes.
+    eng, stacks, expect = case
+    assert np.array_equal(full(eng.long_commutator(stacks)), expect)
+    mask = eng.trivial_long_commutator(iter(stacks).__next__, len(stacks))
+    assert np.array_equal(mask, ~expect.any(1))
 
 
 def test_traced_batch_methods_are_own_attributes():

@@ -259,8 +259,11 @@ class TestExitCodes:
         ["bias", "--verify-quad", "--p", "2", "--n", "1"],
         ["bias", "--trilinear-bound", "--p", "2", "--n", "1"],
         ["family", "--p", "2", "--n", "1"],
+        ["d1", "--family", "--p", "2", "--n", "1", "--mc"],
+        ["d2", "--table", "corpus:s3", "--mc"],
     ], ids=["cover-sampled", "bias-verify-quad", "bias-trilinear-bound",
-            "bias-verify-quad-enumerated", "bias-trilinear-bound-enumerated", "family"])
+            "bias-verify-quad-enumerated", "bias-trilinear-bound-enumerated", "family",
+            "d1-mc", "d2-mc"])
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_sampled_modes_need_samples_is_two(self, capsys, argv, samples):
         code = main(argv + ["--samples", samples])
@@ -268,6 +271,22 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: need samples >= 1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["d1", "--family", "--p", "2", "--n", "1", "--mc", "--samples", "10"],
+        ["d2", "--table", "corpus:s3", "--mc", "--samples", "10"],
+        ["family", "--p", "2", "--n", "1"],
+        ["cover", "--family", "--p", "2", "--n", "1", "--n-bound", "1", "--mode", "sampled"],
+        ["bias", "--verify-quad", "--p", "2", "--n", "1"],
+        ["bias", "--trilinear-bound", "--p", "3", "--n", "3"],
+    ], ids=["d1-mc", "d2-mc", "family", "cover-sampled", "bias-verify-quad",
+            "bias-trilinear-bound"])
+    def test_negative_seed_is_two(self, capsys, argv):
+        code = main(argv + ["--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: need seed >= 0, got -1\n"
 
     @pytest.mark.parametrize("cap", ["0"])
     def test_cap_zero_is_a_cap(self, capsys, cap):

@@ -603,8 +603,10 @@ def test_element_index_out_of_range(fn, bad):
     lambda G, x: G.quotients(x, 0), lambda G, x: G.quotients(0, x),
     lambda G, x: G.class_labels(x), lambda G, x: G.class_sizes(x),
     lambda G, x: G.class_size(x), lambda G, x: G.conjugacy_orbit(x),
+    lambda G, x: G.stack([0, x]), lambda G, x: G.repeat(x, 2),
 ], ids=["mul-a", "mul-b", "inverse", "conjugate-a", "conjugate-by", "quotients-a",
-        "quotients-b", "class_labels", "class_sizes", "class_size", "conjugacy_orbit"])
+        "quotients-b", "class_labels", "class_sizes", "class_size", "conjugacy_orbit",
+        "stack", "repeat"])
 @pytest.mark.parametrize("bad", [-1, 6])
 def test_table_method_index_out_of_range(call, bad):
     with pytest.raises(ValueError, match=rf"element index {bad} outside \[0, 6\)"):

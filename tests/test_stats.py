@@ -344,13 +344,20 @@ class TestMonteCarlo:
         ((2, 2), 3, 70001, 11, 48595),     # two steps on inputs with no grade 1
         ((2, 1), 1, 70001, 2, 7625),
         ("a4", 2, 70001, 5, 39014),
-    ], ids=["family22-k2", "family32-k2", "family22-k3", "family21-k1", "a4-k2"])
+        ((2, 2), 4, 70001, 13, 70001),     # the class-4 family: every 5-fold one is 1
+        (BilinearForm.from_rows(3, [[1, 2, 0], [0, 1, 1], [2, 0, 2]]), 2, 70001, 17, 6775),
+    ], ids=["family22-k2", "family32-k2", "family22-k3", "family21-k1", "a4-k2",
+            "family22-k4", "dense33-k2"])
     def test_seeded_hits_golden(self, group, k, samples, seed, hits):
         # Seeded MC reports are fixed across versions: these counts were
         # measured before the commutator chain was computed by grade, with
-        # partial last chunks, k = 1, 2, 3 and a table group.
+        # partial last chunks, k = 1, 2, 3 and a table group; the k = 4 and
+        # dense-form counts before the chain dropped the grades no later
+        # step reads.
         if isinstance(group, str):
             G = corpus_group(group)
+        elif isinstance(group, BilinearForm):
+            G = AlgebraGroup(AlgebraParams(group))
         else:
             G = AlgebraGroup(AlgebraParams.hyperbolic(*group))
         for threads in (1, 2):
