@@ -19,12 +19,12 @@ Conjugacy classes of both types come from one pass, `_orbit_labels`, over
 the permutations of the enumerated elements that conjugation by each
 generator induces: every element is labelled by the least index in its
 class.  Both group types share a set of stack operations (`all_elements`,
-`repeat`, `stack`, `commutators`, `trivial_long_commutators`, `quotients`,
-`class_labels`, `class_sizes`, `sample_batch`) and the sum behind d2,
-`commutator_centralizer_sum` (a count of commutator-table values for
-tables, a graded average over grade-1 pairs for the family), so
-statistics are written once for both.  A stack is a `Batch` of
-L1-parts for the family and an index array for tables.
+`from_indices`, `repeat`, `stack`, `commutators`,
+`trivial_long_commutators`, `quotients`, `class_labels`, `class_sizes`,
+`sample_batch`) and the sum behind d2, `commutator_centralizer_sum` (a
+count of commutator-table values for tables, a graded average over grade-1
+pairs for the family), so statistics are written once for both.  A stack
+is a `Batch` of L1-parts for the family and an index array for tables.
 """
 
 from __future__ import annotations
@@ -298,7 +298,11 @@ class AlgebraGroup:
     def all_elements(self, cap: int = DEFAULT_ENUM_CAP) -> Batch:
         """Every element, in lexicographic coordinate order."""
         _check_enum_cap(self.order, cap)
-        return self.batch.from_coords(self._digits(np.arange(self.order)))
+        return self.from_indices(np.arange(self.order))
+
+    def from_indices(self, idx: np.ndarray) -> Batch:
+        """The stack of the elements at the given `all_elements` indices."""
+        return self.batch.from_coords(self._digits(_element_indices(self.order, idx)))
 
     def _digits(self, idx: np.ndarray) -> np.ndarray:
         """Coordinates of the elements at the given `all_elements` indices."""
@@ -545,6 +549,8 @@ class TableGroup:
 
     def stack(self, elems: Sequence[int]) -> np.ndarray:
         return _element_indices(self.order, elems)
+
+    from_indices = stack   # an element is its own index
 
     @cached_property
     def _commutator_table(self) -> np.ndarray:

@@ -165,19 +165,20 @@ def conjugacy_norm(G: Group, g) -> float:
 def commutator_set(G: Group, cap: int = COVER_PAIR_CAP) -> list:
     """The full set Comm(G, G) of commutator values, in element order.
 
-    Requires |G|^2 <= cap, which also bounds the enumeration, the class
-    listing and the class labels.  Takes commutators of class
-    representatives against everything: [x^g, y] = [x, y^(g^-1)]^g, so
-    every commutator is conjugate to one with a representative on the left,
-    and Comm(G, G) is the union of the classes those commutators hit.
+    Requires |G|^2 <= cap, which also bounds the enumeration and the class
+    labels.  [a, b] = (b^-1)^a b, so Comm(G, G) = {z r^-1 : z in r^G}, a
+    union of classes.  Conjugating z r^-1 by the h with r^h = rho, the least
+    member of r's class, gives z' rho^-1 with z' = z^h in the same class, so
+    Comm(G, G) is the union of the classes of z rho(z)^-1 over z in G: the
+    work is |G| quotients and two label lookups, and no class is listed.
     """
     if G.order**2 > cap:
         raise CapExceededError(f"|G|^2 = {G.order ** 2} exceeds cap {cap}")
     elems = G.all_elements(cap)
+    labels = G.class_labels(elems, cap)
     hit = np.zeros(G.order, dtype=bool)
-    for rep, _ in G.conjugacy_classes(cap):
-        hit[G.class_labels(G.commutators(G.repeat(rep, G.order), elems), cap)] = True
-    return list(compress(G.elements(cap), hit[G.class_labels(elems, cap)]))
+    hit[G.class_labels(G.quotients(elems, G.from_indices(labels)), cap)] = True
+    return list(compress(G.elements(cap), hit[labels]))
 
 
 def _ball_masks(G: Group, xs, count: int, S: Sequence, n: int) -> np.ndarray:

@@ -70,6 +70,14 @@ class TestFamilyElements:
         for g in family22.random_elements(rng, 30):
             assert GroupElement.from_coords(family22.params, g.coords()) == g
 
+    def test_from_indices(self, family21):
+        G, idx = family21, np.array([0, 5, 511, 5])
+        assert np.array_equal(G.batch.coords(G.from_indices(idx)),
+                              G.batch.coords(G.all_elements())[idx])
+        for bad in (-1, 512):
+            with pytest.raises(ValueError, match=rf"element index {bad} outside \[0, 512\)"):
+                G.from_indices([0, bad])
+
     def test_params_mismatch(self, family21, family22):
         with pytest.raises(ParamsMismatchError):
             grp_mul(family21.identity, family22.identity)
@@ -568,6 +576,15 @@ class TestCommutatorTable:
             with pytest.raises(ValueError, match=rf"element index {bad} outside"):
                 G.commutators(np.append(stack, bad), b)
 
+    @settings(max_examples=30)
+    @given(names=st.lists(st.sampled_from(CORPUS_NAMES), min_size=2, max_size=2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_commutator_set_is_the_table_values(self, names, seed):
+        G = relabelled(reduce(direct_product, [corpus_group(n) for n in names]), seed)
+        every = np.arange(G.order)
+        values = np.unique(ref_commutators(G, every[:, None], every[None, :])).tolist()
+        assert stats.commutator_set(G) == values
+
     def test_order_one(self):
         G = TableGroup([[0]])
         assert G.commutators(0, 0) == 0 and G.commutators(0, 0).dtype == np.int64
@@ -604,9 +621,10 @@ def test_element_index_out_of_range(fn, bad):
     lambda G, x: G.class_labels(x), lambda G, x: G.class_sizes(x),
     lambda G, x: G.class_size(x), lambda G, x: G.conjugacy_orbit(x),
     lambda G, x: G.stack([0, x]), lambda G, x: G.repeat(x, 2),
+    lambda G, x: G.from_indices([0, x]),
 ], ids=["mul-a", "mul-b", "inverse", "conjugate-a", "conjugate-by", "quotients-a",
         "quotients-b", "class_labels", "class_sizes", "class_size", "conjugacy_orbit",
-        "stack", "repeat"])
+        "stack", "repeat", "from_indices"])
 @pytest.mark.parametrize("bad", [-1, 6])
 def test_table_method_index_out_of_range(call, bad):
     with pytest.raises(ValueError, match=rf"element index {bad} outside \[0, 6\)"):
@@ -657,6 +675,10 @@ def ref_classes(G, cap):
 
 
 def ref_commutator_set(G):
+    """Comm(G, G) by the representative loop: each reference class
+    representative against every element, closed under conjugation;
+    independent of the route of `commutator_set`, which lists no classes and
+    takes the quotients z rho(z)^-1 instead."""
     elems = G.all_elements()
     values = set()
     for rep, _ in ref_classes(G, G.order):

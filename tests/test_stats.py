@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from nilprob.fieldlin import BilinearForm, pivot_rows, rank_stack
 from nilprob.groups import AlgebraGroup, direct_product, quotient_table, subgroup_table
 from nilprob.structure import subgroups
 from nilprob.tables import CORPUS_NAMES, corpus_group
-from nilprob import groups, stats
+from nilprob import cli, groups, stats
 from nilprob._batch import BLOCK
 
 
@@ -468,7 +469,7 @@ class TestCommutatorSet:
     @pytest.mark.parametrize("name", ["family21", "a4"])
     def test_pair_cap_bounds_every_enumeration(self, request, monkeypatch, name):
         # the pair cap, not the default enumeration cap, reaches the element
-        # enumeration, the class listing and the class labels
+        # enumeration and the class labels; the classes are never listed
         G = request.getfixturevalue(name) if name.startswith("family") else corpus_group(name)
         seen = []
         for attr in ("all_elements", "elements", "conjugacy_classes", "class_labels"):
@@ -482,9 +483,54 @@ class TestCommutatorSet:
             monkeypatch.setattr(G, attr, spy)
         cap = G.order**2
         assert stats.commutator_set(G, cap=cap)
-        assert {attr for attr, _ in seen} == {
-            "all_elements", "elements", "conjugacy_classes", "class_labels"}
+        assert {attr for attr, _ in seen} == {"all_elements", "elements", "class_labels"}
         assert all(received == cap for _, received in seen), seen
+
+    @pytest.mark.parametrize("p, rows", [
+        (2, None), (2, [[1, 1], [0, 1]]), (2, [[0, 1], [1, 1]]), (3, [[2]]), (5, [[3]]),
+    ])
+    def test_family_matches_all_pairs(self, p, rows):
+        # every pair's commutator, row block by row block, deduplicated; no
+        # class labels.  d = 1 forms give abelian groups (Comm = {1}).
+        G = family(2, 1) if rows is None else form_group(p, rows)
+        eng, flat = G.batch, G.batch.coords(G.all_elements())
+        blocks = []
+        for i in range(0, len(flat), 64):
+            rows = flat[i : i + 64]
+            comms = eng.commutator(eng.from_coords(np.repeat(rows, len(flat), axis=0)),
+                                   eng.from_coords(np.tile(flat, (len(rows), 1))))
+            blocks.append(np.unique(eng.coords(comms), axis=0))
+        values = np.unique(np.concatenate(blocks), axis=0)
+        assert np.array_equal(eng.coords(G.stack(stats.commutator_set(G))), values)
+
+    def test_family31_reach(self, family31):
+        # past the default pair cap: 81 commutators, the 27 values mod R4 each
+        # with all 3 values of the R4 coordinate (the last one)
+        G, cap = family31, family31.order**2
+        comms = G.batch.coords(G.stack(stats.commutator_set(G, cap=cap)))
+        heads, counts = np.unique(comms[:, :-1], axis=0, return_counts=True)
+        assert (len(comms), len(heads), set(counts.tolist())) == (81, 27, {3})
+        t0 = time.perf_counter()
+        assert stats.covering_check(G, 9, [G.identity], cap=cap).checked == 81
+        assert time.perf_counter() - t0 < 1.0
+        # the CLI keeps the default pair cap
+        assert cli.main(["cover", "--family", "--p", "3", "--n", "1", "--n-bound", "9"]) == 3
+
+    def test_quotient_identity_sums_to_d2(self, corpus_groups, family21, family31):
+        # sum over z of |C_G(z rho(z)^-1)|, rho(z) the least member of z's
+        # class, is |G|^2 d2: the pair count behind commutator_set's route
+        named = dict(corpus_groups)
+        named["d4xq8"] = direct_product(corpus_groups["d4"], corpus_groups["q8"])
+        named["heis27xa4"] = direct_product(corpus_groups["heis27"], corpus_groups["a4"])
+        named["family21"], named["family31"] = family21, family31
+        for name, G in named.items():
+            cap = G.order**2
+            elems = G.all_elements(cap)
+            quotients = G.quotients(elems, G.from_indices(G.class_labels(elems, cap)))
+            total = int((G.order // G.class_sizes(quotients)).sum())
+            assert Fraction(total, G.order**2) == stats.d2_exact(G).value, name
+        assert stats.d2_exact(family21).value == Fraction(65, 128)
+        assert stats.d2_exact(family31).value == FAMILY_D2[(3, 1)]
 
 
 class TestCovering:
