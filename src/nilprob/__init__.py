@@ -59,7 +59,6 @@ from .structure import (
     lower_central_series,
     neumann_extract,
     neumann_pareto,
-    nilpotency_class,
     power_closure_radius,
     upper_central_series,
 )

@@ -260,9 +260,7 @@ def _cmd_series(args: argparse.Namespace) -> tuple[int, dict, dict]:
         "nilpotency_class": lower.trivial_at(),
         "derived_length": derived.trivial_at(),
         "engel_degree": structure.engel_degree(G, max_l=args.max_l),
-        "baer_indices": list(
-            structure.series_baer_indices(lower, upper, args.baer_s, args.baer_t)
-        ),
+        "baer_indices": list(structure.baer_indices(lower, upper, args.baer_s, args.baer_t)),
         "baer_s_t": [args.baer_s, args.baer_t],
     }
     return EXIT_OK, info, report

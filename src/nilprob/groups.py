@@ -553,23 +553,26 @@ class TableGroup:
     from_indices = stack   # an element is its own index
 
     @cached_property
-    def _commutator_table(self) -> np.ndarray:
-        """[a, b] = a^-1 b^-1 a b at flat position a m + b, in the narrowest
-        unsigned dtype that holds m - 1; built on first use, in row blocks."""
+    def commutator_table(self) -> np.ndarray:
+        """The m x m table of [a, b] = a^-1 b^-1 a b at row a, column b, in
+        the narrowest unsigned dtype that holds m - 1; built on first use, in
+        row blocks.  Index it directly only with indices known to lie in
+        [0, m); `commutators` checks the indices it is given."""
         m, t, inv = self.order, self.table, self.inv_table
-        flat = np.empty(m * m, dtype=np.min_scalar_type(m - 1))
+        comm = np.empty((m, m), dtype=np.min_scalar_type(m - 1))
         rows = max(1, _ASSOC_BLOCK_ENTRIES // m)
         for x in range(0, m, rows):
             ab = t[x : x + rows]                      # a b for the rows a, every column b
-            flat[x * m : x * m + ab.size] = t[t[inv[x : x + rows, None], inv], ab].ravel()
-        return flat
+            comm[x : x + rows] = t[t[inv[x : x + rows, None], inv], ab]
+        comm.flags.writeable = False   # shared by every caller
+        return comm
 
     def commutators(self, a, b) -> np.ndarray:
         """[a, b] entrywise as int64; index arrays broadcast like numpy, and
         an index outside [0, |G|) raises ValueError."""
         m = self.order
         flat = _element_indices(m, a) * m + _element_indices(m, b)
-        return self._commutator_table.take(flat).astype(np.int64)
+        return self.commutator_table.take(flat).astype(np.int64)
 
     def long_commutators(self, stacks: Iterable) -> np.ndarray:
         """Left-normed [a_1, ..., a_k] entrywise for k >= 2 index arrays,
@@ -643,7 +646,7 @@ class TableGroup:
         m = self.order
         if m > cap:
             raise CapExceededError(f"|G| = {m} exceeds d2 cap {cap}")
-        flat, block = self._commutator_table, max(1, _ASSOC_BLOCK_ENTRIES // m) * m
+        flat, block = self.commutator_table.ravel(), max(1, _ASSOC_BLOCK_ENTRIES // m) * m
         counts = sum(np.bincount(flat[i : i + block], minlength=m) for i in range(0, m * m, block))
         return int(counts @ (m // self._class_size_of))
 

@@ -41,11 +41,6 @@ class SeriesReport:
     def orders(self) -> list[int]:
         return [len(term) for term in self.terms]
 
-    @property
-    def stabilized_at(self) -> int:
-        """First index whose term equals all later ones."""
-        return len(self.terms) - 1
-
     def trivial_at(self) -> int | None:
         """Index of the first trivial term; None when there is none."""
         return next((i for i, term in enumerate(self.terms) if len(term) == 1), None)
@@ -54,7 +49,7 @@ class SeriesReport:
         return {
             "kind": self.kind,
             "orders": self.orders,
-            "stabilized_at": self.stabilized_at,
+            "stabilized_at": len(self.terms) - 1,   # the first term equal to all later ones
         }
 
 
@@ -90,7 +85,7 @@ def _check_cap(G: TableGroup, cap: int) -> None:
 def _commutator_values(G: TableGroup, sub: Iterable[int], full: Iterable[int]) -> set[int]:
     a = np.fromiter(sub, dtype=np.int64)
     b = np.fromiter(full, dtype=np.int64)
-    return set(int(x) for x in np.unique(G.commutators(a[:, None], b[None, :])))
+    return set(np.unique(G.commutator_table[np.ix_(a, b)]).tolist())
 
 
 def _fixed_point_series(
@@ -116,8 +111,7 @@ def lower_central_series(G: TableGroup, cap: int = SERIES_CAP) -> SeriesReport:
 def upper_central_series(G: TableGroup, cap: int = SERIES_CAP) -> SeriesReport:
     """Z_0 = 1, Z_{i+1}/Z_i = center of G/Z_i, until stabilization."""
     _check_cap(G, cap)
-    idx = np.arange(G.order)
-    comm = G.commutators(idx[:, None], idx[None, :])
+    comm = G.commutator_table
 
     def step(Z: frozenset[int]) -> frozenset[int]:
         in_z = np.zeros(G.order, dtype=bool)
@@ -142,29 +136,14 @@ def derived_subgroup(G: TableGroup) -> frozenset[int]:
     return _derived(G, G.elements())
 
 
-def nilpotency_class(G: TableGroup, cap: int = SERIES_CAP) -> int | None:
-    """Least c with gamma_{c+1} = 1; None when the series stabilizes above 1."""
-    return lower_central_series(G, cap).trivial_at()
-
-
-def derived_length(G: TableGroup, cap: int = SERIES_CAP) -> int | None:
-    return derived_series(G, cap).trivial_at()
-
-
 def _series_term(terms: list[frozenset[int]], i: int) -> frozenset[int]:
     """Term i of a stabilized series (terms stay constant past the end)."""
     return terms[min(i, len(terms) - 1)]
 
 
-def baer_indices(G: TableGroup, s: int, t: int, cap: int = SERIES_CAP) -> tuple[int, int]:
-    """([gamma_s : Z_t cap gamma_s], [gamma_{s+1} : Z_{t-1} cap gamma_{s+1}])."""
-    return series_baer_indices(lower_central_series(G, cap), upper_central_series(G, cap), s, t)
-
-
-def series_baer_indices(
-    lower: SeriesReport, upper: SeriesReport, s: int, t: int
-) -> tuple[int, int]:
-    """`baer_indices` read from already computed lower and upper central series."""
+def baer_indices(lower: SeriesReport, upper: SeriesReport, s: int, t: int) -> tuple[int, int]:
+    """([gamma_s : Z_t cap gamma_s], [gamma_{s+1} : Z_{t-1} cap gamma_{s+1}]),
+    read from a group's lower and upper central series."""
     if s < 1 or t < 1:
         raise ValueError("need s >= 1 and t >= 1")
     gamma_s = _series_term(lower.terms, s - 1)
@@ -181,12 +160,10 @@ def engel_degree(G: TableGroup, max_l: int = 10) -> int | None:
     all x, y; None when no such l exists below the limit."""
     if max_l < 1:
         raise ValueError("Engel limit max_l must be >= 1")
-    m = G.order
-    idx = np.arange(m)
+    comm = G.commutator_table
     worst = 0
-    for y in range(m):
-        step = G.commutators(idx, y)                 # x -> [x, y]
-        cur = step.copy()                            # [x, 1 y]
+    for y in range(G.order):
+        cur = step = comm[:, y]                      # x -> [x, y], and [x, 1 y]
         l = 1
         while cur.any() and l < max_l:
             cur = step[cur]
@@ -332,8 +309,7 @@ def neumann_extract(G: TableGroup, norm: Callable[[int], float], C: float) -> Ne
         raise ValueError("C must be finite and positive")
     t, inv = G.table, G.inv_table
     norms = np.array([norm(g) for g in range(G.order)], dtype=float)
-    idx = np.arange(G.order)
-    comm = G.commutators(idx[:, None], idx[None, :])
+    comm = G.commutator_table
     small = norms[comm] <= C
 
     prob = Fraction(int(small.sum()), small.size)

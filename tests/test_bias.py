@@ -1,13 +1,14 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilprob.algebra import AlgebraParams
-from nilprob.errors import DimensionMismatchError, ExpressionShapeError
+from nilprob.errors import CapExceededError, DimensionMismatchError, ExpressionShapeError
 from nilprob.fieldlin import FpVector, matrix_rank
 from nilprob import bias
 
@@ -85,6 +86,22 @@ def expression_tensor(expr):
     combos = np.unravel_index(np.arange(math.prod(expr.dims)), expr.dims)
     rows = expr.eval_batch([np.eye(d, dtype=np.int64)[i] for i, d in zip(combos, expr.dims)])
     return rows.reshape(expr.dims + (expr.cod_dim,))
+
+
+def perturbed_quad_expression(params):
+    """The quad-bracket certificate with one entry of its antisymmetric form
+    flipped, so it differs from the quad-bracket map."""
+    expr = bias.family_quad_expression(params)
+    bad_rows = [list(r) for r in params.antisymm.coeffs]
+    bad_rows[0][0] ^= 1
+    bad_fa = bias.MultilinearMap.bilinear_form(2, bad_rows)
+    return bias.StructuredExpression(
+        2, expr.dims, 1,
+        (bias.Term(inners=((expr.terms[0].inners[0][0], bad_fa),
+                           expr.terms[0].inners[1]),
+                   outer=expr.terms[0].outer),
+         expr.terms[1]),
+    )
 
 
 class TestMultilinearMap:
@@ -282,23 +299,25 @@ class TestExpressions:
             bias.evaluate_expression(expr, xs[:3])
 
     def test_perturbed_expression_rejected(self, params21):
-        expr = bias.family_quad_expression(params21)
-        bad_rows = [list(r) for r in params21.antisymm.coeffs]
-        bad_rows[0][0] ^= 1
-        bad_fa = bias.MultilinearMap.bilinear_form(2, bad_rows)
-        bad = bias.StructuredExpression(
-            2, expr.dims, 1,
-            (bias.Term(inners=((expr.terms[0].inners[0][0], bad_fa),
-                               expr.terms[0].inners[1]),
-                       outer=expr.terms[0].outer),
-             expr.terms[1]),
-        )
+        bad = perturbed_quad_expression(params21)
         res = bias.verify_expression(bad, bias.family_quad_map(params21))
         assert not res.ok
         assert res.counterexample is not None
         got = bias.evaluate_expression(bad, list(res.counterexample))
         want = bias.family_quad_map(params21).eval(list(res.counterexample))
         assert got != want
+
+    def test_perturbed_expression_rejected_by_sampling(self, params21):
+        bad, quad = perturbed_quad_expression(params21), bias.family_quad_map(params21)
+        res = bias.verify_expression(bad, quad, mode="random", samples=1000, seed=5)
+        assert not res.ok and not res.exhaustive
+        point = list(res.counterexample)
+        assert bias.evaluate_expression(bad, point) != quad.eval(point)
+        # points_checked is the index of the first differing sample
+        (arrays,) = bias._sample_chunks(2, bad.dims, 1000, 5)
+        differs = (bad.eval_batch(arrays) != quad.eval_batch(arrays)).any(axis=1)
+        assert res.points_checked == int(np.argmax(differs))
+        assert [v.coords for v in point] == [tuple(a[res.points_checked].tolist()) for a in arrays]
 
     @settings(max_examples=100)
     @given(tensor_maps(), st.data())
@@ -360,6 +379,15 @@ class TestExpressions:
                                    samples=10)
         with pytest.raises(ValueError, match="unknown mode"):
             bias.bias_probability(quad, mode=mode, samples=10)
+
+    def test_sample_count_and_cap_checked(self, params21):
+        expr, quad = bias.family_quad_expression(params21), bias.family_quad_map(params21)
+        for run in (partial(bias.verify_expression, expr, quad),
+                    partial(bias.bias_probability, quad)):
+            with pytest.raises(ValueError, match="need samples >= 1"):
+                run(mode="random", samples=0)
+            with pytest.raises(CapExceededError, match="exceeds cap 10$"):
+                run(mode="exhaustive", cap=10)
 
     def test_random_mode_draw_order(self, params21):
         # one rng.integers call per slot per chunk of _EVAL_CHUNK points

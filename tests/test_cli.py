@@ -172,6 +172,23 @@ class TestCommands:
         assert rep["bound_holds"] is True
         assert rep["bound"] == [1, 4]
 
+    def test_bias_trilinear_bound_sampled(self, capsys):
+        code, out = run_cli(capsys, "bias", "--trilinear-bound", "--p", "3", "--n", "3",
+                            "--samples", "20000")
+        assert code == 0
+        rep = json.loads(out)["report"]
+        assert rep["bias"]["kind"] == "monte-carlo"
+        assert rep["bound"] == [1, 9]
+        assert rep["bound_holds"] is True
+
+    def test_cover_table_s_file(self, capsys, tmp_path):
+        s_file = tmp_path / "s.txt"
+        s_file.write_text("0\n3\n4\n")
+        code, out = run_cli(capsys, "cover", "--table", "corpus:s3", "--n-bound", "1",
+                            "--s-file", str(s_file))
+        assert code == 0
+        assert json.loads(out)["report"]["S"] == [0, 3, 4]
+
     @pytest.mark.parametrize("argv, p, order", [
         (["probe-class3", "--p", "2", "--form", "hyperbolic:2:2"], 2, 2**25),
         (["bias", "--verify-quad", "--form", "hyperbolic:2:1"], 2, 512),

@@ -588,7 +588,7 @@ class TestCommutatorTable:
     def test_order_one(self):
         G = TableGroup([[0]])
         assert G.commutators(0, 0) == 0 and G.commutators(0, 0).dtype == np.int64
-        assert G._commutator_table.dtype == np.uint8
+        assert G.commutator_table.dtype == np.uint8
         for bad in (-1, 1):
             with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
                 G.commutators(bad, 0)
@@ -602,9 +602,15 @@ class TestCommutatorTable:
         G = direct_product(corpus_group("a4"), corpus_group("d4"))
         G.conjugacy_classes()
         stats.d1_exact(G)
-        assert "_commutator_table" not in vars(G)
+        assert "commutator_table" not in vars(G)
         G.commutators(1, 2)
-        assert vars(G)["_commutator_table"].dtype == np.uint8
+        assert vars(G)["commutator_table"].dtype == np.uint8
+
+    def test_table_is_read_only(self):
+        comm = corpus_group("s3").commutator_table
+        assert comm.shape == (6, 6)
+        with pytest.raises(ValueError, match="read-only"):
+            comm[0, 1] = 1
 
 
 @pytest.mark.parametrize("fn", [subgroup_closure, is_normal, quotient_table, power_closure_radius])

@@ -613,6 +613,14 @@ class TestCovering:
         with pytest.raises(ValueError, match="covering bound n must be >= 1"):
             stats.covering_check(corpus_group("s3"), 0, [0], mode=mode, cap=1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"mode": "sampling"}, "unknown mode 'sampling'"),
+        ({"mode": "sampled", "samples": 0}, "need samples >= 1"),
+    ])
+    def test_check_rejects_bad_arguments(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            stats.covering_check(corpus_group("s3"), 1, [0], **kwargs)
+
     def test_minimal_s_rejects_bound_zero(self):
         with pytest.raises(ValueError):
             stats.covering_minimal_S(corpus_group("s3"), 0)

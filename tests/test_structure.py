@@ -1,16 +1,19 @@
 import math
 import random
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from nilprob.algebra import AlgebraParams, lie_bracket, AlgebraElement
 from nilprob.errors import CapExceededError, DegenerateFormError
 from nilprob.fieldlin import BilinearForm, FpVector, form_eval, nullspace, rref
 from nilprob.groups import direct_product, subgroup_closure
-from nilprob.tables import corpus_group
+from nilprob.tables import CORPUS_NAMES, corpus_group
 from nilprob import stats, structure as st
+from test_groups import ref_commutators, relabelled
 
 
 def lie4_formula(params, x, y, z, w):
@@ -70,18 +73,18 @@ def probe_or_error(params, h_basis):
 class TestSeries:
     def test_q8_class_two(self):
         Q8 = corpus_group("q8")
-        assert st.nilpotency_class(Q8) == 2
         lower = st.lower_central_series(Q8)
+        assert lower.trivial_at() == 2
         assert lower.orders == [8, 2, 1]
 
     def test_abelian(self):
         C6 = corpus_group("c6")
-        assert st.nilpotency_class(C6) == 1
-        assert st.derived_length(C6) == 1
+        assert st.lower_central_series(C6).trivial_at() == 1
+        assert st.derived_series(C6).trivial_at() == 1
 
     def test_heisenberg(self):
         H = corpus_group("heis27")
-        assert st.nilpotency_class(H) == 2
+        assert st.lower_central_series(H).trivial_at() == 2
         upper = st.upper_central_series(H)
         assert upper.orders[0] == 1
         assert upper.orders[1] == 3      # |Z(G)| = 3
@@ -89,9 +92,9 @@ class TestSeries:
 
     def test_s3_not_nilpotent(self):
         S3 = corpus_group("s3")
-        assert st.nilpotency_class(S3) is None
-        assert st.derived_length(S3) == 2
         lower = st.lower_central_series(S3)
+        assert lower.trivial_at() is None
+        assert st.derived_series(S3).trivial_at() == 2
         assert lower.orders == [6, 3]    # stabilizes at A3
 
     def test_terms_are_normal(self):
@@ -112,21 +115,26 @@ class TestSeries:
             st.lower_central_series(corpus_group("a4"), cap=4)
 
 
+def baer_of(name, s, t):
+    G = corpus_group(name)
+    return st.baer_indices(st.lower_central_series(G), st.upper_central_series(G), s, t)
+
+
 class TestBaer:
     def test_q8_11(self):
-        assert st.baer_indices(corpus_group("q8"), 1, 1) == (4, 2)
+        assert baer_of("q8", 1, 1) == (4, 2)
 
     def test_d4_22(self):
-        assert st.baer_indices(corpus_group("d4"), 2, 2) == (1, 1)
+        assert baer_of("d4", 2, 2) == (1, 1)
 
     def test_class_two_second_index_trivial(self):
         # gamma_3 = 1 in a class-2 group, so the second index is 1
         for name in ("q8", "d4", "heis27"):
-            assert st.baer_indices(corpus_group(name), 2, 1)[1] == 1
+            assert baer_of(name, 2, 1)[1] == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            st.baer_indices(corpus_group("q8"), 0, 1)
+            baer_of("q8", 0, 1)
 
 
 class TestEngel:
@@ -147,6 +155,66 @@ class TestEngel:
 
     def test_heisenberg_is_two(self):
         assert st.engel_degree(corpus_group("heis27")) == 2
+
+
+def closure_reference(t, X):
+    """<X> by squaring the set until it stops growing."""
+    S = np.union1d(X, [0])
+    while len(grown := np.union1d(S, t[np.ix_(S, S)])) > len(S):
+        S = grown
+    return frozenset(S.tolist())
+
+
+def series_reference(G, max_l=10):
+    """Series orders, trivial_at, Baer indices and Engel degree from the
+    raw-table commutators t[t[a^-1, b^-1], t[a, b]]."""
+    t, every = G.table, np.arange(G.order)
+    comm = ref_commutators(G, every[:, None], every[None, :])
+
+    def series(start, step):
+        terms = [start]
+        while (nxt := step(terms[-1])) != terms[-1]:
+            terms.append(nxt)
+        return terms
+
+    whole = frozenset(every.tolist())
+    lower = series(whole, lambda H: closure_reference(t, comm[sorted(H)]))
+    derived = series(whole, lambda H: closure_reference(t, comm[np.ix_(sorted(H), sorted(H))]))
+    upper = series(frozenset({0}), lambda Z: frozenset(
+        x for x in every.tolist() if set(comm[x].tolist()) <= Z))
+
+    def term(terms, i):
+        return terms[min(i, len(terms) - 1)]
+
+    baer = {
+        (s, u): (len(term(lower, s - 1)) // len(term(upper, u) & term(lower, s - 1)),
+                 len(term(lower, s)) // len(term(upper, u - 1) & term(lower, s)))
+        for s in (1, 2, 3) for u in (1, 2, 3)
+    }
+    cur, l = comm, 1                          # cur[x, y] = [x, y, ..., y], y l times
+    while cur.any() and l < max_l:
+        cur, l = comm[cur, every[None, :]], l + 1
+    return {
+        "orders": [[len(x) for x in terms] for terms in (lower, upper, derived)],
+        "trivial_at": [next((i for i, x in enumerate(terms) if len(x) == 1), None)
+                       for terms in (lower, derived)],
+        "baer": baer,
+        "engel": None if cur.any() else l,
+    }
+
+
+@settings(max_examples=25)
+@given(names=hst.lists(hst.sampled_from(CORPUS_NAMES), min_size=1, max_size=2),
+       seed=hst.integers(0, 2**32 - 1))
+def test_series_probes_match_reference_on_relabelled_products(names, seed):
+    G = relabelled(reduce(direct_product, [corpus_group(n) for n in names]), seed)
+    lower, upper = st.lower_central_series(G), st.upper_central_series(G)
+    derived = st.derived_series(G)
+    want = series_reference(G)
+    assert [r.orders for r in (lower, upper, derived)] == want["orders"]
+    assert [lower.trivial_at(), derived.trivial_at()] == want["trivial_at"]
+    assert {key: st.baer_indices(lower, upper, *key) for key in want["baer"]} == want["baer"]
+    assert st.engel_degree(G) == want["engel"]
 
 
 class TestPowerClosure:
