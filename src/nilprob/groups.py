@@ -11,9 +11,13 @@ and its class has p^rank(ad_a) elements, where ad_a = [a, .] on L1.
 Conjugation by a fixed element is linear on L1, so each family generator
 contributes one matrix; `conjugacy_orbit` closes one orbit under these
 matrices, which works past the enumeration cap.
-Cayley-table groups are validated on load, exactly, by Light's test over a
-generating set, and cache their inverse array; every table commutator is
-one gather from an m x m commutator table built on first use.
+Cayley-table groups are validated on load, exactly, by a proof that the
+table is a group (entries in range, a two-sided identity, a 0 in every row,
+then Light's test over a generating set), which reads a copy of the table
+in its narrowest unsigned dtype; rows and columns are checked for
+permutations only when the proof fails, to name the failure.  Table groups
+cache their inverse array; every table commutator is one gather from an
+m x m commutator table built on first use.
 
 Conjugacy classes of both types come from one pass, `_orbit_labels`, over
 the permutations of the enumerated elements that conjugation by each
@@ -66,6 +70,46 @@ def _element_indices(m: int, idx) -> np.ndarray:
         bad = arr[(arr < 0) | (arr >= m)].flat[0]
         raise ValueError(f"element index {bad} outside [0, {m})")
     return arr
+
+
+def _integer_table(table) -> np.ndarray:
+    """table as a square int64 array.  Integer arrays are converted without a
+    check of their own; other input must hold whole numbers, and a value
+    that int64 cannot hold is out of range for any table."""
+    try:
+        arr = np.asarray(table)
+    except ValueError as exc:   # ragged rows
+        raise CayleyParseError("table must be square") from exc
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise CayleyParseError("table must be square")
+    if arr.dtype.kind in "biu":
+        return arr.astype(np.int64, copy=False)
+    entries = arr.astype(object)
+    try:
+        ints = entries.astype(np.int64)   # int() of each entry
+    except OverflowError:
+        raise CayleyParseError("table entries must lie in [0, m)") from None
+    except (TypeError, ValueError):
+        raise CayleyParseError("table entries must be integers") from None
+    if not (ints == entries).all():   # int() truncated an entry
+        raise CayleyParseError("table entries must be integers")
+    return ints
+
+
+def _check_permutations(t: np.ndarray) -> None:
+    """CayleyPermutationError naming the first row or column of the table t
+    that is not a permutation, row i before column i."""
+    m = len(t)
+    full = np.arange(m)
+    in_row = np.zeros((m, m), dtype=bool)   # in_row[i, v]: row i holds v
+    in_row[full[:, None], t] = True
+    in_col = np.zeros((m, m), dtype=bool)   # in_col[v, j]: column j holds v
+    in_col[t, full] = True
+    bad_row, bad_col = ~in_row.all(axis=1), ~in_col.all(axis=0)
+    if bad_row.any() or bad_col.any():
+        i = int(np.argmax(bad_row | bad_col))   # row i is reported before column i
+        kind = "row" if bad_row[i] else "column"
+        raise CayleyPermutationError(f"{kind} {i} is not a permutation")
 
 
 def _orbit_labels(perms: np.ndarray) -> np.ndarray:
@@ -451,58 +495,79 @@ class AlgebraGroup:
 class TableGroup:
     """Finite group given by an m x m Cayley table of indices; identity is 0.
 
-    The table is validated on construction: permutation rows and columns, a
-    two-sided identity, and associativity by Light's test, which is exact.
-    The elements g with (g x) y = g (x y) for all x, y are closed under
-    products; if they include every generator, they include every product
-    of generators, which is all of G.
+    The table is validated exactly on construction, by a proof that it is a
+    group, in this order: entries in [0, m), 0 a two-sided identity, a 0 in
+    every row (a right inverse, at the column kept in `inv_table`), and
+    associativity by Light's test over `generators`.  Light's argument
+    needs no Latin square: in any table the elements g with
+    (g x) y = g (x y) for all x, y are closed under products, and
+    `generators` closes under the table's own product, so if they include
+    every generator they include every element.  A two-sided identity,
+    right inverses and associativity make a group, whose rows and columns
+    are permutations.  The right-inverse scan and Light's test read a copy
+    of the table in the narrowest unsigned dtype that holds m - 1 (uint8
+    up to order 256, uint16 up to 65,536).  Only when the proof fails are
+    rows and columns checked, to name the first failure in the order: row
+    or column, identity, associativity.
     """
 
     class_log_base = math.e
 
     def __init__(self, table: Sequence[Sequence[int]] | np.ndarray, name: str = "table"):
-        tbl = np.asarray(table, dtype=np.int64)
-        if tbl.ndim != 2 or tbl.shape[0] != tbl.shape[1]:
-            raise CayleyParseError("table must be square")
-        self.table = tbl
-        self.order = tbl.shape[0]
+        self.table = _integer_table(table)
+        self.order = self.table.shape[0]
         self.name = name
         self.identity = 0
-        self._validate()
-        self.inv_table = np.nonzero(tbl == 0)[1]   # row g holds one 0, at column g^-1
+        self.inv_table = self._validate()
 
-    def _validate(self) -> None:
+    def _validate(self) -> np.ndarray:
+        """The inverse array of a group table; otherwise the first failure,
+        in the order range, rows and columns, identity, associativity."""
         m, t = self.order, self.table
         if m == 0:
             raise CayleyParseError("empty table")
-        if t.min() < 0 or t.max() >= m:
+        if t.view(np.uint64).max() >= m:   # a negative entry views as >= 2^63
             raise CayleyParseError("table entries must lie in [0, m)")
         full = np.arange(m)
-        in_row = np.zeros((m, m), dtype=bool)   # in_row[i, v]: row i holds v
-        in_row[full[:, None], t] = True
-        in_col = np.zeros((m, m), dtype=bool)   # in_col[v, j]: column j holds v
-        in_col[t, full] = True
-        bad_row, bad_col = ~in_row.all(axis=1), ~in_col.all(axis=0)
-        if bad_row.any() or bad_col.any():
-            i = int(np.argmax(bad_row | bad_col))   # row i is reported before column i
-            kind = "row" if bad_row[i] else "column"
-            raise CayleyPermutationError(f"{kind} {i} is not a permutation")
-        if not np.array_equal(t[0], full) or not np.array_equal(t[:, 0], full):
+        failing = None   # the generator that fails Light's test
+        if np.array_equal(t[0], full) and np.array_equal(t[:, 0], full):
+            narrow = t.astype(np.min_scalar_type(m - 1))
+            inv = narrow.argmin(axis=1)   # the first least entry of each row: g^-1 in a group
+            if not narrow[full, inv].any():   # a 0 in every row: every g has a right inverse
+                failing = self._light_failure(narrow)
+                if failing is None:
+                    return inv
+        # the proof failed; only now are rows and columns checked, to name the failure
+        _check_permutations(t)
+        if failing is None:   # a Latin table has a 0 in every row, so the identity failed
             raise CayleyIdentityError("index 0 is not a two-sided identity")
+        raise CayleyAssociativityError(f"associativity fails with a = {failing}")
+
+    def _light_failure(self, narrow: np.ndarray) -> int | None:
+        """The first generator g with (g x) y != g (x y) for some x, y, or
+        None.  Both sides are gathered from `narrow`, the table in the
+        narrowest unsigned dtype that holds m - 1, one block of rows x at a
+        time, at int64 indices read from the table."""
+        m, t = self.order, self.table
         rows = max(1, _ASSOC_BLOCK_ENTRIES // m)
         for g in self.generators:
             for x in range(0, m, rows):
                 # (g x) y and g (x y) for the rows x .. x + rows - 1 and every y
-                if not np.array_equal(t[t[g, x : x + rows]], t[g][t[x : x + rows]]):
-                    raise CayleyAssociativityError(f"associativity fails with a = {g}")
+                if not np.array_equal(narrow.take(t[g, x : x + rows], axis=0),
+                                      narrow[g].take(t[x : x + rows])):
+                    return g
+        return None
 
     @cached_property
     def generators(self) -> list[int]:
         """Greedy generating set: the least element outside the closure of
         the generators so far, until that closure is everything.
 
-        In a group each new generator at least doubles the subgroup, so there
-        are at most log2 m of them, and none for the trivial group.
+        The closure is taken under the table's own product (`_power_closure`),
+        so every element is a product of generators before the table is known
+        to be a group, as Light's test needs.  In a group each new generator
+        at least doubles the subgroup, so there are at most log2 m of them,
+        and none for the trivial group.
         """
         gens: list[int] = []
         closure = np.zeros(1, dtype=np.int64)
@@ -722,9 +787,9 @@ def quotient_table(G: TableGroup, N: Iterable[int]) -> tuple[TableGroup, np.ndar
 
 def direct_product(A: TableGroup, B: TableGroup) -> TableGroup:
     """Direct product with index (a, b) -> a * |B| + b."""
-    ma, mb = A.order, B.order
-    ia, ib = np.divmod(np.arange(ma * mb), mb)
-    tbl = A.table[np.ix_(ia, ia)] * mb + B.table[np.ix_(ib, ib)]
+    m, mb = A.order * B.order, B.order
+    # axes (a, b, a', b'): row (a, b), column (a', b'), entry (a a') |B| + b b'
+    tbl = (A.table[:, None, :, None] * mb + B.table[None, :, None, :]).reshape(m, m)
     return TableGroup(tbl, name=f"{A.name}x{B.name}")
 
 

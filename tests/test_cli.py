@@ -226,6 +226,24 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("text, err", [
+        ("2\n0 0\n1 0\n", "row 0 is not a permutation"),
+        ("3\n0 1 2\n1 2 0\n2 2 0\n", "column 1 is not a permutation"),
+        ("2\n1 0\n0 1\n", "index 0 is not a two-sided identity"),
+        ("5\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n",
+         "associativity fails with a = 1"),
+        ("2\n0 x\n1 0\n",
+         "bad entry: string or file could not be read to its end due to unmatched data"),
+    ], ids=["row", "column", "identity", "associativity", "entry"])
+    def test_invalid_table_file_is_two(self, capsys, tmp_path, text, err):
+        path = tmp_path / "bad.tbl"
+        path.write_text(text)
+        code = main(["d1", "--table", str(path), "--exact"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"
+
     def test_unknown_corpus_name_is_two(self, capsys):
         code = main(["d1", "--table", "corpus:nope", "--exact"])
         err = capsys.readouterr().err

@@ -326,6 +326,26 @@ class TestTableGroup:
         with pytest.raises(CayleyParseError):
             parse_cayley_table("2\n0 1\n1 0x1\n")
 
+    @pytest.mark.parametrize("table", [[[0, 1.5], [1.5, 0]], np.array([[0, 1.9], [1.2, 0]]),
+                                       [[0, "1"], ["1", 0]], [[0, float("nan")], [1, 0]]],
+                             ids=["list-1.5", "array-1.9", "strings", "nan"])
+    def test_non_integer_entries_rejected(self, table):
+        with pytest.raises(CayleyParseError, match="^table entries must be integers$"):
+            TableGroup(table)
+
+    def test_whole_float_entries_accepted(self):
+        G = TableGroup(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert G.table.dtype == np.int64 and G.table.tolist() == [[0, 1], [1, 0]]
+
+    @pytest.mark.parametrize("big", [2**64, -(2**64), 2**63])
+    def test_entry_past_int64_rejected(self, big):
+        with pytest.raises(CayleyParseError, match=r"^table entries must lie in \[0, m\)$"):
+            TableGroup([[0, big], [1, 0]])
+
+    def test_ragged_table_rejected(self):
+        with pytest.raises(CayleyParseError, match="^table must be square$"):
+            TableGroup([[0, 1], [1]])
+
     def test_parse_any_whitespace(self):
         G = parse_cayley_table(" 2\t0 1\r\n1\t0")
         assert G.table.tolist() == [[0, 1], [1, 0]]
@@ -396,6 +416,20 @@ class TestSubQuotientProduct:
         s3xs3 = direct_product(corpus_group("s3"), corpus_group("s3"))
         assert s3xs3.order == 36
         assert not s3xs3.is_abelian
+
+    @pytest.mark.parametrize("a, b", [("c2", "s3"), ("s3", "c2"), ("trivial", "q8"),
+                                      ("q8", "trivial"), ("heis27", "a4")])
+    @pytest.mark.parametrize("seed", [None, 11])
+    def test_direct_product_matches_gathers(self, a, b, seed):
+        A, B = corpus_group(a), corpus_group(b)
+        if seed is not None:
+            A, B = relabelled(A, seed), relabelled(B, seed + 1)
+        mb = B.order
+        ia, ib = np.divmod(np.arange(A.order * mb), mb)
+        want = A.table[np.ix_(ia, ia)] * mb + B.table[np.ix_(ib, ib)]
+        got = direct_product(A, B).table
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 # Per-element loop references for the table gathers in groups and the closure
@@ -821,6 +855,104 @@ def test_permutation_check_matches_loop(oracle_groups):
             assert got == expect
             seen.add(None if expect is None else expect.split()[0])
     assert seen == {None, "row", "column"}
+
+
+def ref_generators(t):
+    """The greedy generating set by Python sets: the least element outside
+    the closure of {0} and the generators so far under right multiplication
+    by them, until that closure is everything."""
+    m, gens, closure = len(t), [], {0}
+    while len(closure) < m:
+        gens.append(min(set(range(m)) - closure))
+        X = {0, *gens}
+        closure, grown = set(), X
+        while grown != closure:
+            closure, grown = grown, grown | {int(t[a, b]) for a in grown for b in X}
+    return gens
+
+
+def ref_verdict(t):
+    """(exception name, message) of the first failure of the table t, or None
+    for a group table: rows and columns by sorting, then the identity, then
+    associativity over all m^3 triples, naming the first greedy generator a
+    with (a x) y != a (x y) for some x, y."""
+    perm = ref_permutation_error(t)
+    if perm is not None:
+        return "CayleyPermutationError", perm
+    full = np.arange(len(t))
+    if not (np.array_equal(t[0], full) and np.array_equal(t[:, 0], full)):
+        return "CayleyIdentityError", "index 0 is not a two-sided identity"
+    failing = (t[t] != t[:, t]).any(axis=(1, 2))   # [a, x, y]: (a x) y against a (x y)
+    if not failing.any():
+        return None
+    a = next(g for g in ref_generators(t) if failing[g])
+    return "CayleyAssociativityError", f"associativity fails with a = {a}"
+
+
+def corrupted_tables(G, count, seed):
+    """Copies of G's table with one to three changes off row 0 and column 0,
+    each a new value or a swap of two entries in one row, never to or from
+    0: every copy keeps 0 a two-sided identity and one 0 in every row."""
+    rng = np.random.default_rng(seed)
+    m = G.order
+    for _ in range(count):
+        t = G.table.copy()
+        for _ in range(rng.integers(1, 4)):
+            i, j, k = rng.integers(1, m, size=3)
+            if 0 in (t[i, j], t[i, k]):
+                continue
+            if rng.random() < 0.5:
+                t[i, j] = rng.integers(1, m)
+            else:
+                t[i, [j, k]] = t[i, [k, j]]
+        yield t
+
+
+PROOF_PATH_PRODUCTS = [("c2", "s3"), ("d4", "c2"), ("q8", "c4"), ("a4", "c4"), ("s3", "s3"),
+                       ("d4", "q8"), ("c8", "c8")]
+
+
+def table_verdict(t):
+    """(exception name, message) of TableGroup(t)'s rejection, or None."""
+    try:
+        TableGroup(t)
+    except (CayleyPermutationError, CayleyIdentityError, CayleyAssociativityError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def test_proof_path_rejections_match_reference():
+    """Tables that keep the identity and one 0 per row reach Light's test
+    whether or not they are Latin; the verdict must be the reference's."""
+    sources = [corpus_group(n) for n in CORPUS_NAMES if n != "trivial"]   # nothing to change
+    sources += [direct_product(corpus_group(a), corpus_group(b)) for a, b in PROOF_PATH_PRODUCTS]
+    assert max(G.order for G in sources) == 64
+    seen, non_latin = set(), 0
+    for s, G in enumerate(sources):
+        for t in corrupted_tables(G, 12, seed=s):
+            full = np.arange(G.order)
+            assert np.array_equal(t[0], full) and np.array_equal(t[:, 0], full)
+            assert ((t == 0).sum(axis=1) == 1).all()
+            want = ref_verdict(t)
+            assert table_verdict(t) == want, G.name
+            non_latin += ref_permutation_error(t) is not None
+            seen.add(None if want is None else want[1].split()[0])
+    assert non_latin > 0
+    assert {None, "row", "column"} <= seen
+    # Latin tables that fail associativity name the reference's generator
+    for s, name in enumerate(("c8", "d4", "q8", "a4")):
+        for t in perturbed_tables(corpus_group(name), 6, seed=s):
+            want = ref_verdict(t)
+            assert table_verdict(t) == want, name
+            seen.add(None if want is None else want[1].split()[0])
+    assert "associativity" in seen
+
+
+def test_non_latin_table_with_identity_and_inverses():
+    # rows 0 and 1 are permutations and every row holds one 0, so the proof
+    # runs Light's test first; the permutation pass then names column 1
+    with pytest.raises(CayleyPermutationError, match="^column 1 is not a permutation$"):
+        parse_cayley_table("3\n0 1 2\n1 2 0\n2 2 0\n")
 
 
 def _as_table(G, name):
