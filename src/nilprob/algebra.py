@@ -257,7 +257,7 @@ def from_text(params: AlgebraParams, text: str) -> AlgebraElement:
         values = tuple(int(t) for t in field.split())
         bad = next((v for v in values if not 0 <= v < p), None)
         if bad is not None:
-            raise ValueError(f"digit {bad} outside [0, {p})")
+            raise DimensionMismatchError(f"digit {bad} outside [0, {p})")
         return values
 
     rows = [row.strip() for row in parts[2].split(";")]

@@ -1,6 +1,9 @@
 """Multilinear maps over F_p modules, vanishing probability, and
 bounded-rank structured-expression certificates.
 
+There is one map type, `MultilinearMap`, evaluated by one vectorized
+function: a closure (the family brackets), a coefficient tensor through
+`MultilinearMap.from_tensor`, or a sum of terms (`StructuredExpression`).
 A structured expression writes a multilinear map as a sum of terms, each
 feeding disjoint slot groups through small-codomain inner maps before a
 multilinear outer map.  The rank (product of inner codomain sizes) measures
@@ -27,12 +30,11 @@ _EVAL_CHUNK = 1 << 16
 
 
 class MultilinearMap:
-    """Multilinear F : F_p^{d_1} x ... x F_p^{d_k} -> F_p^{e}.
-
-    Backed either by a dense coefficient tensor of shape dims + (e,) or by a
-    vectorized closed-form evaluator.  `batch_fn` must be multilinear:
-    exhaustive modes read each fibre of the last slot from its d_k basis
-    images, by linearity in that slot.
+    """Multilinear F : F_p^{d_1} x ... x F_p^{d_k} -> F_p^{e}, given by a
+    vectorized evaluator `batch_fn(*arrays)` that maps (N, d_i) slot arrays
+    to an (N, e) array.  `batch_fn` must be multilinear: exhaustive modes
+    read each fibre of the last slot from its d_k basis images, by
+    linearity in that slot.
     """
 
     def __init__(
@@ -40,25 +42,15 @@ class MultilinearMap:
         p: int,
         dims: tuple[int, ...],
         cod_dim: int,
-        tensor: np.ndarray | None = None,
-        batch_fn: Callable[..., np.ndarray] | None = None,
+        batch_fn: Callable[..., np.ndarray],
         name: str = "",
     ):
         check_prime(p)
         if len(dims) < 1 or len(dims) > 4:
             raise ValueError("arity must be between 1 and 4")
-        if (tensor is None) == (batch_fn is None):
-            raise ValueError("exactly one of tensor / batch_fn must be given")
-        if tensor is not None:
-            tensor = np.asarray(tensor, dtype=np.int64) % p
-            if tensor.shape != tuple(dims) + (cod_dim,):
-                raise DimensionMismatchError(
-                    f"tensor shape {tensor.shape} != {tuple(dims) + (cod_dim,)}"
-                )
         self.p = p
         self.dims = tuple(dims)
         self.cod_dim = cod_dim
-        self.tensor = tensor
         self.batch_fn = batch_fn
         self.name = name
 
@@ -68,35 +60,40 @@ class MultilinearMap:
 
     @staticmethod
     def from_tensor(p: int, tensor: np.ndarray, name: str = "") -> "MultilinearMap":
-        tensor = np.asarray(tensor)
-        return MultilinearMap(
-            p, tuple(tensor.shape[:-1]), tensor.shape[-1], tensor=tensor, name=name
-        )
+        """The map of a coefficient tensor of shape dims + (e,): a
+        `tensordot` with the first slot, then one `einsum` per further slot."""
+        check_prime(p)
+        tensor = np.asarray(tensor, dtype=np.int64) % p
+
+        def batch(*arrays: np.ndarray) -> np.ndarray:
+            cur = np.tensordot(arrays[0] % p, tensor, axes=(1, 0)) % p
+            for arr in arrays[1:]:
+                cur = np.einsum("nd,nd...->n...", arr % p, cur) % p
+            return cur
+
+        return MultilinearMap(p, tensor.shape[:-1], tensor.shape[-1], batch, name=name)
 
     @staticmethod
     def bilinear_form(p: int, coeffs: Sequence[Sequence[int]], name: str = "") -> "MultilinearMap":
         arr = np.asarray(coeffs, dtype=np.int64)
         return MultilinearMap.from_tensor(p, arr[:, :, None], name=name)
 
-    def _check_args(self, arrays: Sequence[np.ndarray]) -> None:
+    def eval(self, xs: Sequence[FpVector]) -> FpVector:
+        """F at one point, as a one-row `eval_batch`."""
+        for x, d in zip(xs, self.dims):
+            if x.p != self.p or x.dim != d:
+                raise DimensionMismatchError("argument does not match the domain")
+        out = self.eval_batch([np.array([x.coords], dtype=np.int64) for x in xs])
+        return FpVector(self.p, tuple(out[0].tolist()))
+
+    def eval_batch(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
+        """(N, d_i) arrays in, (N, cod_dim) array out, all mod p."""
         if len(arrays) != self.arity:
             raise DimensionMismatchError(f"expected {self.arity} arguments")
         for arr, d in zip(arrays, self.dims):
             if arr.shape[-1] != d:
                 raise DimensionMismatchError(f"slot dim {arr.shape[-1]} != {d}")
-
-    def eval(self, xs: Sequence[FpVector]) -> FpVector:
-        return _eval_point(self, xs)
-
-    def eval_batch(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
-        """(N, d_i) arrays in, (N, cod_dim) array out, all mod p."""
-        self._check_args(arrays)
-        if self.batch_fn is not None:
-            return np.asarray(self.batch_fn(*arrays)) % self.p
-        cur = np.tensordot(arrays[0] % self.p, self.tensor, axes=(1, 0)) % self.p
-        for arr in arrays[1:]:
-            cur = np.einsum("nd,nd...->n...", arr % self.p, cur) % self.p
-        return cur
+        return np.asarray(self.batch_fn(*arrays)) % self.p
 
     def image_span_dim(self) -> int:
         """Dimension of the span of the image (the subgroup the image
@@ -126,14 +123,12 @@ class Term:
     outer: MultilinearMap
 
 
-class StructuredExpression:
-    """Sum-of-terms certificate for a multilinear map F_p^{dims} -> F_p^{e}."""
+class StructuredExpression(MultilinearMap):
+    """Sum-of-terms certificate for a multilinear map F_p^{dims} -> F_p^{e},
+    itself the multilinear map that evaluates the sum."""
 
     def __init__(self, p: int, dims: tuple[int, ...], cod_dim: int, terms: Sequence[Term]):
-        check_prime(p)
-        self.p = p
-        self.dims = tuple(dims)
-        self.cod_dim = cod_dim
+        super().__init__(p, dims, cod_dim, self._sum_terms)
         self.terms = tuple(terms)
         for term in self.terms:
             self._validate_term(term)
@@ -176,9 +171,7 @@ class StructuredExpression:
         used = {s for slots, _ in term.inners for s in slots}
         return tuple(i for i in range(len(self.dims)) if i not in used)
 
-    def eval_batch(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
-        if len(arrays) != len(self.dims):
-            raise DimensionMismatchError("argument count mismatch")
+    def _sum_terms(self, *arrays: np.ndarray) -> np.ndarray:
         n = arrays[0].shape[0]
         acc = np.zeros((n, self.cod_dim), dtype=np.int64)
         for term in self.terms:
@@ -190,17 +183,8 @@ class StructuredExpression:
         return acc
 
 
-def _eval_point(F: MultilinearMap | StructuredExpression, xs: Sequence[FpVector]) -> FpVector:
-    """F at one point, as a one-row `eval_batch`."""
-    for x, d in zip(xs, F.dims):
-        if x.p != F.p or x.dim != d:
-            raise DimensionMismatchError("argument does not match the domain")
-    out = F.eval_batch([np.array([x.coords], dtype=np.int64) for x in xs])
-    return FpVector(F.p, tuple(out[0].tolist()))
-
-
 def evaluate_expression(expr: StructuredExpression, xs: Sequence[FpVector]) -> FpVector:
-    return _eval_point(expr, xs)
+    return expr.eval(xs)
 
 
 def _iter_grid(p: int, dims: Sequence[int], chunk: int = _EVAL_CHUNK) -> Iterator[list[np.ndarray]]:
@@ -367,24 +351,15 @@ def bias_probability(
 
 def family_quad_map(params: AlgebraParams) -> MultilinearMap:
     """The 4-linear bracket (x, y, z, w) -> [x, y, z, w] into R4."""
-    eng = params.engine
-    d = params.d
-
-    def batch(x: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return eng.lie4(x, y, z, w)[:, None]
-
-    return MultilinearMap(params.p, (d, d, d, d), 1, batch_fn=batch, name="quad-bracket")
+    eng, d = params.engine, params.d
+    return MultilinearMap(params.p, (d, d, d, d), 1, lambda *xs: eng.lie4(*xs)[:, None],
+                          name="quad-bracket")
 
 
 def family_trilinear_map(params: AlgebraParams) -> MultilinearMap:
     """The 3-linear bracket (x, y, z) -> [x, y, z] into R3 coordinates."""
-    eng = params.engine
     d = params.d
-
-    def batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return eng.lie3(x, y, z)
-
-    return MultilinearMap(params.p, (d, d, d), d, batch_fn=batch, name="triple-bracket")
+    return MultilinearMap(params.p, (d, d, d), d, params.engine.lie3, name="triple-bracket")
 
 
 def _product_map(p: int, negate: bool = False) -> MultilinearMap:

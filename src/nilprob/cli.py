@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import bias, stats, structure
-from .algebra import AlgebraParams
-from .errors import CapExceededError, NilprobError, UsageError
+from .algebra import AlgebraParams, from_text
+from .errors import CapExceededError, DimensionMismatchError, NilprobError, UsageError
 from .fieldlin import load_form
 from .groups import AlgebraGroup, GroupElement, TableGroup, load_cayley_table
 from .stats import DEFAULT_SEED
@@ -175,20 +175,31 @@ def _cmd_dk(args: argparse.Namespace, k: int) -> tuple[int, dict, dict]:
     return EXIT_OK, info, report
 
 
+def _s_file_element(G, n: int, text: str):
+    """Line n of --s-file as an element of G: an index into a table, or a
+    family element in `algebra.to_text` form with c0 = 0."""
+    try:
+        if isinstance(G, TableGroup):
+            return int(text)
+        return GroupElement.from_l1(from_text(G.params, text))
+    except DimensionMismatchError:   # a digit outside [0, p), named by its message
+        raise
+    except ValueError as exc:   # text that is not an element
+        raise UsageError(f"--s-file line {n}: {exc}") from None
+
+
 def _parse_s_elements(args: argparse.Namespace, G) -> list:
     if args.s_file:
-        lines = [ln.strip() for ln in Path(args.s_file).read_text().splitlines() if ln.strip()]
-        if not lines:
+        lines = Path(args.s_file).read_text().splitlines()
+        elements = [_s_file_element(G, n, ln.strip())
+                    for n, ln in enumerate(lines, 1) if ln.strip()]
+        if not elements:
             raise UsageError("--s-file holds no elements")
         if isinstance(G, TableGroup):
-            indices = [int(ln) for ln in lines]
-            bad = next((i for i in indices if not 0 <= i < G.order), None)
+            bad = next((i for i in elements if not 0 <= i < G.order), None)
             if bad is not None:
                 raise UsageError(f"--s-file index {bad} outside [0, {G.order})")
-            return indices
-        from .algebra import from_text
-
-        return [GroupElement.from_l1(from_text(G.params, ln)) for ln in lines]
+        return elements
     if args.s != "identity":
         raise UsageError(f"unsupported --s value {args.s!r}; use 'identity' or --s-file")
     return [G.identity]

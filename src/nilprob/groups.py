@@ -73,9 +73,10 @@ def _element_indices(m: int, idx) -> np.ndarray:
 
 
 def _integer_table(table) -> np.ndarray:
-    """table as a square int64 array.  Integer arrays are converted without a
-    check of their own; other input must hold whole numbers, and a value
-    that int64 cannot hold is out of range for any table."""
+    """table as a new square int64 array, so the caller's array can change
+    without changing the group.  Integer arrays are copied without a check
+    of their own; other input must hold whole numbers, and a value that
+    int64 cannot hold is out of range for any table."""
     try:
         arr = np.asarray(table)
     except ValueError as exc:   # ragged rows
@@ -83,7 +84,7 @@ def _integer_table(table) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise CayleyParseError("table must be square")
     if arr.dtype.kind in "biu":
-        return arr.astype(np.int64, copy=False)
+        return np.array(arr, dtype=np.int64)
     entries = arr.astype(object)
     try:
         ints = entries.astype(np.int64)   # int() of each entry
@@ -519,6 +520,8 @@ class TableGroup:
         self.name = name
         self.identity = 0
         self.inv_table = self._validate()
+        self.table.flags.writeable = False   # a validated group stays a group
+        self.inv_table.flags.writeable = False
 
     def _validate(self) -> np.ndarray:
         """The inverse array of a group table; otherwise the first failure,

@@ -229,6 +229,17 @@ class TestBiasProbability:
         rep = bias.bias_probability(bias.family_trilinear_map(AlgebraParams.hyperbolic(p, n)))
         assert (rep.kind, rep.value) == ("exact", value)
 
+    @pytest.mark.parametrize("p, n, value", [
+        (2, 1, Fraction(55, 64)), (3, 1, Fraction(473, 729)), (2, 2, Fraction(709, 1024)),
+    ])
+    def test_quad_expression_bias_equals_map_bias(self, p, n, value):
+        # a 4-fold commutator of the family is the quad bracket of the grade-1
+        # parts, so these are the family's exact d3 values
+        params = AlgebraParams.hyperbolic(p, n)
+        expr_rep = bias.bias_probability(bias.family_quad_expression(params))
+        map_rep = bias.bias_probability(bias.family_quad_map(params))
+        assert (expr_rep.kind, expr_rep.value) == (map_rep.kind, map_rep.value) == ("exact", value)
+
     @pytest.mark.parametrize("p, tensor, value", [
         (3, [[1], [0]], Fraction(1, 3)),                     # arity 1: x_1 = 0
         (5, np.zeros((3, 0), dtype=np.int64), 1),              # arity 1, cod_dim 0
@@ -269,6 +280,13 @@ class TestExpressions:
         zero = bias.MultilinearMap.from_tensor(2, np.zeros((d, d, 1), dtype=np.int64))
         assert bias.verify_expression(expr, zero).ok
         assert expr.rank == 1
+
+    def test_unread_slot_width_checked(self):
+        # no term reads a slot, but a slot array of the wrong width is refused
+        expr = bias.StructuredExpression(2, (1, 17), 1, ())
+        with pytest.raises(DimensionMismatchError, match="slot dim 2 != 1"):
+            expr.eval_batch([np.zeros((3, 2), dtype=np.int64),
+                             np.zeros((3, 17), dtype=np.int64)])
 
     def test_family_quad_certificate_dims_2_and_4(self, params21, params22):
         for params in (params21, params22):
@@ -356,20 +374,22 @@ class TestExpressions:
     def test_failing_fibre_enumerated_in_chunks(self, monkeypatch):
         # F(x, y) = x_0 y_16 on F_2^1 x F_2^17 against the zero expression:
         # fibre x = 0 agrees, and in fibre x = 1 the first failing y is
-        # e_16, the 2^16-th vector; no call evaluates more than _EVAL_CHUNK rows
+        # e_16, the 2^16-th vector; no call evaluates more than _EVAL_CHUNK rows.
+        # The expression is a map too, so calls are logged with their map.
         tensor = np.zeros((1, 17, 1), dtype=np.int64)
         tensor[0, 16, 0] = 1
         F = bias.MultilinearMap.from_tensor(2, tensor)
         expr = bias.StructuredExpression(2, (1, 17), 1, ())
-        rows = []
+        calls = []
         eval_batch = bias.MultilinearMap.eval_batch
         monkeypatch.setattr(bias.MultilinearMap, "eval_batch",
-                            lambda m, arrays: rows.append(len(arrays[0])) or eval_batch(m, arrays))
+                            lambda m, arrays: calls.append((m, len(arrays[0])))
+                            or eval_batch(m, arrays))
         res = bias.verify_expression(expr, F)
         assert res.exhaustive and res.points_checked == 2**17 + 2**16
         assert [v.coords for v in res.counterexample] == [(1,), (0,) * 16 + (1,)]
-        assert rows == [2 * 17, 1 << 16, 1 << 16]
-        assert max(rows) <= bias._EVAL_CHUNK
+        assert [rows for m, rows in calls if m is F] == [2 * 17, 1 << 16, 1 << 16]
+        assert max(rows for _, rows in calls) <= bias._EVAL_CHUNK
 
     @pytest.mark.parametrize("mode", ["exhastive", "sampled", ""])
     def test_unknown_mode_raises(self, params21, mode):

@@ -458,6 +458,27 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: digit {digit} outside [0, 2)\n"
 
+    @pytest.mark.parametrize("group, text, message", [
+        (["--table", "corpus:s3"], "0\nabc\n",
+         "line 2: invalid literal for int() with base 10: 'abc'"),
+        (["--family", "--p", "2", "--n", "2"], "0 | 0 0 0 0 | 0 0 0 0\n",
+         "line 1: element text must have 5 '|'-separated fields"),
+        # a blank line still counts
+        (["--family", "--p", "2", "--n", "2"],
+         "\n0 | 1 0 0 0 | 0 0 0 0 ; 0 0 0 0 ; 0 0 0 0 | 0 0 0 0 | 0\n",
+         "line 2: expected 4 rows in r2 field"),
+        (["--family", "--p", "2", "--n", "1"], "1 | 0 0 | 0 0 ; 0 0 | 0 0 | 0\n",
+         "line 1: L1-part must have zero grade-0 component"),
+    ], ids=["table-not-integer", "family-fields", "family-r2-rows", "family-c0"])
+    def test_malformed_s_file_line_is_two(self, capsys, tmp_path, group, text, message):
+        s_file = tmp_path / "s.txt"
+        s_file.write_text(text)
+        code = main(["cover", *group, "--n-bound", "2", "--s-file", str(s_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --s-file {message}\n"
+
 
 class TestOutput:
     def test_json_deterministic_modulo_elapsed(self, capsys):

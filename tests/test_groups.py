@@ -274,6 +274,17 @@ class TestTableGroup:
         with pytest.raises(ValueError):
             G.long_commutator([1])
 
+    def test_table_not_shared_with_caller(self):
+        # the group keeps its own read-only copy: it stays the validated group
+        t = corpus_group("c3").table.copy()
+        G = TableGroup(t)
+        t[1, 1] = 1
+        assert G.mul(1, 1) == 2
+        assert G.table.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+        for arr in (G.table, G.inv_table):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
     def test_trivial_table(self):
         g = parse_cayley_table("1\n0\n")
         assert g.order == 1
