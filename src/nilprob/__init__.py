@@ -9,7 +9,6 @@ from .algebra import (
     alg_add,
     alg_mul,
     alg_neg,
-    alg_scale,
     alg_sub,
     basis_elements,
     lie_bracket,
@@ -21,7 +20,6 @@ from .fieldlin import (
     form_eval,
     hyperbolic_form,
     load_form,
-    rank,
     symm_part,
 )
 from .groups import (
@@ -67,7 +65,6 @@ from .bias import (
     StructuredExpression,
     Term,
     bias_probability,
-    evaluate_expression,
     family_quad_expression,
     family_quad_map,
     family_trilinear_expression,

@@ -12,7 +12,7 @@ on pure vectors are
 where ' marks the R3 copy of a vector; R2 x R2 follows by associativity.
 An element is one tuple of digits mod p: c0, then the L1 digits in the
 order r1, r2 row-major, r3, c4 (`split_grades` reads the grades back, as
-read-only views).  Sums and scalings are digitwise; products are computed
+read-only views).  Sums and negations are digitwise; products are computed
 by the one arithmetic engine, `_batch.BatchAlg` (shared per parameter set
 as `AlgebraParams.engine`), on one-element stacks.
 """
@@ -165,15 +165,6 @@ class AlgebraElement(FlatDigits):
         z = (0,) * params.d
         return AlgebraElement(params, 0, vec.coords, (z,) * params.d, z, 0)
 
-    def grade_components_zero(self, grades: tuple[int, ...]) -> bool:
-        """True when every listed graded component vanishes."""
-        r1, r2, r3, c4 = self._grades()
-        parts = ((self.c0,), r1, sum(r2, ()), r3, (c4,))
-        return not any(any(parts[g]) for g in grades)
-
-    def is_zero(self) -> bool:
-        return not any(self.digits)
-
     def __repr__(self) -> str:
         return f"AlgebraElement({to_text(self)!r})"
 
@@ -206,10 +197,6 @@ def alg_neg(a: AlgebraElement) -> AlgebraElement:
 
 def alg_sub(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return alg_add(a, alg_neg(b))
-
-
-def alg_scale(a: AlgebraElement, c: int) -> AlgebraElement:
-    return AlgebraElement.of(a.params, (x * c for x in a.digits))
 
 
 def alg_mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

@@ -183,10 +183,6 @@ class StructuredExpression(MultilinearMap):
         return acc
 
 
-def evaluate_expression(expr: StructuredExpression, xs: Sequence[FpVector]) -> FpVector:
-    return expr.eval(xs)
-
-
 def _iter_grid(p: int, dims: Sequence[int], chunk: int = _EVAL_CHUNK) -> Iterator[list[np.ndarray]]:
     """Every point of the domain in chunks, the last slot counting fastest."""
     tables = [all_vectors(p, d) for d in dims]

@@ -40,36 +40,8 @@ class FpVector:
         return len(self.coords)
 
     @staticmethod
-    def zero(p: int, dim: int) -> "FpVector":
-        return FpVector(p, (0,) * dim)
-
-    @staticmethod
     def basis(p: int, dim: int, i: int) -> "FpVector":
         return FpVector(p, tuple(1 if j == i else 0 for j in range(dim)))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def _check(self, other: "FpVector") -> None:
-        if self.p != other.p or self.dim != other.dim:
-            raise DimensionMismatchError(
-                f"vector mismatch: F_{self.p}^{self.dim} vs F_{other.p}^{other.dim}"
-            )
-
-    def __add__(self, other: "FpVector") -> "FpVector":
-        self._check(other)
-        return FpVector(self.p, tuple((a + b) % self.p for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "FpVector") -> "FpVector":
-        self._check(other)
-        return FpVector(self.p, tuple((a - b) % self.p for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "FpVector":
-        return FpVector(self.p, tuple((-a) % self.p for a in self.coords))
-
-    def scale(self, c: int) -> "FpVector":
-        c %= self.p
-        return FpVector(self.p, tuple(a * c % self.p for a in self.coords))
 
 
 @dataclass(frozen=True)
@@ -226,11 +198,6 @@ def nullspace(rows: Sequence[Sequence[int]], p: int, ncols: int) -> list[FpVecto
             vec[col] = (-reduced[r][free]) % p
         basis.append(FpVector(p, tuple(vec)))
     return basis
-
-
-def rank(f: BilinearForm) -> int:
-    """Rank of the coefficient array by Gaussian elimination over F_p."""
-    return matrix_rank(f.coeffs, f.p)
 
 
 # Form file I/O.  Text format: line 1 "p d", then d lines of d residues.

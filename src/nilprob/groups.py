@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from ._batch import BLOCK, Batch, BatchAlg
-from .algebra import AlgebraElement, AlgebraParams, FlatDigits, Matrix, join_grades
+from .algebra import AlgebraElement, AlgebraParams, FlatDigits
 from .errors import (
     CapExceededError,
     CayleyAssociativityError,
@@ -139,16 +139,6 @@ class GroupElement(FlatDigits):
 
     __slots__ = ()
 
-    def __init__(
-        self,
-        params: AlgebraParams,
-        r1: tuple[int, ...],
-        r2: Matrix,
-        r3: tuple[int, ...],
-        c4: int,
-    ):
-        self._set(params, join_grades(params, r1, r2, r3, c4))
-
     @staticmethod
     def identity(params: AlgebraParams) -> "GroupElement":
         return GroupElement.of(params, (0,) * params.dim_l1)
@@ -158,9 +148,6 @@ class GroupElement(FlatDigits):
         if a.c0 != 0:
             raise ValueError("L1-part must have zero grade-0 component")
         return GroupElement.of(a.params, a.digits[1:])
-
-    def l1_part(self) -> AlgebraElement:
-        return AlgebraElement.of(self.params, (0, *self.digits))
 
     def coords(self) -> tuple[int, ...]:
         """Flat L1 digits in the order (r1, r2 row-major, r3, c4)."""
@@ -247,7 +234,6 @@ class AlgebraGroup:
         self.order = params.p ** self.dim_l1
         self.identity = GroupElement.identity(params)
         self.class_log_base = params.p   # class sizes are p-powers
-        self._labels: np.ndarray | None = None
 
     @property
     def batch(self) -> BatchAlg:
@@ -372,20 +358,19 @@ class AlgebraGroup:
         """a b^-1 entrywise."""
         return self.batch.grp_mul(a, self.batch.grp_inv(b))
 
-    def _class_label_array(self, cap: int) -> np.ndarray:
-        """`_orbit_labels` over `all_elements`, built once; an element's index
-        is the base-p number its coordinates spell."""
-        _check_enum_cap(self.order, cap)
-        if self._labels is None:
-            flat = self.batch.coords(self.all_elements(cap))
-            images = np.einsum("gij,nj->gni", self._conj_matrices, flat) % self.params.p
-            self._labels = _orbit_labels(images @ self._place_values)
-        return self._labels
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        """`_orbit_labels` over `all_elements`; an element's index is the
+        base-p number its coordinates spell.  Read it only after checking
+        the enumeration cap."""
+        images = np.einsum("gij,nj->gni", self._conj_matrices, self._digits(np.arange(self.order)))
+        return _orbit_labels((images % self.params.p) @ self._place_values)
 
     def class_labels(self, a: Batch, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
         """Index in `all_elements` of the least member of each entry's class;
         `cap` bounds the enumeration that the labels are built from."""
-        return self._class_label_array(cap)[self.batch.coords(a) @ self._place_values]
+        _check_enum_cap(self.order, cap)
+        return self._labels[self.batch.coords(a) @ self._place_values]
 
     def class_sizes(self, a: Batch) -> np.ndarray:
         """|(1+a)^G| = p^rank(ad_a) for every entry of the stack.
@@ -487,7 +472,8 @@ class AlgebraGroup:
     def conjugacy_classes(self, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[GroupElement, int]]:
         """(representative, size) pairs, each class represented by its least
         member in coordinate order; requires an enumerable group."""
-        labels = self._class_label_array(cap)
+        _check_enum_cap(self.order, cap)
+        labels = self._labels
         reps = np.flatnonzero(labels == np.arange(self.order))
         sizes = np.bincount(labels)[reps].tolist()
         return list(zip(_elements(self.params, self._digits(reps)), sizes))

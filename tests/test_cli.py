@@ -425,16 +425,6 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: Engel limit max_l must be >= 1\n"
 
-    @pytest.mark.parametrize("index", ["99", "-1"])
-    def test_s_file_index_out_of_range_is_two(self, capsys, tmp_path, index):
-        s_file = tmp_path / "s.txt"
-        s_file.write_text(f"0\n{index}\n")
-        code = main(["cover", "--table", "corpus:s3", "--n-bound", "1", "--s-file", str(s_file)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == f"error: --s-file index {index} outside [0, 6)\n"
-
     @pytest.mark.parametrize("group", [["--table", "corpus:s3"], ["--family", "--p", "2", "--n", "1"]])
     @pytest.mark.parametrize("text", ["", "\n \n"])
     def test_empty_s_file_is_two(self, capsys, tmp_path, group, text):
@@ -447,17 +437,6 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: --s-file holds no elements\n"
 
-    @pytest.mark.parametrize("digit", ["3", "-1"])
-    def test_family_s_file_digit_out_of_range_is_two(self, capsys, tmp_path, digit):
-        s_file = tmp_path / "s.txt"
-        s_file.write_text(f"0 | {digit} 0 | 0 0 ; 0 0 | 0 0 | 0\n")
-        code = main(["cover", "--family", "--p", "2", "--n", "1", "--n-bound", "2",
-                     "--s-file", str(s_file)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == f"error: digit {digit} outside [0, 2)\n"
-
     @pytest.mark.parametrize("group, text, message", [
         (["--table", "corpus:s3"], "0\nabc\n",
          "line 2: invalid literal for int() with base 10: 'abc'"),
@@ -469,7 +448,14 @@ class TestExitCodes:
          "line 2: expected 4 rows in r2 field"),
         (["--family", "--p", "2", "--n", "1"], "1 | 0 0 | 0 0 ; 0 0 | 0 0 | 0\n",
          "line 1: L1-part must have zero grade-0 component"),
-    ], ids=["table-not-integer", "family-fields", "family-r2-rows", "family-c0"])
+        (["--family", "--p", "2", "--n", "1"], "0 | 3 0 | 0 0 ; 0 0 | 0 0 | 0\n",
+         "line 1: digit 3 outside [0, 2)"),
+        (["--family", "--p", "2", "--n", "1"], "0 | -1 0 | 0 0 ; 0 0 | 0 0 | 0\n",
+         "line 1: digit -1 outside [0, 2)"),
+        (["--table", "corpus:s3"], "99\n", "line 1: element index 99 outside [0, 6)"),
+        (["--table", "corpus:s3"], "0\n-1\n", "line 2: element index -1 outside [0, 6)"),
+    ], ids=["table-not-integer", "family-fields", "family-r2-rows", "family-c0",
+            "family-digit-3", "family-digit-neg", "table-index-99", "table-index-neg"])
     def test_malformed_s_file_line_is_two(self, capsys, tmp_path, group, text, message):
         s_file = tmp_path / "s.txt"
         s_file.write_text(text)

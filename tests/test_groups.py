@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilprob import stats
-from nilprob.algebra import AlgebraElement, AlgebraParams, alg_add, alg_mul, lie_bracket
+from nilprob.algebra import AlgebraElement, AlgebraParams, alg_mul, lie_bracket
 from nilprob.errors import (
     CapExceededError,
     CayleyAssociativityError,
@@ -57,8 +57,9 @@ class TestFamilyElements:
 
     def test_generator_product_components(self, params21):
         # (1+e1)(1+e1') = 1 + e1 + e1' + e1 (x) e1'
-        e1 = GroupElement(params21, (1, 0), ((0, 0), (0, 0)), (0, 0), 0)
-        e1p = GroupElement(params21, (0, 1), ((0, 0), (0, 0)), (0, 0), 0)
+        z = ((0, 0), (0, 0))
+        e1 = GroupElement.from_l1(AlgebraElement(params21, 0, (1, 0), z, (0, 0), 0))
+        e1p = GroupElement.from_l1(AlgebraElement(params21, 0, (0, 1), z, (0, 0), 0))
         prod = grp_mul(e1, e1p)
         assert prod.r1 == (1, 1)
         assert prod.r2 == ((0, 1), (0, 0))
@@ -115,14 +116,12 @@ class TestCommutators:
         # [1+x, 1+y] = 1 + (1+x)^-1 (1+y)^-1 [x, y]
         rng = np.random.default_rng(4)
         params = family22.params
-        one = AlgebraElement.one(params)
         for _ in range(50):
             g, h = family22.random_elements(rng, 2)
-            u = alg_mul(
-                alg_add(one, grp_inv(g).l1_part()), alg_add(one, grp_inv(h).l1_part())
-            )
-            rhs = alg_mul(u, lie_bracket(g.l1_part(), h.l1_part()))
-            assert commutator(g, h).l1_part() == rhs
+            # 1 + a and a as algebra elements: the digits after c0 = 1 or 0
+            u = alg_mul(*(AlgebraElement.of(params, (1, *grp_inv(k).digits)) for k in (g, h)))
+            x, y = (AlgebraElement.of(params, (0, *k.digits)) for k in (g, h))
+            assert commutator(g, h) == GroupElement.from_l1(alg_mul(u, lie_bracket(x, y)))
 
     def test_triple_commutator_is_lie3_mod_l4(self, family22, embed_r1):
         # [1+x, 1+y, 1+z] = 1 + [x,y,z] modulo the R4 component
@@ -192,8 +191,12 @@ class TestOrbits:
     def test_orbit_cap(self, family22):
         rng = np.random.default_rng(11)
         g = family22.random_elements(rng, 1)[0]
-        with pytest.raises(OrbitOverflowError):
-            family22.conjugacy_orbit(g, cap=1)
+        s3 = corpus_group("s3")
+        size = s3.class_size(1)   # 2 or 3: element 1 is not central
+        for G, x, cap in ((family22, g, 1), (s3, 1, size - 1)):
+            with pytest.raises(OrbitOverflowError):
+                G.conjugacy_orbit(x, cap=cap)
+        assert len(s3.conjugacy_orbit(1, cap=size)) == size
 
     def test_classes_partition(self, family21):
         classes = family21.conjugacy_classes()

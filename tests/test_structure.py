@@ -52,10 +52,8 @@ def probe_reference(params, h_basis):
     x, w = pair
     h1 = []
     for cvec in nullspace([[form_eval(fs, x, b) for b in basis]], p, len(basis)):
-        acc = FpVector.zero(p, d)
-        for c, b in zip(cvec.coords, basis):
-            acc = acc + b.scale(c)
-        h1.append(acc)
+        h1.append(FpVector(p, tuple(sum(c * b.coords[k] for c, b in zip(cvec.coords, basis))
+                                    for k in range(d))))
     pair = next(((a, b) for a in basis for b in h1 if form_eval(fs, a, b)), None)
     if pair is None:
         return DegenerateFormError
@@ -301,7 +299,8 @@ class TestSubspaceProbe:
                      for _ in range(rng.randrange(d + 2))]
                 if len(h) >= 2:   # a dependent vector: a combination of two others
                     c = rng.randrange(p)
-                    h.append(h[0] + h[1].scale(c))
+                    pairs = zip(h[0].coords, h[1].coords)
+                    h.append(FpVector(p, tuple(a + c * b for a, b in pairs)))
                 assert probe_or_error(params, h) == probe_reference(params, h)
 
     def test_probe_matches_scalar_scan_on_dense_forms(self):
