@@ -18,8 +18,8 @@ from itertools import compress
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import betaincinv
 
+from ._binomial_tail import binomial, tail_root
 from .errors import CapExceededError
 from .groups import AlgebraGroup, TableGroup
 
@@ -83,15 +83,26 @@ class CoveringWitness:
 
 
 def clopper_pearson(hits: int, samples: int, confidence: float = 0.99) -> tuple[float, float]:
-    """Two-sided exact binomial confidence interval.
+    """Two-sided exact binomial confidence interval, correctly rounded.
 
-    The bounds are Beta quantiles, taken from the inverse regularized
-    incomplete beta function (scipy.stats.beta.ppf evaluates the same
-    function, at over three times the import cost).
+    With a = (1 - confidence) / 2, the lower bound solves
+    P(Bin(samples, x) >= hits) = a and the upper bound solves
+    P(Bin(samples, x) <= hits) = a, both the Beta quantiles; the upper
+    bound is read on this lower tail, so no rounded 1 - a enters.  Each
+    bound is the double nearest its root; hits = 0 has lower bound 0 and
+    hits = samples upper bound 1.
     """
-    alpha = 1.0 - confidence
-    lo = 0.0 if hits == 0 else float(betaincinv(hits, samples - hits + 1, alpha / 2))
-    hi = 1.0 if hits == samples else float(betaincinv(hits + 1, samples - hits, 1 - alpha / 2))
+    if not (0 <= hits <= samples and samples >= 1 and 0.0 < confidence < 1.0):
+        raise ValueError(f"need 0 <= hits <= samples, samples >= 1 and 0 < confidence < 1, "
+                         f"got hits={hits}, samples={samples}, confidence={confidence}")
+    tail = (1.0 - confidence) / 2
+    if samples == 1:
+        # the roots tail and 1 - tail; the second can be a tie, which the
+        # subtraction rounds to even
+        return (0.0, 1.0 - tail) if hits == 0 else (tail, 1.0)
+    binom = binomial(samples, hits)
+    lo = 0.0 if hits == 0 else tail_root(samples, hits, tail, binom)
+    hi = 1.0 if hits == samples else tail_root(samples, samples - hits, tail, binom, upper=True)
     return lo, hi
 
 

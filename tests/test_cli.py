@@ -519,14 +519,15 @@ class TestOutput:
         assert json.loads(out)["threads"] == 5
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs about a second to import; the CLI needs only
-    # scipy.special for its Clopper-Pearson bounds.
+@pytest.mark.parametrize("module", ["nilprob", "nilprob.cli"])
+def test_import_leaves_out_scipy(module):
+    # scipy is a test oracle only: importing it would double start-up
     env = dict(os.environ, PYTHONPATH=str(Path(nilprob.__file__).resolve().parents[1]))
-    code = "import sys, nilprob.cli; print('scipy.stats' in sys.modules)"
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
-    assert out == "False\n"
+    assert out == "[]\n"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -369,12 +369,15 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("names,k,report", [
         (("d4", "q8"), 2, (1.0, 0.9999595781718432, 1.0)),
         (("d4", "q8"), 3, (1.0, 0.9999595781718432, 1.0)),
-        (("heis27", "a4"), 2, (0.5536304196897912, 0.5500878483991989, 0.5571690927366001)),
-        (("heis27", "a4"), 3, (0.7015708803491184, 0.6983042883193809, 0.7048228188653838)),
+        (("heis27", "a4"), 2, (0.5536304196897912, 0.5500878483991989, 0.5571690927366)),
+        (("heis27", "a4"), 3, (0.7015708803491184, 0.6983042883193809, 0.7048228188653837)),
     ])
     def test_seeded_table_products_pinned(self, names, k, report):
         # Reports measured while table commutators were five gathers per
         # lookup, before they were read from one cached commutator table.
+        # The two heis27 x a4 upper bounds moved by one ulp each, to the
+        # correctly rounded Beta quantiles, when the bounds stopped coming
+        # from scipy.
         G = direct_product(*(corpus_group(n) for n in names))
         for threads in (1, 2):
             rep = stats.dk_monte_carlo(G, k, 2 * stats.MC_CHUNK + 1, threads=threads)
@@ -396,20 +399,135 @@ class TestMonteCarlo:
         json.dumps(d), json.dumps(exact)
 
 
+def binomial_tail_sign(samples, hits, y, tail, lower_tail):
+    """The sign of P(Bin(samples, y) <= hits) - tail if `lower_tail`, else
+    of P(Bin(samples, y) >= hits) - tail, in integers: with y = m / 2^e,
+    2^(e samples) P(Bin(samples, y) = k) = C(samples, k) m^k (2^e - m)^(samples - k).
+    The terms are summed outward from hits and the sum stops once the rest,
+    bounded by a geometric series, cannot change the sign."""
+    m, e = y.numerator, y.denominator.bit_length() - 1
+    w = (1 << e) - m
+    a, d = tail.as_integer_ratio()
+    target = a << (e * samples)
+    term = math.comb(samples, hits) * m**hits * w**(samples - hits) << (d.bit_length() - 1)
+    total, k = term, hits
+    while total <= target:
+        if k == (0 if lower_tail else samples):
+            return (total > target) - (total < target)
+        if lower_tail:
+            num, den, k = k * w, (samples - k + 1) * m, k - 1
+        else:
+            num, den, k = (samples - k) * m, (k + 1) * w, k + 1
+        if num < den and total * (den - num) + term * num < target * (den - num):
+            return -1
+        term = term * num // den
+        total += term
+    return 1
+
+
+def mp_binomial_tail(samples, hits, y, lower_tail):
+    """P(Bin(samples, y) <= hits) if `lower_tail`, else P(Bin(samples, y) >= hits),
+    at mpmath's working precision."""
+    import mpmath
+
+    y = mpmath.mpf(y)
+    r = y / (1 - y)
+    term = total = mpmath.mpf(1)
+    k, eps = hits, mpmath.mpf(2) ** -(mpmath.mp.prec + 8)
+    while k != (0 if lower_tail else samples):
+        num, den = (k, (samples - k + 1) * r) if lower_tail else ((samples - k) * r, k + 1)
+        k += -1 if lower_tail else 1
+        term = term * num / den
+        total += term
+        if num < den and term * num < eps * total * (den - num):
+            break
+    log_pmf = (mpmath.loggamma(samples + 1) - mpmath.loggamma(hits + 1)
+               - mpmath.loggamma(samples - hits + 1) + hits * mpmath.log(y)
+               + (samples - hits) * mpmath.log1p(-y))
+    return mpmath.exp(log_pmf) * total
+
+
+def assert_correctly_rounded(hits, samples, confidence, sign_at):
+    """Each nontrivial bound lies between the midpoints to its neighbours,
+    and the root between them, by `sign_at(y, tail, lower_tail)`."""
+    tail = (1.0 - confidence) / 2
+    lo, hi = stats.clopper_pearson(hits, samples, confidence)
+    assert (lo == 0.0) == (hits == 0) and (hi == 1.0) == (hits == samples)
+    for x, lower_tail in ((lo, False), (hi, True)):
+        if x in (0.0, 1.0):
+            continue
+        below = (Fraction(x) + Fraction(math.nextafter(x, 0.0))) / 2
+        above = (Fraction(x) + Fraction(math.nextafter(x, 1.0))) / 2
+        signs = sign_at(below, tail, lower_tail), sign_at(above, tail, lower_tail)
+        assert signs == ((1, -1) if lower_tail else (-1, 1)), (hits, samples, x, lower_tail)
+
+
+CP_GRID = [(hits, samples) for samples in (1, 2, 7, 50, 1000, 4000, 65536, 10**6)
+           for hits in sorted({0, 1, 2, samples // 3, samples // 2, samples - 1, samples})
+           if hits <= samples]
+
+
 class TestClopperPearson:
+    # The lower bound solves P(Bin(n, x) >= hits) = a and the upper bound
+    # P(Bin(n, x) <= hits) = a, a = (1 - confidence) / 2.  The oracles decide
+    # on which side of each root the midpoints next to a bound lie.
+
     @pytest.mark.parametrize("confidence", [0.99, 0.95])
     def test_matches_beta_quantiles(self, confidence):
-        from scipy.stats import beta
+        # exact integer oracle for n <= 4000
+        for hits, samples in CP_GRID:
+            if samples <= 4000:
+                assert_correctly_rounded(hits, samples, confidence, lambda y, tail, lower:
+                                         binomial_tail_sign(samples, hits, y, tail, lower))
 
-        alpha = 1.0 - confidence
-        for samples in (1, 2, 7, 50, 1000, 4000, 65536, 10**6):
+    @given(st.integers(1, 400).flatmap(
+        lambda n: st.tuples(st.integers(0, n), st.just(n), st.sampled_from([0.99, 0.95, 0.5]))))
+    @settings(max_examples=100)
+    def test_correctly_rounded_small(self, case):
+        hits, samples, confidence = case
+        assert_correctly_rounded(hits, samples, confidence, lambda y, tail, lower:
+                                 binomial_tail_sign(samples, hits, y, tail, lower))
+
+    @pytest.mark.parametrize("confidence", [0.99, 0.95])
+    @pytest.mark.parametrize("samples", [65536, 131073, 10**6])
+    def test_correctly_rounded_large(self, samples, confidence):
+        # 50-digit mpmath oracle
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
             for hits in sorted({0, 1, 2, samples // 3, samples // 2, samples - 1, samples}):
-                if not 0 <= hits <= samples:
-                    continue
-                lo = 0.0 if hits == 0 else float(beta.ppf(alpha / 2, hits, samples - hits + 1))
-                hi = (1.0 if hits == samples
-                      else float(beta.ppf(1 - alpha / 2, hits + 1, samples - hits)))
-                assert stats.clopper_pearson(hits, samples, confidence) == (lo, hi)
+                def sign_at(y, tail, lower):
+                    diff = mp_binomial_tail(samples, hits, mpmath.mpf(y.numerator) / y.denominator,
+                                            lower) - tail
+                    return (diff > 0) - (diff < 0)
+                assert_correctly_rounded(hits, samples, confidence, sign_at)
+
+    @pytest.mark.parametrize("confidence", [0.99, 0.95])
+    def test_close_to_scipy(self, confidence):
+        # scipy's own Beta quantiles are off by up to 1.0e-11 relative here
+        # (the upper bound at hits = 2, n = 10^6, confidence 0.95)
+        beta = pytest.importorskip("scipy.stats").beta
+        alpha = 1.0 - confidence
+        for hits, samples in CP_GRID:
+            lo, hi = stats.clopper_pearson(hits, samples, confidence)
+            if hits > 0:
+                assert math.isclose(lo, beta.ppf(alpha / 2, hits, samples - hits + 1), rel_tol=1e-10)
+            if hits < samples:
+                assert math.isclose(hi, beta.ppf(1 - alpha / 2, hits + 1, samples - hits),
+                                    rel_tol=1e-10)
+
+    def test_single_sample_tie_rounds_to_even(self):
+        # n = 1: the roots are a and 1 - a; at confidence 0.9, 1 - a lies
+        # halfway between two doubles, and the even one is 0.95
+        tail = (1.0 - 0.9) / 2
+        assert Fraction(1) - Fraction(tail) == (Fraction(0.95) + Fraction(math.nextafter(0.95, 1))) / 2
+        assert stats.clopper_pearson(0, 1, 0.9) == (0.0, 0.95)
+        assert stats.clopper_pearson(1, 1, 0.9) == (tail, 1.0)
+
+    @pytest.mark.parametrize("args", [(5, 3), (-1, 3), (2, 0), (0, 0), (1, 3, 1.5), (1, 3, 0.0),
+                                      (1, 3, 1.0)])
+    def test_invalid_arguments_raise(self, args):
+        with pytest.raises(ValueError):
+            stats.clopper_pearson(*args)
 
 
 class TestConjugacyNorm:
