@@ -8,6 +8,9 @@ A structured expression writes a multilinear map as a sum of terms, each
 feeding disjoint slot groups through small-codomain inner maps before a
 multilinear outer map.  The rank (product of inner codomain sizes) measures
 the certificate; small rank forces high vanishing probability.
+
+By multilinearity, verification reads the prod d_i basis tuples, and the
+exact bias reads each fibre of the last slot from its d_k basis images.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ _EVAL_CHUNK = 1 << 16
 class MultilinearMap:
     """Multilinear F : F_p^{d_1} x ... x F_p^{d_k} -> F_p^{e}, given by a
     vectorized evaluator `batch_fn(*arrays)` that maps (N, d_i) slot arrays
-    to an (N, e) array.  `batch_fn` must be multilinear: exhaustive modes
-    read each fibre of the last slot from its d_k basis images, by
-    linearity in that slot.
+    to an (N, e) array.  `batch_fn` must be multilinear in every slot:
+    verification and the image span read F on basis tuples only, and the
+    exact bias reads each fibre of the last slot from its d_k basis images.
     """
 
     def __init__(
@@ -97,11 +100,8 @@ class MultilinearMap:
 
     def image_span_dim(self) -> int:
         """Dimension of the span of the image (the subgroup the image
-        generates), computed from all basis tuples in one batch, listed in
-        `itertools.product` order."""
-        combos = np.unravel_index(np.arange(math.prod(self.dims)), self.dims)
-        rows = self.eval_batch([np.eye(d, dtype=np.int64)[i] for i, d in zip(combos, self.dims)])
-        return matrix_rank(rows.tolist(), self.p)
+        generates), computed from all basis tuples in one batch."""
+        return matrix_rank(self.eval_batch(_basis_tuples(self.dims)[1]).tolist(), self.p)
 
     def effective_cod_size(self) -> int:
         return self.p ** self.image_span_dim()
@@ -183,6 +183,13 @@ class StructuredExpression(MultilinearMap):
         return acc
 
 
+def _basis_tuples(dims: Sequence[int]) -> tuple[tuple[np.ndarray, ...], list[np.ndarray]]:
+    """Every basis tuple (e_i1, ..., e_ik) in `itertools.product` order, as
+    the index arrays (i_1, ..., i_k) and the (prod d_i, d_s) slot arrays."""
+    idx = np.unravel_index(np.arange(math.prod(dims)), dims)
+    return idx, [np.eye(d, dtype=np.int64)[i] for i, d in zip(idx, dims)]
+
+
 def _iter_grid(p: int, dims: Sequence[int], chunk: int = _EVAL_CHUNK) -> Iterator[list[np.ndarray]]:
     """Every point of the domain in chunks, the last slot counting fastest."""
     tables = [all_vectors(p, d) for d in dims]
@@ -235,10 +242,12 @@ def _fibres(p: int, dims: Sequence[int]) -> Iterator[tuple[int, list[np.ndarray]
 
 def _first_difference(
     expr: StructuredExpression, F: MultilinearMap, arrays: Sequence[np.ndarray]
-) -> int | None:
-    """The first row on which expr and F differ, if any."""
+) -> tuple[int, tuple[FpVector, ...]] | None:
+    """The first row on which expr and F differ, and its point, if any."""
     bad = np.nonzero((expr.eval_batch(arrays) != F.eval_batch(arrays)).any(axis=1))[0]
-    return int(bad[0]) if bad.size else None
+    if not bad.size:
+        return None
+    return int(bad[0]), tuple(FpVector(expr.p, tuple(a[bad[0]].tolist())) for a in arrays)
 
 
 @dataclass
@@ -257,30 +266,6 @@ class VerifyResult:
         return self.ok
 
 
-def _verify_fibres(expr: StructuredExpression, F: MultilinearMap) -> VerifyResult:
-    """Exhaustive check: a fibre agrees iff its d_k basis images agree.  The
-    first fibre that fails is enumerated in `all_vectors` order, so the
-    counterexample and its index are those of whole-domain enumeration."""
-    p, dk = expr.p, expr.dims[-1]
-    before = 0
-    for m, arrays in _fibres(p, expr.dims):
-        row = _first_difference(expr, F, arrays)
-        if row is None:
-            before += m
-            continue
-        head = [a[row] for a in arrays[:-1]]
-        offset = (before + row // dk) * p**dk
-        for (last,) in _iter_grid(p, (dk,), _EVAL_CHUNK):
-            points = [np.tile(h, (len(last), 1)) for h in head] + [last]
-            i = _first_difference(expr, F, points)
-            if i is not None:
-                xs = tuple(FpVector(p, tuple(int(v) for v in a[i])) for a in points)
-                return VerifyResult(True, offset + i, xs)
-            offset += len(last)
-        raise AssertionError("basis images differ on a fibre where no point does")
-    return VerifyResult(True, p ** sum(expr.dims))
-
-
 def verify_expression(
     expr: StructuredExpression,
     F: MultilinearMap,
@@ -292,20 +277,26 @@ def verify_expression(
     """Check expr(x) == F(x) on the whole domain under the cap, else on
     random points with the sample count reported.
 
-    The whole domain is decided fibre by fibre from the d_k basis images of
-    the last slot (both sides are multilinear), p^(sum d - d_k) d_k
-    evaluations; a failure is the first failing point in mixed-radix order
-    and `points_checked` is its index, as if every point were evaluated."""
+    expr - F is multilinear, so the whole domain is decided by its prod d_i
+    basis tuples, in one batch.  A failure is the first failing point in
+    mixed-radix order and `points_checked` its index: the first vector
+    outside a proper subspace (in `all_vectors` order) is the least basis
+    vector outside it, so slot by slot that point is the first failing basis
+    tuple (e_i1, ..., e_ik), at index sum_s p^(i_s + d_(s+1) + ... + d_k)."""
     if F.p != expr.p or F.dims != expr.dims or F.cod_dim != expr.cod_dim:
         raise DimensionMismatchError("expression and map domains differ")
-    if _enumerates(expr.p, expr.dims, mode, cap, samples):
-        return _verify_fibres(expr, F)
+    p, dims = expr.p, expr.dims
+    if _enumerates(p, dims, mode, cap, samples):
+        idx, arrays = _basis_tuples(dims)
+        if (hit := _first_difference(expr, F, arrays)) is None:
+            return VerifyResult(True, p ** sum(dims))
+        row, point = hit
+        index = sum(p ** (int(i[row]) + sum(dims[s + 1:])) for s, i in enumerate(idx))
+        return VerifyResult(True, index, point)
     checked = 0
-    for arrays in _sample_chunks(expr.p, expr.dims, samples, seed):
-        i = _first_difference(expr, F, arrays)
-        if i is not None:
-            point = tuple(FpVector(expr.p, tuple(int(v) for v in arr[i])) for arr in arrays)
-            return VerifyResult(False, checked + i, point)
+    for arrays in _sample_chunks(p, dims, samples, seed):
+        if (hit := _first_difference(expr, F, arrays)) is not None:
+            return VerifyResult(False, checked + hit[0], hit[1])
         checked += arrays[0].shape[0]
     return VerifyResult(False, checked)
 

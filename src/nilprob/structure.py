@@ -85,7 +85,10 @@ def _check_cap(G: TableGroup, cap: int) -> None:
 def _commutator_values(G: TableGroup, sub: Iterable[int], full: Iterable[int]) -> set[int]:
     a = np.fromiter(sub, dtype=np.int64)
     b = np.fromiter(full, dtype=np.int64)
-    return set(np.unique(G.commutator_table[np.ix_(a, b)]).tolist())
+    # marked in a boolean array: np.unique imports numpy.ma on its first call
+    hit = np.zeros(G.order, dtype=bool)
+    hit[G.commutator_table[np.ix_(a, b)]] = True
+    return set(np.flatnonzero(hit).tolist())
 
 
 def _fixed_point_series(
@@ -325,7 +328,9 @@ def neumann_extract(G: TableGroup, norm: Callable[[int], float], C: float) -> Ne
     D = _measured_level(nm)
     radius = 4 * D + 1
 
-    comm_vals = np.unique(comm_hk).tolist()
+    hit = np.zeros(G.order, dtype=bool)
+    hit[comm_hk] = True
+    comm_vals = np.flatnonzero(hit).tolist()
     # Greedy maximal separated set: each value in turn becomes a center unless
     # norm(c s^-1) <= radius for a center s already chosen.
     centers: list[int] = []
@@ -355,7 +360,8 @@ def neumann_extract(G: TableGroup, norm: Callable[[int], float], C: float) -> Ne
 
 def _measured_level(norm_matrix: np.ndarray) -> float:
     """Least D with P(value <= D) >= 1/D along every row and column."""
-    finite = np.unique(norm_matrix[np.isfinite(norm_matrix)])
+    finite = np.sort(norm_matrix[np.isfinite(norm_matrix)])
+    finite = finite[np.diff(finite, prepend=-math.inf) > 0]
     best = math.inf
     n_rows, n_cols = norm_matrix.shape
     for i, v in enumerate(finite):

@@ -295,6 +295,14 @@ class TestExpressions:
             res = bias.verify_expression(expr, bias.family_quad_map(params))
             assert res.ok and res.exhaustive
             assert res.points_checked == 2 ** (4 * params.d)
+        # basis tuples make (2,3) and (3,2) exact too: 1296 and 256 rows
+        for p, n in ((2, 3), (3, 2)):
+            params = AlgebraParams.hyperbolic(p, n)
+            total = p ** (4 * params.d)
+            res = bias.verify_expression(bias.family_quad_expression(params),
+                                         bias.family_quad_map(params),
+                                         mode="exhaustive", cap=total)
+            assert res.ok and res.exhaustive and res.points_checked == total
 
     def test_quad_expression_point_values(self, params21):
         expr = bias.family_quad_expression(params21)
@@ -372,10 +380,11 @@ class TestExpressions:
         else:
             assert (res.points_checked, res.counterexample) == expect
 
-    def test_failing_fibre_enumerated_in_chunks(self, monkeypatch):
+    def test_failing_basis_tuple_read_in_one_batch(self, monkeypatch):
         # F(x, y) = x_0 y_16 on F_2^1 x F_2^17 against the zero expression:
-        # fibre x = 0 agrees, and in fibre x = 1 the first failing y is
-        # e_16, the 2^16-th vector; no call evaluates more than _EVAL_CHUNK rows.
+        # x = 0 agrees, and at x = 1 the first failing y is e_16, the 2^16-th
+        # vector; F is evaluated once, on its 17 basis tuples, and no call
+        # evaluates more than _EVAL_CHUNK rows.
         # The expression is a map too, so calls are logged with their map.
         tensor = np.zeros((1, 17, 1), dtype=np.int64)
         tensor[0, 16, 0] = 1
@@ -389,7 +398,7 @@ class TestExpressions:
         res = bias.verify_expression(expr, F)
         assert res.exhaustive and res.points_checked == 2**17 + 2**16
         assert [v.coords for v in res.counterexample] == [(1,), (0,) * 16 + (1,)]
-        assert [rows for m, rows in calls if m is F] == [2 * 17, 1 << 16, 1 << 16]
+        assert [rows for m, rows in calls if m is F] == [17]
         assert max(rows for _, rows in calls) <= bias._EVAL_CHUNK
 
     @pytest.mark.parametrize("mode", ["exhastive", "sampled", ""])

@@ -530,7 +530,24 @@ def test_import_leaves_out_scipy(module):
     assert out == "[]\n"
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+def test_structure_commands_leave_out_numpy_ma():
+    # np.unique imports numpy.ma (about 10 ms) on its first call, so the
+    # series and neumann paths mark values in boolean arrays instead
+    env = dict(os.environ, PYTHONPATH=str(Path(nilprob.__file__).resolve().parents[1]))
+    argvs = [argv for argv in readme_cli_lines() if argv[0] in ("series", "neumann")]
+    assert len(argvs) == 2
+    code = ("import contextlib, io, sys\n"
+            "from nilprob.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out == "[]\n"
+
+
+README =Path(__file__).resolve().parents[1] / "README.md"
 
 
 def readme_cli_lines():
