@@ -152,14 +152,37 @@ def pivot_rows(mats: np.ndarray, p: int) -> np.ndarray:
     marked used, not swapped up, and changes only unused rows below it.  So
     used rows and earlier columns are never read again (nor kept up to
     date), and a row is used iff it is not in the span of the rows above
-    it: the used rows among the first k number rank(first k rows)."""
+    it: the used rows among the first k number rank(first k rows).
+
+    At p = 2 the rows are packed into uint64 words (bit j of word w is
+    column 64 w + j) and a column step XORs the pivot row into every row
+    with that bit, the pivot row included: that zeroes it, so a used row is
+    never a candidate again and the mask is the same as the int8 loop's."""
     check_prime(p)
-    # int8 holds every intermediate: entries and factors lie in [0, p), p <= 7
-    a = (np.asarray(mats) % p).astype(np.int8, order="C")
-    n, nrows, ncols = a.shape
-    inverse = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=np.int8)
+    mats = np.asarray(mats)
+    n, nrows, ncols = mats.shape
     used = np.zeros((n, nrows), dtype=bool)
     idx = np.arange(n)
+    if p == 2:
+        # rows padded to whole bytes, so that packing the flat array packs each row
+        nbytes = -(-ncols // 8)
+        bits = np.zeros((n, nrows, 8 * nbytes), dtype=np.uint8)
+        bits[:, :, :ncols] = mats & 1   # mats % 2, negative entries included
+        packed = np.zeros((n, nrows, -(-nbytes // 8) * 8), dtype=np.uint8)
+        flat = np.packbits(bits, axis=None, bitorder="little")
+        packed[:, :, :nbytes] = flat.reshape(n, nrows, nbytes)
+        rows = packed.view("<u8")
+        for col in range(ncols):
+            candidates = (rows[:, :, col // 64] & np.uint64(1 << col % 64)) != 0
+            if not candidates.any():
+                continue
+            pivot = candidates.argmax(axis=1)
+            used[idx, pivot] |= candidates[idx, pivot]
+            rows ^= rows[idx, pivot][:, None, :] * candidates[:, :, None]
+        return used
+    # int8 holds every intermediate: entries and factors lie in [0, p), p <= 7
+    a = (mats % p).astype(np.int8, order="C")
+    inverse = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=np.int8)
     for col in range(ncols):
         column = a[:, :, col]
         candidates = (column != 0) & ~used

@@ -414,9 +414,10 @@ class AlgebraGroup:
         u is c3 at A = B = 0.  The part of c3 linear in (A, B) is
         [a1, B]_3 + [A, b1]_3, so W = [a1, R2] + [R2, b1] and the rows of
         a1 @ Sigma and b1 @ Sigma span sigma W.  One elimination per block of
-        BLOCK // (1 + 2d^2) pairs gives all three: the pivot rows of
-        [X; sigma W; sigma(u)] number r0 among the X rows, k among the sigma W
-        rows, and hold the last row iff sigma(u) is not in row X + sigma W.
+        16 BLOCK // (1 + 2d^2) pairs (about 2^16 stack rows) gives all three:
+        the pivot rows of [X; sigma W; sigma(u)] number r0 among the X rows,
+        k among the sigma W rows, and hold the last row iff sigma(u) is not
+        in row X + sigma W.
         """
         p, d = self.params.p, self.params.d
         pairs = p ** (2 * d)
@@ -428,7 +429,7 @@ class AlgebraGroup:
         X_of, rho_of = X_of.reshape(dd, n3 * n1), rho_of.reshape(dd, n4 * n2)
         sigma_of, Sigma = sigma_of.reshape(d, n4 * n1), Sigma.reshape(d, n2 * n4 * n1)
         place = p ** np.arange(2 * d - 1, -1, -1)
-        step = max(1, BLOCK // (1 + 2 * dd))
+        step = max(1, 16 * BLOCK // (1 + 2 * dd))   # per-call overhead dominates smaller blocks
         total = 0
         for start in range(0, pairs, step):
             ab = np.arange(start, min(start + step, pairs))[:, None] // place % p

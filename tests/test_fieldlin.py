@@ -313,16 +313,47 @@ class TestRankStack:
         assert rank_stack(np.zeros((2, 3, 0), dtype=np.int64), 5).tolist() == [0, 0]
 
 
+@st.composite
+def f2_stacks(draw):
+    """Stacks mod 2 of low rank at the uint64 word boundaries, N = 0 and
+    zero-row stacks included, with unreduced entries (3, -1, 2^40 ...).
+    The rows use every column or only a few next to a word boundary."""
+    # 0 listed last: sampled_from draws uniformly and shrinks to the first entry
+    n, rows = draw(st.sampled_from((1, 2, 3, 0))), draw(st.sampled_from((*range(1, 9), 0)))
+    inner, cols = draw(st.integers(1, 8)), draw(st.sampled_from((1, 63, 64, 65, 128, 129, 0)))
+    edges = [c for c in (0, 1, 62, 63, 64, 65, 127, 128) if c < cols]
+    support = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=3)
+                   | st.just(list(range(cols))) if edges else st.just([]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    right = np.zeros((n, inner, cols), dtype=np.int64)
+    right[:, :, support] = rng.integers(0, 2, (n, inner, len(support)))
+    bits = rng.integers(0, 2, (n, rows, inner)) @ right % 2
+    return bits + rng.choice([0, 2, -2, 2**40, -(2**40)], size=bits.shape)
+
+
+def assert_prefix_ranks(mats, p):
+    """The used rows among the first k number rank(first k rows), by rref."""
+    used = pivot_rows(mats, p)
+    assert used.shape == mats.shape[:2] and used.dtype == bool
+    for mat, row in zip(mats, used):
+        assert [row[:k].sum() for k in range(len(row) + 1)] == [
+            matrix_rank(mat[:k].tolist(), p) for k in range(len(row) + 1)
+        ]
+
+
 class TestPivotRows:
     @given(matrix_stacks())
     def test_prefix_counts_are_prefix_ranks(self, case):
         p, mats = case
-        used = pivot_rows(mats, p)
-        assert used.shape == mats.shape[:2] and used.dtype == bool
-        for k in range(mats.shape[1] + 1):
-            assert np.array_equal(used[:, :k].sum(axis=1), rank_stack(mats[:, :k], p))
+        assert_prefix_ranks(mats, p)
+
+    @given(f2_stacks())
+    def test_f2_word_boundaries(self, mats):
+        assert_prefix_ranks(mats, 2)
 
     def test_empty_stack_and_zero_columns(self):
         assert pivot_rows(np.zeros((0, 3, 4), dtype=np.int64), 3).shape == (0, 3)
         assert not pivot_rows(np.zeros((2, 3, 0), dtype=np.int64), 5).any()
         assert pivot_rows(np.zeros((2, 0, 3), dtype=np.int64), 7).shape == (2, 0)
+        assert pivot_rows(np.ones((0, 3, 65), dtype=np.int64), 2).shape == (0, 3)
+        assert pivot_rows(np.ones((2, 0, 65), dtype=np.int64), 2).shape == (2, 0)
