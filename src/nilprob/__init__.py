@@ -27,12 +27,8 @@ from .groups import (
     GroupElement,
     TableGroup,
     commutator,
-    conjugate,
     direct_product,
-    grp_inv,
-    grp_mul,
     load_cayley_table,
-    long_commutator,
     quotient_table,
     subgroup_table,
 )

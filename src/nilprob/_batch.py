@@ -1,8 +1,10 @@
 """The arithmetic engine: products of graded-algebra elements, on stacks.
 
-This is the only place where products are computed.  `algebra.alg_mul`
-and `groups.grp_mul` / `grp_inv` are calls on one-element stacks, through
-the engine each `AlgebraParams` shares as `params.engine`.
+This is the only place where products are computed.  The element
+operations, `algebra.alg_mul` and `lie_bracket` and the `mul`, `inverse`,
+`commutator`, `long_commutator` and `conjugate` of `groups.AlgebraGroup`,
+are each one call on one-element stacks, through the engine each
+`AlgebraParams` shares as `params.engine`.
 
 Stacks hold one int64 array per grade.  Products go through
 `BatchAlg._prod`, the grade 2..4 part of the product of two L1 parts (an

@@ -12,9 +12,9 @@ on pure vectors are
 where ' marks the R3 copy of a vector; R2 x R2 follows by associativity.
 An element is one tuple of digits mod p: c0, then the L1 digits in the
 order r1, r2 row-major, r3, c4 (`split_grades` reads the grades back, as
-read-only views).  Sums and negations are digitwise; products are computed
-by the one arithmetic engine, `_batch.BatchAlg` (shared per parameter set
-as `AlgebraParams.engine`), on one-element stacks.
+read-only views).  Sums and negations are digitwise; `alg_mul` and
+`lie_bracket` are one call each of the engine `_batch.BatchAlg` (shared per
+parameter set as `AlgebraParams.engine`) on one-element stacks.
 """
 
 from __future__ import annotations
@@ -207,7 +207,8 @@ def alg_mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 def lie_bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """[a, b] = a*b - b*a."""
-    return alg_sub(alg_mul(a, b), alg_mul(b, a))
+    eng = _same_params(a, b).engine
+    return eng.to_elements(eng.lie_bracket(eng.from_elements([a]), eng.from_elements([b])))[0]
 
 
 def basis_elements(params: AlgebraParams) -> list[AlgebraElement]:

@@ -167,7 +167,8 @@ def pivot_rows(mats: np.ndarray, p: int) -> np.ndarray:
         # rows padded to whole bytes, so that packing the flat array packs each row
         nbytes = -(-ncols // 8)
         bits = np.zeros((n, nrows, 8 * nbytes), dtype=np.uint8)
-        bits[:, :, :ncols] = mats & 1   # mats % 2, negative entries included
+        # mats % 2, negative entries included; integer stacks are not copied
+        bits[:, :, :ncols] = mats.astype(np.int64, copy=False) & 1
         packed = np.zeros((n, nrows, -(-nbytes // 8) * 8), dtype=np.uint8)
         flat = np.packbits(bits, axis=None, bitorder="little")
         packed[:, :, :nbytes] = flat.reshape(n, nrows, nbytes)

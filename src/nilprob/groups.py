@@ -2,12 +2,15 @@
 
 A family element 1 + a is one tuple, the L1 digits of a, in the layout
 that engine stacks use (`BatchAlg.coords` / `from_coords`), so elements
-and stacks share one coordinate layout.  `grp_mul` and `grp_inv` are
-one-element calls of the shared engine `params.engine`, and
-`commutator`, `conjugate` and `long_commutator` are their definitional
-compositions.  Family class sizes come from linear algebra: 1+t commutes
-with 1+a exactly when at = ta, so the centralizer of 1+a is 1 + ker(ad_a)
-and its class has p^rank(ad_a) elements, where ad_a = [a, .] on L1.
+and stacks share one coordinate layout.  Each element operation of
+`AlgebraGroup` (`mul`, `inverse`, `commutator`, `long_commutator`,
+`conjugate`) is one call of the shared engine `params.engine` on one-row
+stacks.  The module function `commutator` is the one composition kept:
+g^-1 h^-1 g h from the engine's `grp_inv` and `grp_mul`, the definitional
+reference for the engine's closed-form commutator.  Family class sizes
+come from linear algebra: 1+t commutes with 1+a exactly when at = ta, so
+the centralizer of 1+a is 1 + ker(ad_a) and its class has p^rank(ad_a)
+elements, where ad_a = [a, .] on L1.
 Conjugation by a fixed element is linear on L1, so each family generator
 contributes one matrix; `conjugacy_orbit` closes one orbit under these
 matrices, which works past the enumeration cap.
@@ -189,35 +192,14 @@ def _one(params: AlgebraParams, b: Batch) -> GroupElement:
     return _elements(params, params.engine.coords(b))[0]
 
 
-def grp_mul(g: GroupElement, h: GroupElement) -> GroupElement:
-    """(1+a)(1+b) = 1 + a + b + ab."""
-    params = g.params
-    return _one(params, params.engine.grp_mul(_stack(params, [g]), _stack(params, [h])))
-
-
-def grp_inv(g: GroupElement) -> GroupElement:
-    """(1+a)^-1 = 1 + v with v = -a - a v."""
-    return _one(g.params, g.params.engine.grp_inv(_stack(g.params, [g])))
-
-
 def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
-    """[g, h] = g^-1 h^-1 g h."""
-    return grp_mul(grp_mul(grp_inv(g), grp_inv(h)), grp_mul(g, h))
-
-
-def long_commutator(elems: Sequence[GroupElement]) -> GroupElement:
-    """Left-normed [g1, ..., gk] = [[g1, ..., g_{k-1}], gk]; needs k >= 2."""
-    if len(elems) < 2:
-        raise ValueError("long commutator needs at least 2 entries")
-    acc = elems[0]
-    for nxt in elems[1:]:
-        acc = commutator(acc, nxt)
-    return acc
-
-
-def conjugate(g: GroupElement, by: GroupElement) -> GroupElement:
-    """g^by = by^-1 g by."""
-    return grp_mul(grp_mul(grp_inv(by), g), by)
+    """[g, h] = g^-1 h^-1 g h, composed from the engine's `grp_inv` and
+    `grp_mul` on one-row stacks.  This definitional composition is the
+    reference that the closed form `BatchAlg.commutator` (and with it
+    `AlgebraGroup.commutator`) is checked against."""
+    params, eng = g.params, g.params.engine
+    a, b = _stack(params, [g]), _stack(params, [h])
+    return _one(params, eng.grp_mul(eng.grp_mul(eng.grp_inv(a), eng.grp_inv(b)), eng.grp_mul(a, b)))
 
 
 class AlgebraGroup:
@@ -286,32 +268,33 @@ class AlgebraGroup:
     @cached_property
     def _conj_matrices(self) -> np.ndarray:
         """Stack (n_gen, m, m): column image of each basis vector under
-        a -> (1+t)^-1 a (1+t), which is linear in a for fixed t."""
-        eng = self.batch
-        m = self.dim_l1
-        basis = eng.from_coords(np.eye(m, dtype=np.int64))
-        mats = np.empty((len(self.generators), m, m), dtype=np.int64)
-        for k, gen in enumerate(self.generators):
-            conj = eng.conjugate(basis, self.repeat(gen, m))
-            mats[k] = eng.coords(conj).T % self.params.p
-        return mats
+        a -> (1+t)^-1 a (1+t), which is linear in a for fixed t, for each
+        generator 1+t; one engine `conjugate` over every (generator, basis
+        vector) pair."""
+        eng, m = self.batch, self.dim_l1
+        eye = np.eye(m, dtype=np.int64)   # the basis, and the generators' coordinates
+        basis, gens = np.tile(eye, (m, 1)), np.repeat(eye, m, axis=0)
+        images = eng.coords(eng.conjugate(eng.from_coords(basis), eng.from_coords(gens)))
+        return np.ascontiguousarray(images.reshape(m, m, m).transpose(0, 2, 1))
 
-    # Element-level conveniences mirroring the module functions, for this group's elements.
+    # Element operations: one engine call each, on one-row stacks.
 
     def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        return grp_mul(*_checked(self.params, (g, h)))
+        return _one(self.params, self.batch.grp_mul(self.stack([g]), self.stack([h])))
 
     def inverse(self, g: GroupElement) -> GroupElement:
-        return grp_inv(*_checked(self.params, (g,)))
+        return _one(self.params, self.batch.grp_inv(self.stack([g])))
 
     def commutator(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        return commutator(*_checked(self.params, (g, h)))
+        return _one(self.params, self.batch.commutator(self.stack([g]), self.stack([h])))
 
     def long_commutator(self, elems: Sequence[GroupElement]) -> GroupElement:
-        return long_commutator(_checked(self.params, elems))
+        """Left-normed [g1, ..., gk] = [[g1, ..., g_{k-1}], gk]; needs k >= 2."""
+        return _one(self.params, self.batch.long_commutator(self.stack([g]) for g in elems))
 
     def conjugate(self, g: GroupElement, by: GroupElement) -> GroupElement:
-        return conjugate(*_checked(self.params, (g, by)))
+        """g^by = by^-1 g by."""
+        return _one(self.params, self.batch.conjugate(self.stack([g]), self.stack([by])))
 
     def random_elements(self, rng: np.random.Generator, count: int) -> list[GroupElement]:
         return _elements(self.params, self.batch.coords(self.sample_batch(rng, count)))

@@ -9,6 +9,7 @@ interval and are deterministic for a fixed seed regardless of thread count
 from __future__ import annotations
 
 import math
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -90,8 +91,10 @@ def clopper_pearson(hits: int, samples: int, confidence: float = 0.99) -> tuple[
     P(Bin(samples, x) <= hits) = a, both the Beta quantiles; the upper
     bound is read on this lower tail, so no rounded 1 - a enters.  Each
     bound is the double nearest its root; hits = 0 has lower bound 0 and
-    hits = samples upper bound 1.
+    hits = samples upper bound 1.  Counts may be any integer type, numpy's
+    included.
     """
+    hits, samples = operator.index(hits), operator.index(samples)
     if not (0 <= hits <= samples and samples >= 1 and 0.0 < confidence < 1.0):
         raise ValueError(f"need 0 <= hits <= samples, samples >= 1 and 0 < confidence < 1, "
                          f"got hits={hits}, samples={samples}, confidence={confidence}")

@@ -208,6 +208,15 @@ class TestBiasProbability:
             m = bias.MultilinearMap.from_tensor(2, tensor)
             assert bias.bias_probability(m).value == Fraction(3, 4)
 
+    @pytest.mark.parametrize("p, value", [(2, Fraction(5, 8)), (3, Fraction(11, 27))])
+    def test_float_valued_map(self, p, value):
+        # the dot product on F_p^2, evaluated in floats, as its tensor form
+        tensor = np.eye(2, dtype=np.int64)[:, :, None]
+        dot = bias.MultilinearMap(p, (2, 2), 1,
+                                  lambda x, y: (x * y).sum(1, keepdims=True).astype(float))
+        for m in (dot, bias.MultilinearMap.from_tensor(p, tensor)):
+            assert bias.bias_probability(m, mode="exhaustive").value == value
+
     def test_family_trilinear_exact_value(self, params21):
         rep = bias.bias_probability(bias.family_trilinear_map(params21))
         assert rep.kind == "exact"

@@ -351,6 +351,12 @@ class TestPivotRows:
     def test_f2_word_boundaries(self, mats):
         assert_prefix_ranks(mats, 2)
 
+    @given(matrix_stacks() | f2_stacks().map(lambda mats: (2, mats)))
+    def test_float_stacks_match_integer_stacks(self, case):
+        # both branches reduce float entries as they reduce integer ones
+        p, mats = case
+        assert np.array_equal(pivot_rows(mats.astype(np.float64), p), pivot_rows(mats, p))
+
     def test_empty_stack_and_zero_columns(self):
         assert pivot_rows(np.zeros((0, 3, 4), dtype=np.int64), 3).shape == (0, 3)
         assert not pivot_rows(np.zeros((2, 3, 0), dtype=np.int64), 5).any()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilprob import stats
+from nilprob._batch import BatchAlg
 from nilprob.algebra import AlgebraElement, AlgebraParams, alg_mul, lie_bracket
 from nilprob.errors import (
     CapExceededError,
@@ -23,13 +24,9 @@ from nilprob.groups import (
     GroupElement,
     TableGroup,
     commutator,
-    conjugate,
     direct_product,
     format_cayley_table,
-    grp_inv,
-    grp_mul,
     load_cayley_table,
-    long_commutator,
     parse_cayley_table,
     is_normal,
     quotient_table,
@@ -49,18 +46,18 @@ class TestFamilyElements:
     def test_mul_inverse_identity(self, family21):
         rng = np.random.default_rng(0)
         for g in family21.random_elements(rng, 100):
-            assert grp_mul(g, grp_inv(g)) == family21.identity
-            assert grp_mul(grp_inv(g), g) == family21.identity
+            assert family21.mul(g, family21.inverse(g)) == family21.identity
+            assert family21.mul(family21.inverse(g), g) == family21.identity
 
     def test_inverse_of_identity(self, family21):
-        assert grp_inv(family21.identity) == family21.identity
+        assert family21.inverse(family21.identity) == family21.identity
 
     def test_generator_product_components(self, params21):
         # (1+e1)(1+e1') = 1 + e1 + e1' + e1 (x) e1'
         z = ((0, 0), (0, 0))
         e1 = GroupElement.from_l1(AlgebraElement(params21, 0, (1, 0), z, (0, 0), 0))
         e1p = GroupElement.from_l1(AlgebraElement(params21, 0, (0, 1), z, (0, 0), 0))
-        prod = grp_mul(e1, e1p)
+        prod = AlgebraGroup(params21).mul(e1, e1p)
         assert prod.r1 == (1, 1)
         assert prod.r2 == ((0, 1), (0, 0))
         assert prod.r3 == (0, 0)
@@ -81,7 +78,7 @@ class TestFamilyElements:
 
     def test_params_mismatch(self, family21, family22):
         with pytest.raises(ParamsMismatchError):
-            grp_mul(family21.identity, family22.identity)
+            commutator(family21.identity, family22.identity)
 
     @pytest.mark.parametrize("call", [
         lambda G, g, h: G.stack([g, h]), lambda G, g, h: G.repeat(g, 2),
@@ -119,7 +116,7 @@ class TestCommutators:
         for _ in range(50):
             g, h = family22.random_elements(rng, 2)
             # 1 + a and a as algebra elements: the digits after c0 = 1 or 0
-            u = alg_mul(*(AlgebraElement.of(params, (1, *grp_inv(k).digits)) for k in (g, h)))
+            u = alg_mul(*(AlgebraElement.of(params, (1, *family22.inverse(k).digits)) for k in (g, h)))
             x, y = (AlgebraElement.of(params, (0, *k.digits)) for k in (g, h))
             assert commutator(g, h) == GroupElement.from_l1(alg_mul(u, lie_bracket(x, y)))
 
@@ -156,7 +153,89 @@ class TestCommutators:
 
     def test_long_commutator_needs_two(self, family21):
         with pytest.raises(ValueError):
-            long_commutator([family21.identity])
+            family21.long_commutator([family21.identity])
+
+
+# The arithmetic entry points of the engine; the spy counts only the calls
+# made from outside it.
+ENGINE_OPS = ("mul", "lie_bracket", "add", "sub", "lie3", "lie4", "grp_mul", "grp_inv",
+              "commutator", "long_commutator", "trivial_long_commutator", "conjugate")
+
+ELEMENT_PARAMS = {
+    "hyperbolic-2-1": lambda: AlgebraParams.hyperbolic(2, 1),
+    "hyperbolic-3-1": lambda: AlgebraParams.hyperbolic(3, 1),
+    "hyperbolic-2-2": lambda: AlgebraParams.hyperbolic(2, 2),
+    "dense-3-d2": lambda: AlgebraParams(BilinearForm.from_rows(3, [[1, 2], [1, 1]])),
+}
+
+
+def reference_long_commutator(elems):
+    acc = elems[0]
+    for g in elems[1:]:
+        acc = commutator(acc, g)
+    return acc
+
+
+class TestElementOperations:
+    """Each family element method is one engine call on one-row stacks, and
+    equals the definitional composition `groups.commutator`."""
+
+    @pytest.mark.parametrize("method, arity, entry", [
+        ("mul", 2, "grp_mul"), ("inverse", 1, "grp_inv"), ("commutator", 2, "commutator"),
+        ("conjugate", 2, "conjugate"), ("long_commutator", 4, "long_commutator"),
+    ])
+    def test_one_engine_call(self, monkeypatch, family22, method, arity, entry):
+        eng, calls, depth = family22.batch, [], [0]
+
+        def spy(name, op):
+            def call(*args):
+                if not depth[0]:
+                    calls.append(name)
+                depth[0] += 1
+                try:
+                    return op(*args)
+                finally:
+                    depth[0] -= 1
+            return call
+
+        for name in ENGINE_OPS:
+            monkeypatch.setattr(eng, name, spy(name, getattr(eng, name)))
+        elems = family22.random_elements(np.random.default_rng(12), arity)
+        args = [elems] if method == "long_commutator" else elems
+        getattr(family22, method)(*args)
+        assert calls == [entry]
+
+    @pytest.mark.parametrize("name", list(ELEMENT_PARAMS))
+    def test_methods_equal_reference_compositions(self, name):
+        G = AlgebraGroup(ELEMENT_PARAMS[name]())
+        params, rng = G.params, np.random.default_rng(13)
+
+        def algebra(g, c0=1):   # 1 + a as an algebra element
+            return AlgebraElement.of(params, (c0, *g.digits))
+
+        for _ in range(10):
+            g, h, *rest = G.random_elements(rng, 5)
+            assert algebra(G.mul(g, h)) == alg_mul(algebra(g), algebra(h))
+            assert G.mul(g, G.inverse(g)) == G.mul(G.inverse(g), g) == G.identity
+            assert G.commutator(g, h) == commutator(g, h)
+            # g^h = g [g, h]
+            assert G.conjugate(g, h) == G.mul(g, commutator(g, h))
+            elems = [g, h, *rest]
+            for k in range(2, 6):
+                assert G.long_commutator(elems[:k]) == reference_long_commutator(elems[:k])
+            assert G.long_commutator(elems) == G.identity   # class 4
+
+    def test_reference_commutator_uses_no_closed_form(self, monkeypatch, family22):
+        # perfbench's check that batch commutators equal scalar ones compares
+        # two routes only while groups.commutator avoids BatchAlg.commutator
+        g, h = family22.random_elements(np.random.default_rng(14), 2)
+        expect = family22.commutator(g, h)
+
+        def closed_form(*args):
+            raise AssertionError("BatchAlg.commutator called")
+
+        monkeypatch.setattr(BatchAlg, "commutator", closed_form)
+        assert commutator(g, h) == expect
 
 
 class TestOrbits:
@@ -172,7 +251,7 @@ class TestOrbits:
         rng = np.random.default_rng(8)
         everything = list(family21.elements())
         for g in family21.random_elements(rng, 5):
-            brute = {conjugate(g, h) for h in everything}
+            brute = {family21.conjugate(g, h) for h in everything}
             assert family21.conjugacy_orbit(g) == brute
 
     def test_orbit_conjugation_invariant(self, family22):
@@ -180,7 +259,7 @@ class TestOrbits:
         g = family22.random_elements(rng, 1)[0]
         orbit = family22.conjugacy_orbit(g)
         for gen in family22.generators:
-            assert all(conjugate(x, gen) in orbit for x in orbit)
+            assert all(family22.conjugate(x, gen) in orbit for x in orbit)
 
     def test_commutator_class_sizes_at_most_8(self, family22):
         rng = np.random.default_rng(10)

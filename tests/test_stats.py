@@ -52,8 +52,26 @@ def d2_class_loop(G, cap):
     return Fraction(total, order**3)
 
 
+def d2_quotient_sum(G, cap):
+    """d2 from |G| quotients.  [x, y] = x^-1 x^y, so as y runs over G,
+    [x, y] runs over x^-1 z for z in x^G, each |C_G(x)| times; conjugating
+    x to rho(x), the least member of its class, then gives
+    d2 = sum over z in G of |C_G(z rho(z)^-1)| / |G|^2.  Centralizer orders
+    come from the orbit labels of all of G, as in `d2_class_loop`."""
+    order = G.order
+    elems = G.all_elements(cap)
+    labels = G.class_labels(elems, cap)
+    class_size = np.bincount(labels, minlength=order)
+    comms = G.class_labels(G.quotients(elems, G.from_indices(labels)), cap)
+    return Fraction(int((order // class_size[comms]).sum()), order**2)
+
+
 def family(p, n):
     return AlgebraGroup(AlgebraParams.hyperbolic(p, n))
+
+
+def form_group(p, rows):
+    return AlgebraGroup(AlgebraParams(BilinearForm.from_rows(p, rows)))
 
 
 # Exact family d2 at (p, n), from the graded route
@@ -204,11 +222,18 @@ class TestD2:
     @given(st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2)]).flatmap(
         lambda pd: st.lists(st.integers(0, pd[0] - 1), min_size=pd[1] ** 2,
                             max_size=pd[1] ** 2).map(lambda flat: (pd, flat))))
-    def test_graded_matches_class_loop_on_dense_forms(self, form):
+    def test_graded_matches_quotient_sum_on_dense_forms(self, form):
         (p, d), flat = form
-        rows = [flat[i : i + d] for i in range(0, d * d, d)]
-        G = AlgebraGroup(AlgebraParams(BilinearForm.from_rows(p, rows)))
-        assert stats.d2_exact(G, cap=G.order).value == d2_class_loop(G, G.order)
+        G = form_group(p, [flat[i : i + d] for i in range(0, d * d, d)])
+        assert stats.d2_exact(G, cap=G.order).value == d2_quotient_sum(G, G.order)
+
+    @pytest.mark.parametrize("G", [
+        family(2, 1), form_group(3, [[2]]), form_group(2, [[1, 1], [0, 1]]), corpus_group("s3"),
+        corpus_group("a4"), corpus_group("heis27"),
+        direct_product(corpus_group("a4"), corpus_group("s3")),
+    ], ids=["family-2-1", "dense-3-d1", "dense-2-d2", "s3", "a4", "heis27", "a4xs3"])
+    def test_quotient_sum_equals_class_loop(self, G):
+        assert d2_quotient_sum(G, G.order) == d2_class_loop(G, G.order)
 
     @pytest.mark.parametrize("shape", list(FAMILY_D2), ids=str)
     def test_family_pinned_values(self, shape):
@@ -220,10 +245,6 @@ class TestD2:
     def test_family_inside_mc_interval(self, shape):
         rep = stats.dk_monte_carlo(family(*shape), 2, 1 << 17, seed=stats.DEFAULT_SEED)
         assert rep.ci_low <= FAMILY_D2[shape] <= rep.ci_high
-
-
-def form_group(p, rows):
-    return AlgebraGroup(AlgebraParams(BilinearForm.from_rows(p, rows)))
 
 
 class TestGradedBlocks:
@@ -524,6 +545,15 @@ class TestClopperPearson:
         assert Fraction(1) - Fraction(tail) == (Fraction(0.95) + Fraction(math.nextafter(0.95, 1))) / 2
         assert stats.clopper_pearson(0, 1, 0.9) == (0.0, 0.95)
         assert stats.clopper_pearson(1, 1, 0.9) == (tail, 1.0)
+
+    @pytest.mark.parametrize("int_type", [np.int64, np.int32])
+    def test_numpy_integer_counts(self, int_type):
+        # counts from mask.sum() are numpy integers
+        for hits, samples in ((100, 1000), (3, 10), (0, 7), (7, 7), (1, 1)):
+            expect = stats.clopper_pearson(hits, samples)
+            assert stats.clopper_pearson(int_type(hits), samples) == expect
+            assert stats.clopper_pearson(hits, int_type(samples)) == expect
+            assert stats.clopper_pearson(int_type(hits), int_type(samples)) == expect
 
     @pytest.mark.parametrize("args", [(5, 3), (-1, 3), (2, 0), (0, 0), (1, 3, 1.5), (1, 3, 0.0),
                                       (1, 3, 1.0)])
