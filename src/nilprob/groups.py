@@ -20,7 +20,8 @@ then Light's test over a generating set), which reads a copy of the table
 in its narrowest unsigned dtype; rows and columns are checked for
 permutations only when the proof fails, to name the failure.  Table groups
 cache their inverse array; every table commutator is one gather from an
-m x m commutator table built on first use.
+m x m commutator table, built on first use by flat gathers in cache-sized
+row blocks, and a chain of commutators stays in the table's narrow dtype.
 
 Conjugacy classes of both types come from one pass, `_orbit_labels`, over
 the permutations of the enumerated elements that conjugation by each
@@ -28,9 +29,9 @@ generator induces: every element is labelled by the least index in its
 class.  Both group types share a set of stack operations (`all_elements`,
 `from_indices`, `repeat`, `stack`, `commutators`,
 `trivial_long_commutators`, `quotients`, `class_labels`, `class_sizes`,
-`sample_batch`) and the sum behind d2, `commutator_centralizer_sum` (a
-count of commutator-table values for tables, a graded average over grade-1
-pairs for the family), so statistics are written once for both.  A stack
+`sample_batch`) and the sum behind d2, `commutator_centralizer_sum` (|G|
+quotients for tables, a graded average over grade-1 pairs for the family),
+so statistics are written once for both.  A stack
 is a `Batch` of L1-parts for the family and an index array for tables.
 """
 
@@ -62,7 +63,7 @@ from .fieldlin import pivot_rows, rank_stack
 DEFAULT_ORBIT_CAP = 1 << 16
 DEFAULT_ENUM_CAP = 1 << 14
 _AD_CHUNK_ENTRIES = 1 << 22   # ad-matrix entries per rank_stack call, bounds memory
-_ASSOC_BLOCK_ENTRIES = 1 << 20   # table entries per block of a whole-table pass, bounds memory
+_TABLE_BLOCK_ENTRIES = 1 << 16   # table entries per block of a whole-table pass, cache-sized
 
 
 def _element_indices(m: int, idx) -> np.ndarray:
@@ -522,7 +523,7 @@ class TableGroup:
         narrowest unsigned dtype that holds m - 1, one block of rows x at a
         time, at int64 indices read from the table."""
         m, t = self.order, self.table
-        rows = max(1, _ASSOC_BLOCK_ENTRIES // m)
+        rows = max(1, _TABLE_BLOCK_ENTRIES // m)
         for g in self.generators:
             for x in range(0, m, rows):
                 # (g x) y and g (x y) for the rows x .. x + rows - 1 and every y
@@ -593,35 +594,49 @@ class TableGroup:
     @cached_property
     def commutator_table(self) -> np.ndarray:
         """The m x m table of [a, b] = a^-1 b^-1 a b at row a, column b, in
-        the narrowest unsigned dtype that holds m - 1; built on first use, in
-        row blocks.  Index it directly only with indices known to lie in
-        [0, m); `commutators` checks the indices it is given."""
+        the narrowest unsigned dtype that holds m - 1; built on first use by
+        two flat gathers from the table per block of rows, each block about
+        `_TABLE_BLOCK_ENTRIES` entries.  Index it directly only with indices
+        known to lie in [0, m); `commutators` checks the indices it is given."""
         m, t, inv = self.order, self.table, self.inv_table
+        flat = t.ravel()
         comm = np.empty((m, m), dtype=np.min_scalar_type(m - 1))
-        rows = max(1, _ASSOC_BLOCK_ENTRIES // m)
+        rows = max(1, _TABLE_BLOCK_ENTRIES // m)
         for x in range(0, m, rows):
-            ab = t[x : x + rows]                      # a b for the rows a, every column b
-            comm[x : x + rows] = t[t[inv[x : x + rows, None], inv], ab]
+            r = slice(x, x + rows)
+            left = flat.take(inv[r, None] * m + inv)   # a^-1 b^-1 for the rows a, every b
+            left *= m
+            left += t[r]                                # flat index of (a^-1 b^-1, a b)
+            comm[r] = flat.take(left)
         comm.flags.writeable = False   # shared by every caller
         return comm
 
-    def commutators(self, a, b) -> np.ndarray:
-        """[a, b] entrywise as int64; index arrays broadcast like numpy, and
-        an index outside [0, |G|) raises ValueError."""
-        m = self.order
-        flat = _element_indices(m, a) * m + _element_indices(m, b)
-        return self.commutator_table.take(flat).astype(np.int64)
-
-    def long_commutators(self, stacks: Iterable) -> np.ndarray:
-        """Left-normed [a_1, ..., a_k] entrywise for k >= 2 index arrays,
-        drawn from the iterable one at a time."""
+    def _commutator_chain(self, stacks: Iterable) -> np.ndarray:
+        """Left-normed [a_1, ..., a_k] entrywise in the commutator table's
+        dtype, for k >= 2 index arrays drawn from the iterable one at a time;
+        each is checked once.  The table is built, on first use, before
+        anything is drawn, so its block temporaries and the drawn stacks are
+        never held at once."""
+        m, comm = self.order, self.commutator_table.ravel()
         it = iter(stacks)
         acc, nxt = next(it, None), next(it, None)
         if nxt is None:
             raise ValueError("long commutator needs at least 2 entries")
+        acc = _element_indices(m, acc)
         while nxt is not None:
-            acc, nxt = self.commutators(acc, nxt), next(it, None)
+            flat = np.multiply(acc, m, dtype=np.int64) + _element_indices(m, nxt)
+            acc, nxt = comm.take(flat), next(it, None)
         return acc
+
+    def commutators(self, a, b) -> np.ndarray:
+        """[a, b] entrywise as int64; index arrays broadcast like numpy, and
+        an index outside [0, |G|) raises ValueError."""
+        return self._commutator_chain((a, b)).astype(np.int64)
+
+    def long_commutators(self, stacks: Iterable) -> np.ndarray:
+        """Left-normed [a_1, ..., a_k] entrywise as int64 for k >= 2 index
+        arrays, drawn from the iterable one at a time."""
+        return self._commutator_chain(stacks).astype(np.int64)
 
     def quotients(self, a, b) -> np.ndarray:
         """a b^-1 entrywise."""
@@ -629,7 +644,7 @@ class TableGroup:
         return self.table[_element_indices(m, a), self.inv_table[_element_indices(m, b)]]
 
     def trivial_long_commutators(self, draw: Callable[[], np.ndarray], count: int) -> np.ndarray:
-        return self.long_commutators(draw() for _ in range(count)) == 0
+        return self._commutator_chain(draw() for _ in range(count)) == 0
 
     @cached_property
     def _labels(self) -> np.ndarray:
@@ -678,15 +693,22 @@ class TableGroup:
 
     def commutator_centralizer_sum(self, cap: int) -> int:
         """The sum of |C_G([x, y])| over x, y in G (d2 is this sum over
-        |G|^3): every value v of the commutator table, counted N(v) times,
-        has |C_G(v)| = |G| / |v^G|.  The values are counted in the row blocks
-        the table is built in; `cap` bounds |G|."""
+        |G|^3), from |G| quotients; `cap` bounds |G|.
+
+        [x, y] = x^-1 x^y, so as y runs over G, [x, y] runs over x^-1 z for
+        z in x^G, each |C_G(x)| times.  Conjugating x to rho(x), the least
+        member of its class, maps these onto rho(x)^-1 z for z in the same
+        class, and the members x of a class weigh |x^G| |C_G(x)| = |G| in
+        all.  So the sum is |G| times the sum over z in G of the centralizer
+        order of rho(z)^-1 z, or of its conjugate z rho(z)^-1:
+        |G| / |(z rho(z)^-1)^G|, from the quotients `commutator_set` reads.
+        The commutator table is not built.
+        """
         m = self.order
         if m > cap:
             raise CapExceededError(f"|G| = {m} exceeds d2 cap {cap}")
-        flat, block = self.commutator_table.ravel(), max(1, _ASSOC_BLOCK_ENTRIES // m) * m
-        counts = sum(np.bincount(flat[i : i + block], minlength=m) for i in range(0, m * m, block))
-        return int(counts @ (m // self._class_size_of))
+        quotients = self.table[np.arange(m), self.inv_table[self._labels]]   # z rho(z)^-1
+        return m * int((m // self._class_size_of[quotients]).sum())
 
     def __repr__(self) -> str:
         return f"TableGroup({self.name!r}, order={self.order})"

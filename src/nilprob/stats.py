@@ -122,7 +122,9 @@ def d2_exact(G: Group, cap: int = D2_CAP) -> StatReport:
     """P([x,y,z] = 1): the sum of |C_G([x,y])| over x, y in G, over |G|^3.
 
     `G.commutator_centralizer_sum(cap)` gives the sum and documents how each
-    group type computes it and what `cap` bounds.
+    group type computes it and what `cap` bounds: for a table, |G| quotients
+    with `cap` bounding |G|; for the family, a graded average with `cap`
+    bounding the p^(2d) grade-1 pairs.
     """
     t0 = time.perf_counter()
     total = G.commutator_centralizer_sum(cap)

@@ -324,12 +324,11 @@ def neumann_extract(G: TableGroup, norm: Callable[[int], float], C: float) -> Ne
     K = subgroup_closure(G, np.flatnonzero(small.sum(axis=0) * (2 * C) >= G.order))
 
     comm_hk = comm[np.ix_(sorted(H), sorted(K))]
-    nm = norms[comm_hk]
-    D = _measured_level(nm)
-    radius = 4 * D + 1
-
     hit = np.zeros(G.order, dtype=bool)
     hit[comm_hk] = True
+    D = _measured_level(norms, comm_hk, hit)
+    radius = 4 * D + 1
+
     comm_vals = np.flatnonzero(hit).tolist()
     # Greedy maximal separated set: each value in turn becomes a center unless
     # norm(c s^-1) <= radius for a center s already chosen.
@@ -358,19 +357,34 @@ def neumann_extract(G: TableGroup, norm: Callable[[int], float], C: float) -> Ne
     )
 
 
-def _measured_level(norm_matrix: np.ndarray) -> float:
-    """Least D with P(value <= D) >= 1/D along every row and column."""
-    finite = np.sort(norm_matrix[np.isfinite(norm_matrix)])
-    finite = finite[np.diff(finite, prepend=-math.inf) > 0]
+def _measured_level(norms: np.ndarray, comm: np.ndarray, hit: np.ndarray) -> float:
+    """Least D with P(norms[comm] <= D) >= 1/D along every row and column of
+    the element matrix comm, whose entries are the elements marked in hit.
+
+    The levels are the distinct finite norms of the marked elements.  Each
+    entry of comm is replaced by the index of the first level its norm does
+    not exceed (past the last for an infinite norm), so one bincount over
+    rows and one over columns, summed cumulatively, count the entries at or
+    below every level at once.
+    """
+    marked = norms[hit]
+    levels = np.sort(marked[np.isfinite(marked)])
+    levels = levels[np.diff(levels, prepend=-math.inf) > 0]   # np.unique would import numpy.ma
+    n_rows, n_cols = comm.shape
+    n = len(levels) + 1   # level indices, the last for no level
+    index = np.searchsorted(levels, norms)[comm]
+    by_row = np.bincount((index + n * np.arange(n_rows)[:, None]).ravel(), minlength=n * n_rows)
+    by_col = np.bincount((index + n * np.arange(n_cols)).ravel(), minlength=n * n_cols)
+    # entries at or below each level, least over the rows and over the columns
+    row_le = by_row.reshape(n_rows, n).cumsum(axis=1).min(axis=0)
+    col_le = by_col.reshape(n_cols, n).cumsum(axis=1).min(axis=0)
     best = math.inf
-    n_rows, n_cols = norm_matrix.shape
-    for i, v in enumerate(finite):
-        le = norm_matrix <= v
-        frac = min(le.sum(axis=1).min() / n_cols, le.sum(axis=0).min() / n_rows)
+    for i, v in enumerate(levels):
+        frac = min(row_le[i] / n_cols, col_le[i] / n_rows)
         if frac == 0:
             continue
         candidate = max(float(v), 1.0 / frac)
-        upper = float(finite[i + 1]) if i + 1 < len(finite) else math.inf
+        upper = float(levels[i + 1]) if i + 1 < len(levels) else math.inf
         if candidate < upper or math.isclose(candidate, float(v)):
             best = min(best, candidate)
     if not math.isfinite(best):

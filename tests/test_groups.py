@@ -739,6 +739,63 @@ class TestCommutatorTable:
         with pytest.raises(ValueError, match="read-only"):
             comm[0, 1] = 1
 
+    @pytest.mark.parametrize("factors", [(name,) for name in CORPUS_NAMES]
+                             + [("heis27", "a4"), ("a4", "d4", "s3"), ("heis27", "d4", "c4")],
+                             ids="x".join)
+    def test_whole_table_matches_definition(self, factors):
+        # orders 324, 576 and 864 end in a short block of rows
+        G = reduce(direct_product, [corpus_group(n) for n in factors])
+        m, t, inv = G.order, G.table, G.inv_table
+        a, b = np.arange(m)[:, None], np.arange(m)[None, :]
+        comm = G.commutator_table
+        assert np.array_equal(comm, t[t[inv[a], inv[b]], t[a, b]])
+        assert comm.dtype == np.min_scalar_type(m - 1) and not comm.flags.writeable
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_chain_matches_scalar_loop(self, k):
+        G = direct_product(corpus_group("heis27"), corpus_group("s3"))
+        rng = np.random.default_rng(k)
+        stacks = [rng.integers(0, G.order, 300) for _ in range(k)]
+        want = []
+        for entries in zip(*stacks):
+            acc = int(entries[0])
+            for g in entries[1:]:
+                acc = G.commutator(acc, int(g))
+            want.append(acc)
+        got = G.long_commutators(iter(stacks))
+        assert got.dtype == np.int64 and got.tolist() == want
+        trivial = G.trivial_long_commutators(iter(stacks).__next__, k)
+        assert trivial.tolist() == [v == 0 for v in want]
+
+    def test_chain_names_bad_entry_of_third_stack(self):
+        G = corpus_group("a4")
+        stacks = [np.arange(12), np.arange(12), np.array([0] * 11 + [12])]
+        with pytest.raises(ValueError, match=r"element index 12 outside \[0, 12\)"):
+            G.long_commutators(stacks)
+        stacks[2] = np.array([0] * 5 + [-3] + [0] * 6)
+        with pytest.raises(ValueError, match=r"element index -3 outside \[0, 12\)"):
+            G.trivial_long_commutators(iter(stacks).__next__, 3)
+
+    @pytest.mark.parametrize("name", ["trivial", "a4"])
+    def test_chain_on_empty_stacks(self, name):
+        G, empty = corpus_group(name), np.zeros(0, dtype=np.int64)
+        got = G.long_commutators([empty] * 3)
+        assert got.shape == (0,) and got.dtype == np.int64
+        assert G.trivial_long_commutators(lambda: empty, 4).shape == (0,)
+
+    def test_trivial_group_chain(self):
+        G = corpus_group("trivial")
+        zeros = np.zeros(5, dtype=np.int64)
+        assert G.long_commutators([zeros] * 4).tolist() == [0] * 5
+        assert G.trivial_long_commutators(lambda: zeros, 3).all()
+
+    def test_commutators_broadcast_two_dimensional(self):
+        G = corpus_group("d4")
+        a, b = np.arange(8).reshape(2, 4), np.array([[3], [5]])
+        got = G.commutators(a, b)
+        assert got.shape == (2, 4) and got.dtype == np.int64
+        assert np.array_equal(got, ref_commutators(G, a, b))
+
 
 @pytest.mark.parametrize("fn", [subgroup_closure, is_normal, quotient_table, power_closure_radius])
 @pytest.mark.parametrize("bad", [-1, 6])

@@ -40,8 +40,7 @@ def d2_class_loop(G, cap):
     """d2 by enumeration: x over class representatives weighted by class
     size, y over G, and |C_G([x, y])| from the class size of each commutator,
     counted from the orbit labels of all of G (independent of the family's
-    graded average, of its rank kernel, and of the tables' count of
-    commutator-table values)."""
+    graded average, of its rank kernel, and of the tables' |G| quotients)."""
     order = G.order
     elems = G.all_elements(cap)
     class_size = np.bincount(G.class_labels(elems, cap), minlength=order)
@@ -64,6 +63,17 @@ def d2_quotient_sum(G, cap):
     class_size = np.bincount(labels, minlength=order)
     comms = G.class_labels(G.quotients(elems, G.from_indices(labels)), cap)
     return Fraction(int((order // class_size[comms]).sum()), order**2)
+
+
+def d2_table_count(G, cap):
+    """Table d2 by counting commutator-table values: every value v, counted
+    N(v) times over the m^2 pairs, has |C_G(v)| = |G| / |v^G|."""
+    order = G.order
+    assert order <= cap
+    counts = np.bincount(G.commutator_table.ravel(), minlength=order)
+    sizes = np.bincount(G.class_labels(G.all_elements(cap), cap), minlength=order)
+    centralizer = order // sizes[G.class_labels(np.arange(order), cap)]
+    return Fraction(int(counts @ centralizer), order**3)
 
 
 def family(p, n):
@@ -183,8 +193,7 @@ class TestD2:
             stats.d2_exact(family(2, 3))
 
     def test_table_cap_bounds_order(self, monkeypatch):
-        # a table's cap bounds |G|, and the commutator-table count lists no
-        # classes
+        # a table's cap bounds |G|, and the quotient route lists no classes
         G = corpus_group("a4")
         monkeypatch.setattr(G, "conjugacy_classes", None)
         assert stats.d2_exact(G, cap=12).value == Fraction(5, 9)
@@ -193,17 +202,28 @@ class TestD2:
         assert str(exc.value) == "|G| = 12 exceeds d2 cap 11"
 
     def test_table_count_over_row_blocks(self, monkeypatch):
-        # 5-row blocks of a4's 12 rows, the last one short
-        monkeypatch.setattr(groups, "_ASSOC_BLOCK_ENTRIES", 60)
-        assert stats.d2_exact(corpus_group("a4")).value == Fraction(5, 9)
+        # the commutator table built in 5-row blocks of a4's 12 rows, the
+        # last one short, gives the count the quotient route matches
+        monkeypatch.setattr(groups, "_TABLE_BLOCK_ENTRIES", 60)
+        G = corpus_group("a4")
+        t, inv, every = G.table, G.inv_table, np.arange(12)
+        assert np.array_equal(G.commutator_table, t[t[inv[every, None], inv], t])
+        assert d2_table_count(G, 12) == stats.d2_exact(G).value == Fraction(5, 9)
+
+    def test_table_builds_no_commutator_table(self):
+        G = direct_product(corpus_group("heis27"), corpus_group("a4"))
+        assert stats.d2_exact(G).value == Fraction(5, 9)
+        assert "commutator_table" not in G.__dict__
 
     @pytest.mark.parametrize("factors", [(name,) for name in CORPUS_NAMES]
-                             + [("d4", "q8"), ("heis27", "a4")], ids="x".join)
+                             + [("d4", "q8"), ("heis27", "a4"), ("a4", "d4", "s3")],
+                             ids="x".join)
     def test_table_matches_class_loop(self, factors):
         G = corpus_group(factors[0])
         for name in factors[1:]:
             G = direct_product(G, corpus_group(name))
-        assert stats.d2_exact(G, cap=G.order).value == d2_class_loop(G, G.order)
+        value = stats.d2_exact(G, cap=G.order).value
+        assert value == d2_class_loop(G, G.order) == d2_table_count(G, G.order)
 
     def test_family_cap_bounds_pairs(self, monkeypatch):
         # the family's cap counts the p^(2d) grade-1 pairs, not |G|, and the

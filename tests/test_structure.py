@@ -382,6 +382,61 @@ class TestNeumannExtract:
             assert set().union(*rep.balls) == comm
 
 
+def measured_level_by_sort(norm_matrix):
+    """The least D with P(value <= D) >= 1/D along every row and column, by
+    sorting the whole matrix and comparing it with each distinct level."""
+    finite = np.sort(norm_matrix[np.isfinite(norm_matrix)])
+    finite = finite[np.diff(finite, prepend=-math.inf) > 0]
+    best = math.inf
+    n_rows, n_cols = norm_matrix.shape
+    for i, v in enumerate(finite):
+        le = norm_matrix <= v
+        frac = min(le.sum(axis=1).min() / n_cols, le.sum(axis=0).min() / n_rows)
+        if frac == 0:
+            continue
+        candidate = max(float(v), 1.0 / frac)
+        upper = float(finite[i + 1]) if i + 1 < len(finite) else math.inf
+        if candidate < upper or math.isclose(candidate, float(v)):
+            best = min(best, candidate)
+    if not math.isfinite(best):
+        raise DegenerateFormError("no finite concentration level exists")
+    return best
+
+
+def level_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateFormError:
+        return DegenerateFormError
+
+
+class TestMeasuredLevel:
+    @settings(max_examples=200)
+    @given(data=hst.data())
+    def test_matches_sorted_matrix(self, data):
+        # few distinct norms, so levels tie; inf marks elements of no level
+        pool = [0.0, 0.5, 1.0, math.log(3), 2.0, 2.5, 4.0, math.inf]
+        norms = np.array(data.draw(hst.lists(hst.sampled_from(pool), min_size=1, max_size=10)))
+        m = len(norms)
+        rows, cols = data.draw(hst.integers(1, 7)), data.draw(hst.integers(1, 7))
+        flat = data.draw(hst.lists(hst.integers(0, m - 1), min_size=rows * cols,
+                                   max_size=rows * cols))
+        comm = np.array(flat, dtype=np.int64).reshape(rows, cols)
+        hit = np.zeros(m, dtype=bool)
+        hit[comm] = True
+        got = level_or_error(st._measured_level, norms, comm, hit)
+        assert got == level_or_error(measured_level_by_sort, norms[comm])
+
+    @pytest.mark.parametrize("name", ["d4", "q8", "a4", "heis27"])
+    def test_conjugacy_norm_levels_match(self, name):
+        G = corpus_group(name)
+        norms = np.array([stats.conjugacy_norm(G, g) for g in range(G.order)])
+        comm = G.commutator_table
+        hit = np.zeros(G.order, dtype=bool)
+        hit[comm] = True
+        assert st._measured_level(norms, comm, hit) == measured_level_by_sort(norms[comm])
+
+
 class TestSubgroupsPareto:
     def test_subgroup_counts(self):
         assert len(st.subgroups(corpus_group("s3"))) == 6
