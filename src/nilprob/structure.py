@@ -11,14 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import groups
 from .algebra import AlgebraParams
 from .errors import CapExceededError, DegenerateFormError
 from .fieldlin import FpVector, all_vectors, nullspace, rref
-from .groups import TableGroup, _element_indices, _orbit_labels, _power_closure, subgroup_closure
+from .groups import TableGroup, _element_indices, _power_closure, subgroup_closure
 
 SERIES_CAP = 1 << 12
 SUBGROUP_ENUM_CAP = 64
@@ -392,41 +394,126 @@ def _measured_level(norms: np.ndarray, comm: np.ndarray, hit: np.ndarray) -> flo
     return best
 
 
-def _double_coset_reps(G: TableGroup, H: frozenset[int]) -> list[int]:
-    """Least element of each double coset HgH other than H itself."""
-    h = np.array(sorted(H), dtype=np.int64)
-    labels = _orbit_labels(np.concatenate([G.table[h], G.table[:, h].T]))
-    return np.flatnonzero(labels == np.arange(G.order))[1:].tolist()
+def _row_blocks(n_rows: int, row_entries: int) -> Iterator[slice]:
+    """Slices covering range(n_rows), each of at least one row and of about
+    `groups._TABLE_BLOCK_ENTRIES` entries at row_entries entries a row."""
+    rows = max(1, groups._TABLE_BLOCK_ENTRIES // row_entries)
+    return (slice(i, i + rows) for i in range(0, n_rows, rows))
+
+
+def _close_rows(G: TableGroup, S: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Close each row of the boolean (N, |G|) matrix S, in place, under right
+    multiplication by that row's generators, the indices gens[i]; returns S.
+
+    A row is closed to S[i] <gens[i]>.  So a row that holds 1 and lies in
+    <gens[i]> becomes that subgroup: the powers of a generator of a finite
+    group include its inverse.  Each pass is one gather of S per generator
+    column, and passes repeat until nothing changes.
+    """
+    m = G.order
+    step = G.table.T[G.inv_table]   # step[x, z] = z x^-1, so (S x)[z] = S[z x^-1]
+    base = np.arange(0, S.size, m)[:, None]
+    perms = [(base + step[col]).ravel() for col in gens.T]
+    flat = S.reshape(-1)
+    count = np.count_nonzero(flat)
+    while True:
+        for perm in perms:
+            flat |= flat.take(perm)
+        grown = np.count_nonzero(flat)
+        if grown == count:
+            return S
+        count = grown
+
+
+def _double_coset_reps(G: TableGroup, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, reps): the least element reps[k] of each double coset H g H
+    other than H itself, for H the subgroup in row rows[k] of the boolean
+    matrix M; rows ascending, and each row's reps ascending.
+
+    Two masked minima through the table: R[i, y] = min over h in H of h y is
+    the least element of H y, and min over h in H of R[i, g h] is the least
+    element of H g H.  Both make a len(M) x |G| x |G| temporary.
+    """
+    m, t = G.order, G.table
+    by_row = M[:, :, None]   # the masked minima run over axis 1, the rows h of H
+    least = np.min(np.broadcast_to(t, (len(M), m, m)), axis=1, where=by_row, initial=m)
+    least = np.min(least[:, t.T], axis=1, where=by_row, initial=m)
+    reps = least == np.arange(m)
+    reps[:, 0] = False   # the double coset H itself
+    return np.nonzero(reps)
 
 
 def subgroups(G: TableGroup, cap: int = SUBGROUP_ENUM_CAP) -> list[frozenset[int]]:
-    """All subgroups, by closure of one-element extensions.
+    """All subgroups, ordered by size and then by sorted element list.
 
-    <H, g> = <H, h g h'> for h, h' in H, so one g per double coset HgH is
-    enough.
+    The subgroups are found a frontier at a time, from the trivial one: the
+    frontier is a boolean matrix with one row per subgroup first found at the
+    previous level, and each row carries the generators it was found from.
+    The next level extends every row H by one g per double coset H g H other
+    than H (<H, g> = <H, h g h'> for h, h' in H; `_double_coset_reps`),
+    closes all candidates H u {g} together under right multiplication by the
+    generators of H and g (`_close_rows`), and keeps the new subgroups by
+    their row bytes.  Each extension at least doubles the order, so there
+    are at most log2 |G| levels and generators.  The frontier is taken in row
+    blocks of about `groups._TABLE_BLOCK_ENTRIES` entries of the
+    rows x |G| x |G| coset temporaries.  `groups.subgroup_closure` remains
+    the route for a single set.
     """
     if G.order > cap:
         raise CapExceededError(f"|G| = {G.order} exceeds subgroup enumeration cap {cap}")
-    trivial = frozenset({0})
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        fresh = []
-        for H in frontier:
-            for g in _double_coset_reps(G, H):
-                K = subgroup_closure(G, set(H) | {g})
-                if K not in found:
-                    found.add(K)
-                    fresh.append(K)
-        frontier = fresh
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+    m = G.order
+    frontier = np.zeros((1, m), dtype=bool)
+    frontier[0, 0] = True
+    gens = np.zeros((1, 0), dtype=np.int64)   # each frontier row's generators
+    found = {frontier.tobytes()}
+    while len(frontier):
+        fresh, fresh_gens = [], []
+        for block in _row_blocks(len(frontier), m * m):
+            rows, reps = _double_coset_reps(G, frontier[block])
+            cand = frontier[block][rows]
+            cand[np.arange(len(rows)), reps] = True
+            cand_gens = np.column_stack([gens[block][rows], reps])
+            data = _close_rows(G, cand, cand_gens).tobytes()
+            for k in range(len(rows)):
+                key = data[k * m : (k + 1) * m]
+                if key not in found:
+                    found.add(key)
+                    fresh.append(key)
+                    fresh_gens.append(cand_gens[k])
+        frontier = np.frombuffer(b"".join(fresh), dtype=bool).reshape(-1, m)
+        gens = np.array(fresh_gens, dtype=np.int64).reshape(len(fresh), gens.shape[1] + 1)
+    member = np.frombuffer(b"".join(found), dtype=bool).reshape(-1, m)
+    elements = np.nonzero(member)[1].tolist()
+    ends = np.cumsum(member.sum(axis=1)).tolist()
+    subs = [frozenset(elements[a:b]) for a, b in zip([0, *ends], ends)]
+    return sorted(subs, key=lambda s: (len(s), sorted(s)))
 
 
 def neumann_pareto(G: TableGroup, cap: int = SUBGROUP_ENUM_CAP) -> list[tuple[int, int]]:
-    """Pareto frontier of ([G:H], |H'|) over all subgroups H."""
+    """Pareto frontier of ([G:H], |H'|) over all subgroups H.
+
+    H' is found for every subgroup at once, a block of subgroups at a time:
+    the commutator-table values of H x H are marked in one row per subgroup,
+    and the rows are closed together under right multiplication by their own
+    marked elements (`_close_rows`).  The blocks hold about
+    `groups._TABLE_BLOCK_ENTRIES` entries of the rows x |G| x |G| pair masks.
+    """
+    subs = subgroups(G, cap)
+    m, comm = G.order, G.commutator_table
+    member = np.zeros((len(subs), m), dtype=bool)
+    member[np.repeat(np.arange(len(subs)), [len(H) for H in subs]),
+           np.fromiter(chain.from_iterable(subs), dtype=np.int64)] = True
     pairs = set()
-    for H in subgroups(G, cap):
-        pairs.add((G.order // len(H), len(_derived(G, H))))
+    for block in _row_blocks(len(subs), m * m):
+        M = member[block]
+        hit = np.zeros_like(M)
+        flat = comm + np.arange(0, M.size, m)[:, None, None]   # value [h, k] in row i
+        hit.reshape(-1)[flat[M[:, :, None] & M[:, None, :]]] = True
+        # each row's marked elements, in order, padded with the identity 0
+        first = np.argsort(~hit, axis=1, kind="stable")[:, : hit.sum(axis=1).max()]
+        gens = np.where(np.take_along_axis(hit, first, axis=1), first, 0)
+        derived = _close_rows(G, hit, gens).sum(axis=1)
+        pairs.update(zip((m // M.sum(axis=1)).tolist(), derived.tolist()))
     frontier = [
         p for p in pairs
         if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pairs)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import partial, reduce
 
@@ -12,7 +13,7 @@ from nilprob.errors import CapExceededError, DegenerateFormError
 from nilprob.fieldlin import BilinearForm, FpVector, form_eval, nullspace, rref
 from nilprob.groups import direct_product, subgroup_closure
 from nilprob.tables import CORPUS_NAMES, corpus_group
-from nilprob import stats, structure as st
+from nilprob import groups, stats, structure as st
 from test_groups import ref_commutators, relabelled
 
 
@@ -505,20 +506,90 @@ def subgroups_every_element(G):
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
+def product(names):
+    return reduce(direct_product, [corpus_group(n) for n in names])
+
+
 class TestSubgroupsByDoubleCosets:
     @pytest.mark.parametrize(
         "factors", [("d4", "c4"), ("q8", "c4"), ("s3", "c8"), ("d4", "c2"), ("a4",), ("heis27",)]
     )
     def test_matches_every_element_loop(self, factors):
-        G = corpus_group(factors[0])
-        for name in factors[1:]:
-            G = direct_product(G, corpus_group(name))
+        G = product(factors)
         assert st.subgroups(G) == subgroups_every_element(G)
 
     def test_double_cosets_partition(self, corpus_groups):
+        # the batched representatives of every subgroup's row, all rows at once
         for G in corpus_groups.values():
-            for H in st.subgroups(G):
-                reps = st._double_coset_reps(G, H)
-                h = sorted(H)
-                cosets = [{G.mul(G.mul(a, g), b) for a in h for b in h} for g in reps]
+            subs = st.subgroups(G)
+            M = np.zeros((len(subs), G.order), dtype=bool)
+            for i, H in enumerate(subs):
+                M[i, sorted(H)] = True
+            rows, reps = st._double_coset_reps(G, M)
+            assert np.all(np.diff(rows) >= 0)
+            for i, H in enumerate(subs):
+                h, own = sorted(H), reps[rows == i].tolist()
+                cosets = [{G.mul(G.mul(a, g), b) for a in h for b in h} for g in own]
+                assert [min(c) for c in cosets] == own
                 assert sorted(x for c in [set(H), *cosets] for x in c) == list(range(G.order))
+
+
+def pareto_every_subgroup(G):
+    """Reference: |H'| from one `_derived` closure per subgroup of the
+    every-element oracle."""
+    pairs = {(G.order // len(H), len(st._derived(G, H))) for H in subgroups_every_element(G)}
+    return sorted(p for p in pairs
+                  if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pairs))
+
+
+ORDERS = {name: corpus_group(name).order for name in CORPUS_NAMES}
+
+
+@settings(max_examples=30)
+@given(names=hst.lists(hst.sampled_from(CORPUS_NAMES), min_size=1, max_size=3)
+       .filter(lambda names: math.prod(ORDERS[n] for n in names) <= st.SUBGROUP_ENUM_CAP),
+       seed=hst.integers(0, 2**32 - 1))
+def test_lattice_and_pareto_match_oracles_on_relabelled_products(names, seed):
+    G = relabelled(product(names), seed)
+    assert st.subgroups(G) == subgroups_every_element(G)
+    assert st.neumann_pareto(G) == pareto_every_subgroup(G)
+
+
+class TestFrontierBlocks:
+    @pytest.mark.parametrize("names", [("d4", "c4"), ("a4",)], ids="x".join)
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_lattice_and_pareto_over_row_blocks(self, monkeypatch, names, rows):
+        # 60 entries give one frontier row a block (|G|^2 >= 144 entries a
+        # row); 3 |G|^2 give blocks of 3 rows, the last of some pass short
+        G = product(names)
+        want = st.subgroups(G), st.neumann_pareto(G)
+        entries = 60 if rows is None else rows * G.order ** 2
+        monkeypatch.setattr(groups, "_TABLE_BLOCK_ENTRIES", entries)
+        passes = []
+        real = st._row_blocks
+
+        def spy(n_rows, row_entries):
+            blocks = [len(range(n_rows)[b]) for b in real(n_rows, row_entries)]
+            passes.append(blocks)
+            return real(n_rows, row_entries)
+
+        monkeypatch.setattr(st, "_row_blocks", spy)
+        assert (st.subgroups(G), st.neumann_pareto(G)) == want
+        assert max(max(blocks) for blocks in passes) == (rows or 1)
+        assert any(len(blocks) > 1 for blocks in passes)
+        if rows is not None:
+            assert any(len(blocks) > 1 and blocks[-1] < rows for blocks in passes)
+
+    def test_pareto_memory_of_c2_to_the_sixth(self):
+        # 2825 subgroups of order-64 c2^6; unblocked, the pair masks alone
+        # are 2825 x 64 x 64 entries, and their int64 indices about 92 MB
+        G = product(["c2"] * 6)
+        G.commutator_table
+        tracemalloc.start()
+        try:
+            frontier = st.neumann_pareto(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert frontier == [(1, 1)]
+        assert peak < 16 * 2**20
