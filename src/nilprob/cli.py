@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -321,6 +321,7 @@ def _cmd_bias(args: argparse.Namespace) -> tuple[int, dict, dict]:
     raise UsageError("bias: pass --verify-quad or --trilinear-bound")
 
 
+@cache   # parse_args leaves the parser as it is, and _refuse_unread only reads its defaults
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="json")

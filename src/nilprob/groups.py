@@ -40,7 +40,6 @@ from __future__ import annotations
 import io
 import math
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -535,7 +534,8 @@ class TableGroup:
     @cached_property
     def generators(self) -> list[int]:
         """Greedy generating set: the least element outside the closure of
-        the generators so far, until that closure is everything.
+        the generators so far, until that closure is everything
+        (`_generated` over every index).
 
         The closure is taken under the table's own product (`_power_closure`),
         so every element is a product of generators before the table is known
@@ -543,12 +543,7 @@ class TableGroup:
         at least doubles the subgroup, so there are at most log2 m of them,
         and none for the trivial group.
         """
-        gens: list[int] = []
-        closure = np.zeros(1, dtype=np.int64)
-        while len(closure) < self.order:
-            gens.append(int(np.setdiff1d(np.arange(self.order), closure, assume_unique=True)[0]))
-            closure = _power_closure(self, np.array([0, *gens]))[0]
-        return gens
+        return _generated(self, range(self.order))[1]
 
     # Element operations (elements are indices; one outside [0, |G|) raises ValueError).
 
@@ -714,30 +709,53 @@ class TableGroup:
         return f"TableGroup({self.name!r}, order={self.order})"
 
 
-def _power_closure(G: TableGroup, X: np.ndarray) -> tuple[np.ndarray, int]:
-    """(X^r, r) for the least r with X^r = X^{r+1}, given indices X containing 0.
+def _power_closure(G: TableGroup, S: np.ndarray, gens: np.ndarray) -> tuple[np.ndarray, int]:
+    """Close each row of the C-contiguous boolean (N, |G|) matrix S, in place,
+    under right multiplication by its generators gens[i] (padded with the
+    identity 0); returns (S, r), r the number of passes.
 
-    With 1 in X the powers grow, and X^{r+1} = X^r u L X for the newest layer
-    L = X^r minus X^{r-1}.  In a finite group the fixed point is <X>.
+    Each pass multiplies only the newest layer by the generators through the
+    table's own product, reading no inverse.  A row holding 1 inside
+    <gens[i]> closes to that subgroup, since the powers of an element of a
+    finite group include its inverse.  For a row X holding 1 with
+    generators X, the layers are X^r minus X^{r-1}, and r is the least with
+    X^r = X^{r+1}.
     """
-    member = np.zeros(G.order, dtype=bool)
-    member[X] = True
-    X = layer = np.flatnonzero(member)
+    flat = S.reshape(-1)
+    # products[j, i |G| + x] = i |G| + x gens[i, j], a flat index into S
+    products = (G.table.T[gens.T] + np.arange(0, S.size, G.order)[:, None]).reshape(
+        gens.shape[1], S.size)
+    layer, grown = flat.nonzero()[0], np.zeros_like(flat)   # grown: the scatter buffer
     r = 1
     while True:
-        grown = member.copy()
-        grown[G.table[layer[:, None], X]] = True
-        layer = np.flatnonzero(grown & ~member)
+        grown[products[:, layer]] = True
+        np.greater(grown, flat, out=grown)   # drop the members, the last layer too
+        layer = grown.nonzero()[0]
         if not layer.size:
-            return np.flatnonzero(member), r
-        member = grown
+            return S, r
+        flat |= grown
         r += 1
+
+
+def _generated(G: TableGroup, candidates: Iterable[int]) -> tuple[np.ndarray, list[int]]:
+    """(row, gens): the boolean row of the closure of {0} and gens, where gens
+    takes each candidate, in order, that lies outside the closure of the ones
+    before it.  In a group each one at least doubles the closure, so there
+    are at most log2 |G| of them."""
+    c = _element_indices(G.order, np.fromiter(candidates, dtype=np.int64))
+    row = np.zeros((1, G.order), dtype=bool)
+    row[0, 0] = True
+    gens: list[int] = []
+    while (outside := c[~row[0, c]]).size:
+        gens.append(int(outside[0]))
+        row[0, gens[-1]] = True
+        _power_closure(G, row, np.array([gens]))
+    return row[0], gens
 
 
 def subgroup_closure(G: TableGroup, seed: Iterable[int]) -> frozenset[int]:
     """Subgroup generated by the given element indices."""
-    X = _element_indices(G.order, np.fromiter(chain(seed, (0,)), dtype=np.int64))
-    return frozenset(_power_closure(G, X)[0].tolist())
+    return frozenset(np.flatnonzero(_generated(G, seed)[0]).tolist())
 
 
 def is_normal(G: TableGroup, H: Iterable[int]) -> bool:

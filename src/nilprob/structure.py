@@ -184,12 +184,14 @@ def power_closure_radius(G: TableGroup, X: Iterable[int]) -> int:
 
     The radius always satisfies r <= 3 * floor(|G| / |X|).
     """
-    x = np.unique(_element_indices(G.order, np.fromiter(X, dtype=np.int64)))
-    if not (x == 0).any():
+    row = np.zeros((1, G.order), dtype=bool)
+    row[0, _element_indices(G.order, np.fromiter(X, dtype=np.int64))] = True
+    x = np.flatnonzero(row)
+    if not row[0, 0]:
         raise ValueError("X must contain the identity")
-    if not np.isin(G.inv_table[x], x).all():
+    if not row[0, G.inv_table[x]].all():
         raise ValueError("X must be symmetric (closed under inverses)")
-    r = _power_closure(G, x)[1]
+    r = _power_closure(G, row, x[None])[1]
     bound = 3 * (G.order // len(x))
     if r > bound:
         raise RuntimeError(f"closure radius {r} exceeded 3*floor(|G|/|X|) = {bound}")
@@ -401,30 +403,6 @@ def _row_blocks(n_rows: int, row_entries: int) -> Iterator[slice]:
     return (slice(i, i + rows) for i in range(0, n_rows, rows))
 
 
-def _close_rows(G: TableGroup, S: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    """Close each row of the boolean (N, |G|) matrix S, in place, under right
-    multiplication by that row's generators, the indices gens[i]; returns S.
-
-    A row is closed to S[i] <gens[i]>.  So a row that holds 1 and lies in
-    <gens[i]> becomes that subgroup: the powers of a generator of a finite
-    group include its inverse.  Each pass is one gather of S per generator
-    column, and passes repeat until nothing changes.
-    """
-    m = G.order
-    step = G.table.T[G.inv_table]   # step[x, z] = z x^-1, so (S x)[z] = S[z x^-1]
-    base = np.arange(0, S.size, m)[:, None]
-    perms = [(base + step[col]).ravel() for col in gens.T]
-    flat = S.reshape(-1)
-    count = np.count_nonzero(flat)
-    while True:
-        for perm in perms:
-            flat |= flat.take(perm)
-        grown = np.count_nonzero(flat)
-        if grown == count:
-            return S
-        count = grown
-
-
 def _double_coset_reps(G: TableGroup, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, reps): the least element reps[k] of each double coset H g H
     other than H itself, for H the subgroup in row rows[k] of the boolean
@@ -451,13 +429,12 @@ def subgroups(G: TableGroup, cap: int = SUBGROUP_ENUM_CAP) -> list[frozenset[int
     previous level, and each row carries the generators it was found from.
     The next level extends every row H by one g per double coset H g H other
     than H (<H, g> = <H, h g h'> for h, h' in H; `_double_coset_reps`),
-    closes all candidates H u {g} together under right multiplication by the
-    generators of H and g (`_close_rows`), and keeps the new subgroups by
-    their row bytes.  Each extension at least doubles the order, so there
-    are at most log2 |G| levels and generators.  The frontier is taken in row
-    blocks of about `groups._TABLE_BLOCK_ENTRIES` entries of the
-    rows x |G| x |G| coset temporaries.  `groups.subgroup_closure` remains
-    the route for a single set.
+    closes all candidates H u {g} in one `groups._power_closure` call, each
+    under right multiplication by the generators of H and g, and keeps the
+    new subgroups by their row bytes.  Each extension at least doubles the
+    order, so there are at most log2 |G| levels and generators.  The
+    frontier is taken in row blocks of about `groups._TABLE_BLOCK_ENTRIES`
+    entries of the rows x |G| x |G| coset temporaries.
     """
     if G.order > cap:
         raise CapExceededError(f"|G| = {G.order} exceeds subgroup enumeration cap {cap}")
@@ -473,7 +450,7 @@ def subgroups(G: TableGroup, cap: int = SUBGROUP_ENUM_CAP) -> list[frozenset[int
             cand = frontier[block][rows]
             cand[np.arange(len(rows)), reps] = True
             cand_gens = np.column_stack([gens[block][rows], reps])
-            data = _close_rows(G, cand, cand_gens).tobytes()
+            data = _power_closure(G, cand, cand_gens)[0].tobytes()
             for k in range(len(rows)):
                 key = data[k * m : (k + 1) * m]
                 if key not in found:
@@ -494,8 +471,8 @@ def neumann_pareto(G: TableGroup, cap: int = SUBGROUP_ENUM_CAP) -> list[tuple[in
 
     H' is found for every subgroup at once, a block of subgroups at a time:
     the commutator-table values of H x H are marked in one row per subgroup,
-    and the rows are closed together under right multiplication by their own
-    marked elements (`_close_rows`).  The blocks hold about
+    and the rows are closed in one `groups._power_closure` call, each under
+    right multiplication by its own marked elements.  The blocks hold about
     `groups._TABLE_BLOCK_ENTRIES` entries of the rows x |G| x |G| pair masks.
     """
     subs = subgroups(G, cap)
@@ -512,7 +489,7 @@ def neumann_pareto(G: TableGroup, cap: int = SUBGROUP_ENUM_CAP) -> list[tuple[in
         # each row's marked elements, in order, padded with the identity 0
         first = np.argsort(~hit, axis=1, kind="stable")[:, : hit.sum(axis=1).max()]
         gens = np.where(np.take_along_axis(hit, first, axis=1), first, 0)
-        derived = _close_rows(G, hit, gens).sum(axis=1)
+        derived = _power_closure(G, hit, gens)[0].sum(axis=1)
         pairs.update(zip((m // M.sum(axis=1)).tolist(), derived.tolist()))
     frontier = [
         p for p in pairs

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -23,6 +24,7 @@ from nilprob.groups import (
     AlgebraGroup,
     GroupElement,
     TableGroup,
+    _power_closure,
     commutator,
     direct_product,
     format_cayley_table,
@@ -663,6 +665,55 @@ class TestTableGathersMatchLoops:
         G = oracle_groups[name]
         X = {0} | {h for g in element_sets(data, G) for h in (g, G.inverse(g))}
         assert power_closure_radius(G, X) == ref_power_closure_radius(G, X)
+
+
+class TestPowerClosure:
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_no_rows(self, k):
+        G = corpus_group("s3")
+        S = np.zeros((0, G.order), dtype=bool)
+        got, r = _power_closure(G, S, np.zeros((0, k), dtype=np.int64))
+        assert got is S and got.shape == (0, 6) and r == 1
+
+    @pytest.mark.parametrize("name", ORACLE_GROUPS)
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_padded_rows_close_to_reference(self, oracle_groups, name, data):
+        # each row holds 0 and its seed, with the seed as its generators,
+        # padded with the identity 0 to the longest seed
+        G = oracle_groups[name]
+        seeds = data.draw(st.lists(st.lists(st.integers(0, G.order - 1), max_size=4),
+                                   min_size=1, max_size=5))
+        S = np.zeros((len(seeds), G.order), dtype=bool)
+        gens = np.zeros((len(seeds), max(map(len, seeds))), dtype=np.int64)
+        for i, seed in enumerate(seeds):
+            S[i, [0, *seed]] = True
+            gens[i, : len(seed)] = seed
+        _power_closure(G, S, gens)
+        for row, seed in zip(S, seeds):
+            assert frozenset(np.flatnonzero(row).tolist()) == ref_subgroup_closure(G, seed)
+
+    def test_generators_match_reference(self, oracle_groups):
+        groups = list(oracle_groups.values())
+        groups += [relabelled(direct_product(corpus_group(a), corpus_group(b)), seed)
+                   for seed, (a, b) in enumerate([("d4", "c4"), ("q8", "c2"), ("s3", "c6")])]
+        for G in groups:
+            assert G.generators == ref_generators(G.table), G.name
+
+    def test_half_group_seed_memory(self):
+        # the closure takes at most log2 |G| + 1 seed elements as generators;
+        # closing under all 432 would gather 432 x 432 products at once
+        G = direct_product(direct_product(corpus_group("heis27"), corpus_group("d4")),
+                           corpus_group("c4"))
+        seed = range(G.order // 2)
+        want = subgroup_closure(G, seed)
+        tracemalloc.start()
+        try:
+            assert subgroup_closure(G, seed) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert G.order == 864 and peak < 2**19
 
 
 def relabelled(G, seed):
