@@ -1,9 +1,9 @@
 """Structural probes: series, Engel degree, bounded generation, the
-quadruple-bracket subspace probe, and subgroup extraction from seminorm
-concentration.
+quadruple-bracket subspace probe, subgroup extraction from seminorm
+concentration, and the subgroup lattice with its Pareto frontier.
 
-Series computations work on Cayley-table groups; the subspace probe works on
-the family's vector space V.
+All but the subspace probe work on Cayley-table groups, with subgroups as
+boolean rows; the subspace probe works on the family's vector space V.
 """
 
 from __future__ import annotations
@@ -84,61 +84,50 @@ def _check_cap(G: TableGroup, cap: int) -> None:
         raise CapExceededError(f"|G| = {G.order} exceeds series cap {cap}")
 
 
-def _commutator_values(G: TableGroup, sub: Iterable[int], full: Iterable[int]) -> set[int]:
-    a = np.fromiter(sub, dtype=np.int64)
-    b = np.fromiter(full, dtype=np.int64)
-    # marked in a boolean array: np.unique imports numpy.ma on its first call
+def _commutator_subgroup(G: TableGroup, H: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """<[H, K]> as a boolean row, for boolean rows H and K of G: the values of
+    H x K in the commutator table, marked in one row (np.unique would import
+    numpy.ma) and closed."""
     hit = np.zeros(G.order, dtype=bool)
-    hit[G.commutator_table[np.ix_(a, b)]] = True
-    return set(np.flatnonzero(hit).tolist())
+    hit[G.commutator_table[np.ix_(H, K)]] = True
+    return groups._generated(G, np.flatnonzero(hit))[0]
 
 
 def _fixed_point_series(
-    kind: str, start: frozenset[int], step: Callable[[frozenset[int]], frozenset[int]]
+    kind: str, start: np.ndarray, step: Callable[[np.ndarray], np.ndarray]
 ) -> SeriesReport:
-    """start, step(start), ... up to the first term that step maps to itself."""
+    """start, step(start), ... up to the first term that step maps to itself;
+    the terms stay boolean rows until the report is built."""
     terms = [start]
-    while (nxt := step(terms[-1])) != terms[-1]:
+    while not np.array_equal(nxt := step(terms[-1]), terms[-1]):
         terms.append(nxt)
-    return SeriesReport(kind, terms)
+    return SeriesReport(kind, [frozenset(np.flatnonzero(t).tolist()) for t in terms])
 
 
 def lower_central_series(G: TableGroup, cap: int = SERIES_CAP) -> SeriesReport:
     """gamma_1 = G, gamma_{i+1} = <[gamma_i, G]>, until stabilization."""
     _check_cap(G, cap)
-    return _fixed_point_series(
-        "lower-central",
-        frozenset(G.elements()),
-        lambda H: subgroup_closure(G, _commutator_values(G, H, G.elements())),
-    )
+    every = np.ones(G.order, dtype=bool)
+    return _fixed_point_series("lower-central", every, lambda H: _commutator_subgroup(G, H, every))
 
 
 def upper_central_series(G: TableGroup, cap: int = SERIES_CAP) -> SeriesReport:
     """Z_0 = 1, Z_{i+1}/Z_i = center of G/Z_i, until stabilization."""
     _check_cap(G, cap)
-    comm = G.commutator_table
-
-    def step(Z: frozenset[int]) -> frozenset[int]:
-        in_z = np.zeros(G.order, dtype=bool)
-        in_z[list(Z)] = True
-        return frozenset(np.flatnonzero(in_z[comm].all(axis=1)).tolist())
-
-    return _fixed_point_series("upper-central", frozenset({0}), step)
+    comm, trivial = G.commutator_table, np.arange(G.order) == 0
+    return _fixed_point_series("upper-central", trivial, lambda Z: Z[comm].all(axis=1))
 
 
 def derived_series(G: TableGroup, cap: int = SERIES_CAP) -> SeriesReport:
     """G^(0) = G, G^(i+1) = [G^(i), G^(i)], until stabilization."""
     _check_cap(G, cap)
-    return _fixed_point_series("derived", frozenset(G.elements()), lambda H: _derived(G, H))
-
-
-def _derived(G: TableGroup, H: Iterable[int]) -> frozenset[int]:
-    """H' = <[H, H]> for a subgroup H of G, as indices of G."""
-    return subgroup_closure(G, _commutator_values(G, H, H))
+    every = np.ones(G.order, dtype=bool)
+    return _fixed_point_series("derived", every, lambda H: _commutator_subgroup(G, H, H))
 
 
 def derived_subgroup(G: TableGroup) -> frozenset[int]:
-    return _derived(G, G.elements())
+    every = np.ones(G.order, dtype=bool)
+    return frozenset(np.flatnonzero(_commutator_subgroup(G, every, every)).tolist())
 
 
 def _series_term(terms: list[frozenset[int]], i: int) -> frozenset[int]:

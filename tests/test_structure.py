@@ -109,9 +109,14 @@ class TestSeries:
                 for term in report.terms:
                     assert is_normal(G, term)
 
-    def test_cap(self):
-        with pytest.raises(CapExceededError):
-            st.lower_central_series(corpus_group("a4"), cap=4)
+    @pytest.mark.parametrize("series", [
+        pytest.param(st.lower_central_series, id="lower"),
+        pytest.param(st.upper_central_series, id="upper"),
+        pytest.param(st.derived_series, id="derived"),
+    ])
+    def test_cap(self, series):
+        with pytest.raises(CapExceededError, match=r"\|G\| = 12 exceeds series cap 4"):
+            series(corpus_group("a4"), cap=4)
 
 
 def baer_of(name, s, t):
@@ -379,8 +384,8 @@ class TestNeumannExtract:
             rep = st.neumann_extract(G, partial(stats.conjugacy_norm, G), 2.0)
             if not rep.hypothesis_holds:
                 continue
-            comm = st._commutator_values(G, rep.H, rep.K)
-            assert set().union(*rep.balls) == comm
+            comm = ref_commutators(G, np.array(sorted(rep.H))[:, None], sorted(rep.K))
+            assert set().union(*rep.balls) == set(comm.ravel().tolist())
 
 
 def measured_level_by_sort(norm_matrix):
@@ -535,9 +540,13 @@ class TestSubgroupsByDoubleCosets:
 
 
 def pareto_every_subgroup(G):
-    """Reference: |H'| from one `_derived` closure per subgroup of the
-    every-element oracle."""
-    pairs = {(G.order // len(H), len(st._derived(G, H))) for H in subgroups_every_element(G)}
+    """Reference: |H'| closed from the raw-table commutators of H x H, for
+    every subgroup H of the every-element oracle."""
+    pairs = set()
+    for H in subgroups_every_element(G):
+        h = np.array(sorted(H))
+        derived = closure_reference(G.table, ref_commutators(G, h[:, None], h))
+        pairs.add((G.order // len(H), len(derived)))
     return sorted(p for p in pairs
                   if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pairs))
 
@@ -553,6 +562,25 @@ def test_lattice_and_pareto_match_oracles_on_relabelled_products(names, seed):
     G = relabelled(product(names), seed)
     assert st.subgroups(G) == subgroups_every_element(G)
     assert st.neumann_pareto(G) == pareto_every_subgroup(G)
+
+
+@settings(max_examples=25)
+@given(names=hst.lists(hst.sampled_from(CORPUS_NAMES), min_size=1, max_size=3)
+       .filter(lambda names: math.prod(ORDERS[n] for n in names) <= st.SUBGROUP_ENUM_CAP),
+       seed=hst.integers(0, 2**32 - 1), data=hst.data())
+def test_commutator_subgroup_of_lattice_pairs_matches_reference(names, seed, data):
+    # <[H, K]> for every pair among the trivial subgroup, G and up to four drawn ones
+    G = relabelled(product(names), seed)
+    subs = st.subgroups(G)
+    drawn = data.draw(hst.lists(hst.sampled_from(subs), max_size=4))
+    rows = np.zeros((len(drawn) + 2, G.order), dtype=bool)
+    for row, H in zip(rows, [subs[0], subs[-1], *drawn]):
+        row[sorted(H)] = True
+    for H in rows:
+        for K in rows:
+            got = np.flatnonzero(st._commutator_subgroup(G, H, K)).tolist()
+            comm = ref_commutators(G, np.flatnonzero(H)[:, None], np.flatnonzero(K))
+            assert frozenset(got) == closure_reference(G.table, comm)
 
 
 class TestFrontierBlocks:
