@@ -29,6 +29,7 @@ D1_CAP = 1 << 16
 D2_CAP = 1 << 10
 COVER_PAIR_CAP = 1 << 24
 COVER_CHUNK = 1 << 12
+COVER_BLOCK = 1 << 16   # (s, x) pairs per quotient stack of an exhaustive cover
 EXACT_COVER_BALLS = 20   # the exact search tries every subset of the distinct balls
 MC_CHUNK = 1 << 16
 
@@ -174,8 +175,13 @@ def dk_monte_carlo(
 
 def conjugacy_norm(G: Group, g) -> float:
     """log of the conjugacy class size, to the base `G.class_log_base`: p for
-    family groups, e for table groups."""
-    return math.log(G.class_size(g), G.class_log_base)
+    family groups, e for table groups.  With an integer base (the family,
+    whose class sizes are p^rank) it is the exponent, exact: math.log(5**3, 5)
+    is 3.0000000000000004."""
+    size, base = G.class_size(g), G.class_log_base
+    if isinstance(base, int) and base ** (k := round(math.log(size, base))) == size:
+        return float(k)
+    return math.log(size, base)
 
 
 def commutator_set(G: Group, cap: int = COVER_PAIR_CAP) -> list:
@@ -204,6 +210,18 @@ def _ball_masks(G: Group, xs, count: int, S: Sequence, n: int) -> np.ndarray:
     return np.array(rows, dtype=bool).reshape(len(S), count)
 
 
+def _element_ball_masks(G: Group, xs: list, S: Sequence, n: int) -> np.ndarray:
+    """`_ball_masks` of the element list xs, from one quotient stack and one
+    `class_sizes` call per block of about COVER_BLOCK (s, x) pairs."""
+    per = max(1, COVER_BLOCK // max(1, len(xs)))
+    rows = [np.zeros(0, dtype=bool)]
+    for i in range(0, len(S), per):
+        block = S[i : i + per]
+        quotients = G.quotients(G.stack(xs * len(block)), G.stack([s for s in block for _ in xs]))
+        rows.append(G.class_sizes(quotients) <= n)
+    return np.concatenate(rows).reshape(len(S), len(xs))
+
+
 def covering_check(
     G: Group,
     n: int,
@@ -219,7 +237,7 @@ def covering_check(
     S = list(S)
     if mode == "exhaustive":
         comms = commutator_set(G, cap)
-        covered = _ball_masks(G, G.stack(comms), len(comms), S, n).any(axis=0)
+        covered = _element_ball_masks(G, comms, S, n).any(axis=0)
         if covered.all():
             return CoveringWitness(n, S, Fraction(1), None, True, len(comms))
         i = int(np.argmin(covered))
@@ -253,7 +271,7 @@ def covering_minimal_S(G: Group, n: int, cap: int = COVER_PAIR_CAP) -> CoveringW
         raise ValueError("covering bound n must be >= 1")
     comms = commutator_set(G, cap)
     universe = set(range(len(comms)))
-    masks = _ball_masks(G, G.stack(comms), len(comms), comms, n)
+    masks = _element_ball_masks(G, comms, comms, n)
     balls = [frozenset(np.flatnonzero(row).tolist()) for row in masks]
 
     chosen: list[int] = []

@@ -317,9 +317,10 @@ class TestRankStack:
 def f2_stacks(draw):
     """Stacks mod 2 of low rank at the uint64 word boundaries, N = 0 and
     zero-row stacks included, with unreduced entries (3, -1, 2^40 ...).
-    The rows use every column or only a few next to a word boundary."""
+    The rows use every column or only a few next to a word boundary.  N runs
+    on both sides of the small-stack cutoff, so both eliminations see them."""
     # 0 listed last: sampled_from draws uniformly and shrinks to the first entry
-    n, rows = draw(st.sampled_from((1, 2, 3, 0))), draw(st.sampled_from((*range(1, 9), 0)))
+    n, rows = draw(st.sampled_from((1, 2, 3, 5, 17, 0))), draw(st.sampled_from((*range(1, 9), 0)))
     inner, cols = draw(st.integers(1, 8)), draw(st.sampled_from((1, 63, 64, 65, 128, 129, 0)))
     edges = [c for c in (0, 1, 62, 63, 64, 65, 127, 128) if c < cols]
     support = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=3)
@@ -356,6 +357,19 @@ class TestPivotRows:
         # both branches reduce float entries as they reduce integer ones
         p, mats = case
         assert np.array_equal(pivot_rows(mats.astype(np.float64), p), pivot_rows(mats, p))
+
+    @given(f2_stacks(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_small_f2_stacks_match_the_column_loop(self, mats, seed, as_float):
+        # a stack of at most _SMALL_F2_STACK matrices eliminates on Python
+        # ints, a larger one in the column loop; every window of 0, 1 or 2
+        # matrices of a larger stack gets the stack's rows of the mask
+        shape = (fieldlin._SMALL_F2_STACK + 1, *mats.shape[1:])
+        stack = np.concatenate([mats, np.random.default_rng(seed).integers(-3, 4, shape)])
+        want = pivot_rows(stack, 2)
+        small = stack.astype(np.float64) if as_float else stack
+        for k in range(len(stack) + 1):
+            for size in (0, 1, 2):
+                assert np.array_equal(pivot_rows(small[k : k + size], 2), want[k : k + size])
 
     def test_empty_stack_and_zero_columns(self):
         assert pivot_rows(np.zeros((0, 3, 4), dtype=np.int64), 3).shape == (0, 3)

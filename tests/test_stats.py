@@ -623,6 +623,19 @@ class TestConjugacyNorm:
         i = next(g for g in Q8.elements() if Q8.class_size(g) == 2)
         assert stats.conjugacy_norm(Q8, i) == pytest.approx(math.log(2))
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_family_norms_are_exact_exponents(self, p):
+        # math.log(125, 5) is 3.0000000000000004, and (5,1) has classes of 125
+        G = AlgebraGroup(AlgebraParams.hyperbolic(p, 1))
+        for g in G.random_elements(np.random.default_rng(p), 200):
+            norm = stats.conjugacy_norm(G, g)
+            assert norm == int(norm) and p ** int(norm) == G.class_size(g)
+
+    def test_table_norms_are_natural_logs(self, corpus_groups):
+        for G in corpus_groups.values():
+            for g in G.elements():
+                assert stats.conjugacy_norm(G, g) == math.log(G.class_size(g))
+
 
 class TestCommutatorSet:
     def test_table_matches_all_pairs(self, corpus_groups):
