@@ -6,7 +6,10 @@ operations, `algebra.alg_mul` and `lie_bracket` and the `mul`, `inverse`,
 are each one call on one-element stacks, through the engine each
 `AlgebraParams` shares as `params.engine`.
 
-Stacks hold one int64 array per grade.  Products go through
+Stacks hold one integer array per grade, int64, or int32 as `random_l1`
+draws them.  Every operation takes either and gives the same digits: an
+int32 intermediate is a sum of a few digit products, and every other one
+is int64, from `_times` or an int64 operand.  Products go through
 `BatchAlg._prod`, the grade 2..4 part of the product of two L1 parts (an
 L1 product has no grade-0 or grade-1 part), with its contractions written
 as matmuls: the R2 x R2 -> R4 term <A F B, F> is one bilinear form on
@@ -50,20 +53,31 @@ nothing else: no grade-4 terms and no d x d matrix.
 Since C = a1 b1^T - b1 a1^T has rank two, step 2, against 1+z, is
 
     c3' = (b1^T F z1 + z1^T F b1) a1 - (a1^T F z1 + z1^T F a1) b1
+        = lie3(a1, b1, z1)
     c4' = u3^T (F - F^T) z1 - z1^T F c3' + vec(C) M_A vec(Z),
 
 four dot products where the general step has two batched d x d products,
 and vec(C) is formed only on the rows of the cut M_A.  Its value lies in
 grades 3 and 4, so every later step has A = 0: c3 = 0 and
-c4 = c3_prev^T (F - F^T) w1, which makes every 5-fold commutator 1.
-Steps 1 and 2 each run in blocks of BLOCK rows, which keep their
-temporaries in cache and bounded.  The chain draws each stack only when
-it reaches it: it holds the first two while step 1 runs, then a1, b1 and
-u3 (3d columns) and the third stack, then only (c3, c4), d + 1 columns,
-while each later stack is drawn.  So the third stack reuses the memory the
-first two just freed, and a Monte Carlo tuple of three or more entries is
-decided from (c3, c4) alone (`trivial_long_commutator`): no full output
-stack is built.
+c4 = c3_prev^T (F - F^T) w1, which makes every 5-fold commutator 1.  A
+chain of four or more stacks therefore reads only c3' = lie3(a1, b1, z1)
+and the later w1: it runs neither step 1 nor the grade-4 half of step 2,
+and reads no grade-2 digit.  `lie3` and the steps run in blocks of BLOCK
+rows, which keep their temporaries in cache and bounded.  The chain holds
+the first three stacks while it computes c3' (and, for three stacks, c4'),
+then only (c3, c4), d + 1 columns, while each later stack is drawn.
+
+A Monte Carlo tuple is decided by `trivial_long_commutator`, which builds
+no full output stack.  The lowest grade of a commutator needs only the
+grade-1 digits: C for a pair, c3' = lie3(a1, b1, z1) for a triple (the
+grade-2 part of a triple's value is 0).  So each block of rows is first
+settled by that grade, and only the rows where it vanishes go through the
+work that reads grade 2: `commutator` for a pair, step 1 and the grade-4
+half of step 2 for a triple.  When most rows of a block survive, that
+work runs on the whole block, which costs less than gathering the
+survivors.  Since z1 is read before step 1 runs, the three stacks of a
+triple are held at once; drawn as int32, they take less memory than two
+int64 stacks.
 
 The independent oracle lives in the tests: the structure-constant tensor
 of R, built from the generating rules on basis vectors alone.
@@ -81,7 +95,11 @@ BLOCK = 1 << 12   # rows per long_commutator step (see the module docstring)
 
 
 class Batch(NamedTuple):
-    """N stacked elements: c0 (N,), r1 (N,d), r2 (N,d,d), r3 (N,d), c4 (N,)."""
+    """N stacked elements: c0 (N,), r1 (N,d), r2 (N,d,d), r3 (N,d), c4 (N,).
+
+    Each field is an int64 array, or int32 as `BatchAlg.random_l1` draws
+    it; the engine's operations give the same digits on either.
+    """
 
     c0: np.ndarray
     r1: np.ndarray
@@ -94,8 +112,23 @@ class Batch(NamedTuple):
         return self.c0.shape[0]
 
 
-def _rows(b: Batch, rows: slice) -> Batch:
+def _rows(b: Batch, rows) -> Batch:
+    """The rows of a stack at a slice or an index array."""
     return Batch(*(x[rows] for x in b))
+
+
+def _blocks(n: int) -> list[slice]:
+    return [slice(i, min(i + BLOCK, n)) for i in range(0, n, BLOCK)]
+
+
+def _survivors(rows: slice, zero: np.ndarray) -> tuple:
+    """(in the block, in the stack): the rows of the block `rows` where
+    `zero` holds, as index arrays; or the whole block, as slices, when most
+    rows hold, since the steps then cost less than gathering the rows."""
+    if 2 * np.count_nonzero(zero) > len(zero):
+        return slice(None), rows
+    live = np.flatnonzero(zero)
+    return live, rows.start + live
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -280,56 +313,54 @@ class BatchAlg:
         m = self._mod
         return Batch(np.zeros(n, dtype=np.int64), np.zeros_like(a1), m(C), m(c3 + w3), m(c4 + w4))
 
-    def _first_step(self, a: Batch, b: Batch) -> np.ndarray:
+    def _first_step(self, a1, A, b1, B) -> np.ndarray:
         """Grade 3 of [1+a, 1+b], c3 + w3, where w3 = (b1^T F s) a1 - (a1^T F s) b1
         with s = a1 + b1; it reads only the grade-1 and grade-2 parts."""
-        a1, A, b1, B, F = a.r1, a.r2, b.r1, b.r2, self.F
+        F = self.F
         fa, fb, ga, gb = _times(a1, F.T), _times(b1, F.T), _times(a1, F), _times(b1, F)
         fs = fa + fb
         c3 = _vecmat(ga, B) + _matvec(A, fb) - _vecmat(gb, A) - _matvec(B, fa)
         return self._mod(c3 + _dot(b1, fs)[:, None] * a1 - _dot(a1, fs)[:, None] * b1)
 
-    def _second_step(self, a1, b1, u3, z: Batch) -> tuple[np.ndarray, np.ndarray]:
-        """Grades 3 and 4 of [[1+a, 1+b], 1+z] from a1, b1, the grade-3 part
-        u3 of [1+a, 1+b] and z (see the module docstring)."""
-        z1, F = z.r1, self.F
-        fz, gz = _times(z1, F.T), _times(z1, F)
-        hz = fz + gz
-        c3 = _dot(b1, hz)[:, None] * a1 - _dot(a1, hz)[:, None] * b1
+    def _second_step(self, a1, b1, u3, c3, z1, Z) -> np.ndarray:
+        """Grade 4 of [[1+a, 1+b], 1+z] from a1, b1, the grade-3 part u3 of
+        [1+a, 1+b], its own grade-3 part c3 = lie3(a1, b1, z1), and z1, Z
+        (see the module docstring)."""
+        fz, gz = _times(z1, self.F.T), _times(z1, self.F)
         # vec(C) on the rows of the cut M_A only, C_ik = a1_i b1_k - b1_i a1_k.
         rows, cols, block = self.MA
         i, k = np.divmod(rows, self.d)
         C = a1[:, i] * b1[:, k] - b1[:, i] * a1[:, k]
-        Z = z.r2.reshape(len(z1), self.d * self.d)[:, cols]
-        c4 = _dot(u3, fz - gz) - _dot(gz, c3) + _dot(_times(C, block), Z)
-        return self._mod(c3), self._mod(c4)
+        Z = Z.reshape(len(z1), self.d * self.d)[:, cols]
+        return self._mod(_dot(u3, fz - gz) - _dot(gz, c3) + _dot(_times(C, block), Z))
+
+    def _grade4(self, stacks: Sequence[Batch], rows, c3: np.ndarray) -> np.ndarray:
+        """Grade 4 of [[1+a, 1+b], 1+z] at `rows` of the stacks (a, b, z),
+        given its grade-3 part c3 there: steps 1 and 2 on the grade-1 and
+        grade-2 digits of those rows, the only ones they read."""
+        (a1, A), (b1, B), (z1, Z) = ((s.r1[rows], s.r2[rows]) for s in stacks)
+        return self._second_step(a1, b1, self._first_step(a1, A, b1, B), c3, z1, Z)
 
     def _chain(self, draw: Callable[[], Batch], count: int) -> Batch | tuple[np.ndarray, np.ndarray]:
         """Left-normed [1+a_1, ..., 1+a_count] for count >= 2 stacks, each
-        taken from `draw()` only when the chain reaches it (see the module
-        docstring): the `commutator` stack of two stacks, and the grades 3
-        and 4, (c3, c4), of more."""
+        taken from `draw()` (see the module docstring): the `commutator`
+        stack of two stacks, and the grades 3 and 4, (c3, c4), of more."""
         if count < 2:
             raise ValueError("long commutator needs at least 2 entries")
-        first, second = draw(), draw()
-        n, d = first.count, self.d
-        blocks = [slice(i, i + BLOCK) for i in range(0, n, BLOCK)]
+        stacks = [draw() for _ in range(min(count, 3))]
+        n = stacks[0].count
         if count == 2:
             out = self.zeros(n)
-            for rows in blocks:
-                step = self.commutator(_rows(first, rows), _rows(second, rows))
-                for dst, src in zip(out, step):
+            for rows in _blocks(n):
+                for dst, src in zip(out, self.commutator(*(_rows(s, rows) for s in stacks))):
                     dst[rows] = src
             return out
-        a1, b1, u3 = first.r1, second.r1, np.empty((n, d), dtype=np.int64)
-        for rows in blocks:
-            u3[rows] = self._first_step(_rows(first, rows), _rows(second, rows))
-        del first, second   # free them before the next stack is drawn
-        z = draw()
-        c3, c4 = np.empty_like(u3), np.empty(n, dtype=np.int64)
-        for rows in blocks:
-            c3[rows], c4[rows] = self._second_step(a1[rows], b1[rows], u3[rows], _rows(z, rows))
-        del a1, b1, u3, z
+        c3, c4 = np.empty((n, self.d), dtype=np.int64), np.empty(n, dtype=np.int64)
+        for rows in _blocks(n):
+            c3[rows] = self.lie3(*(s.r1[rows] for s in stacks))
+            if count == 3:
+                c4[rows] = self._grade4(stacks, rows, c3[rows])
+        del stacks   # free them before the next stack is drawn
         for _ in range(count - 3):
             w1 = draw().r1
             c3, c4 = np.zeros_like(c3), self._mod(_dot(c3, _times(w1, self.F.T - self.F)))
@@ -346,13 +377,28 @@ class BatchAlg:
 
     def trivial_long_commutator(self, draw: Callable[[], Batch], count: int) -> np.ndarray:
         """Which entries of the left-normed commutator of `count` stacks,
-        drawn one at a time by `draw()`, are the identity; reads only the
-        grades the chain computes."""
-        out = self._chain(draw, count)
-        if isinstance(out, Batch):
-            return self.is_identity(out)
-        c3, c4 = out
-        return ~c3.any(1) & (c4 == 0)
+        drawn one at a time by `draw()`, are the identity.  Each block of
+        rows is first settled by the lowest grade of its commutator, which
+        the grade-1 digits give (see the module docstring); only the rows
+        where that grade vanishes go on to the steps that read grade 2."""
+        if count not in (2, 3):
+            c3, c4 = self._chain(draw, count)
+            return ~c3.any(1) & (c4 == 0)
+        stacks = [draw() for _ in range(count)]
+        n = stacks[0].count
+        trivial = np.zeros(n, dtype=bool)
+        for rows in _blocks(n):
+            r1 = [s.r1[rows] for s in stacks]
+            if count == 2:
+                C = self._mod(_outer(*r1) - _outer(*r1[::-1]))
+                _, at = _survivors(rows, ~C.any((1, 2)))
+                trivial[at] = self.is_identity(self.commutator(*(_rows(s, at) for s in stacks)))
+            else:
+                c3 = self.lie3(*r1)
+                zero = ~c3.any(1)
+                live, at = _survivors(rows, zero)
+                trivial[at] = zero[live] & (self._grade4(stacks, at, c3[live]) == 0)
+        return trivial
 
     def conjugate(self, a: Batch, by: Batch) -> Batch:
         inv = self.grp_inv(by)
@@ -362,14 +408,19 @@ class BatchAlg:
         return ~(a.r1.any(1) | a.r2.any((1, 2)) | a.r3.any(1) | (a.c4 != 0))
 
     def random_l1(self, rng: np.random.Generator, n: int) -> Batch:
-        """Uniform over L1: independent uniform digits in every coordinate."""
+        """Uniform over L1: independent uniform digits in every coordinate,
+        drawn grade by grade (r1, r2, r3, c4) as int32, half the memory of
+        int64.  numpy draws a bounded int32 from the same 32-bit words as a
+        bounded int64 below 2^32, so the digits, and the generator's state
+        afterwards, are those of the int64 draw.  Every engine operation
+        takes the int32 stack as it is."""
         d, p = self.d, self.p
         return Batch(
-            np.zeros(n, dtype=np.int64),
-            rng.integers(0, p, size=(n, d), dtype=np.int64),
-            rng.integers(0, p, size=(n, d, d), dtype=np.int64),
-            rng.integers(0, p, size=(n, d), dtype=np.int64),
-            rng.integers(0, p, size=n, dtype=np.int64),
+            np.zeros(n, dtype=np.int32),
+            rng.integers(0, p, size=(n, d), dtype=np.int32),
+            rng.integers(0, p, size=(n, d, d), dtype=np.int32),
+            rng.integers(0, p, size=(n, d), dtype=np.int32),
+            rng.integers(0, p, size=n, dtype=np.int32),
         )
 
     # Flat L1 coordinates in the documented order (r1, r2 row-major, r3, c4).

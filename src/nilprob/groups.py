@@ -299,9 +299,13 @@ class AlgebraGroup:
     def random_elements(self, rng: np.random.Generator, count: int) -> list[GroupElement]:
         return _elements(self.params, self.batch.coords(self.sample_batch(rng, count)))
 
-    def elements(self, cap: int = DEFAULT_ENUM_CAP) -> Iterator[GroupElement]:
-        """All elements in lexicographic coordinate order (small groups only)."""
-        return iter(_elements(self.params, self.batch.coords(self.all_elements(cap))))
+    def elements(self, cap: int = DEFAULT_ENUM_CAP,
+                 at: np.ndarray | None = None) -> Iterator[GroupElement]:
+        """All elements in lexicographic coordinate order (small groups only),
+        or only those at the `all_elements` indices `at`, in that order."""
+        _check_enum_cap(self.order, cap)
+        idx = np.arange(self.order) if at is None else _element_indices(self.order, at)
+        return iter(_elements(self.params, self._digits(idx)))
 
     @cached_property
     def _place_values(self) -> np.ndarray:
@@ -564,12 +568,13 @@ class TableGroup:
         t, a, by = self.table, _element_indices(self.order, a), _element_indices(self.order, by)
         return int(t[t[self.inv_table[by], a], by])
 
-    def elements(self, cap: int | None = None) -> range:
-        """Every index; a given `cap` bounds |G| as in `all_elements` (the
-        table is already in memory, so by default nothing does)."""
+    def elements(self, cap: int | None = None, at: np.ndarray | None = None) -> range | list[int]:
+        """Every index, or the indices `at` as ints; a given `cap` bounds |G|
+        as in `all_elements` (the table is already in memory, so by default
+        nothing does)."""
         if cap is not None:
             _check_enum_cap(self.order, cap)
-        return range(self.order)
+        return range(self.order) if at is None else _element_indices(self.order, at).tolist()
 
     def random_elements(self, rng: np.random.Generator, count: int) -> list[int]:
         return [int(v) for v in self.sample_batch(rng, count)]

@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import compress
 from typing import Sequence, Union
 
 import numpy as np
@@ -193,6 +192,7 @@ def commutator_set(G: Group, cap: int = COVER_PAIR_CAP) -> list:
     member of r's class, gives z' rho^-1 with z' = z^h in the same class, so
     Comm(G, G) is the union of the classes of z rho(z)^-1 over z in G: the
     work is |G| quotients and two label lookups, and no class is listed.
+    Only the values are built as elements.
     """
     if G.order**2 > cap:
         raise CapExceededError(f"|G|^2 = {G.order ** 2} exceeds cap {cap}")
@@ -200,7 +200,7 @@ def commutator_set(G: Group, cap: int = COVER_PAIR_CAP) -> list:
     labels = G.class_labels(elems, cap)
     hit = np.zeros(G.order, dtype=bool)
     hit[G.class_labels(G.quotients(elems, G.from_indices(labels)), cap)] = True
-    return list(compress(G.elements(cap), hit[labels]))
+    return list(G.elements(cap, at=np.flatnonzero(hit[labels])))
 
 
 def _ball_masks(G: Group, xs, count: int, S: Sequence, n: int) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nilprob._batch import BLOCK, BatchAlg
+from nilprob._batch import BLOCK, Batch, BatchAlg
 from nilprob.algebra import AlgebraParams, alg_add
 from nilprob.fieldlin import SUPPORTED_PRIMES, BilinearForm, FpVector, form_eval
 
@@ -312,6 +312,89 @@ def test_long_commutator_matches_reference_chain(case):
     assert np.array_equal(full(eng.long_commutator(stacks)), expect)
     mask = eng.trivial_long_commutator(iter(stacks).__next__, len(stacks))
     assert np.array_equal(mask, ~expect.any(1))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_random_l1_draws_the_int64_digits(p, n):
+    # Seeded Monte Carlo output rests on this: drawn as int32, each grade has
+    # the digits of an int64 draw and leaves the generator in the same state.
+    eng = BatchAlg(AlgebraParams.hyperbolic(p, n))
+    d = eng.d
+    rng, ref = np.random.default_rng([p, n]), np.random.default_rng([p, n])
+    for size in (0, 1, 3, 4097, 3, 1, 4097, 0):
+        got = eng.random_l1(rng, size)
+        expect = [ref.integers(0, p, size=shape, dtype=np.int64)
+                  for shape in ((size, d), (size, d, d), (size, d), size)]
+        assert {x.dtype for x in got} == {np.dtype(np.int32)}
+        assert got.count == size and not got.c0.any()
+        assert all(np.array_equal(x, y) for x, y in zip(got[1:], expect))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def filter_stacks(eng, rng, count, size, kind):
+    """`count` drawn (int32) stacks of `size` rows.  'uniform' rows are
+    random; 'a1 = b1' repeats a1 in the second entry and 'z1 = 0' clears the
+    grade-1 part of the third, so every row survives the grade-1 filter;
+    'none' picks rows from a pool where the reference pair has a nonzero
+    grade 2, or the reference triple a nonzero grade 3, so none does."""
+    if kind != "none":
+        stacks = [eng.random_l1(rng, size) for _ in range(count)]
+        if kind == "a1 = b1":
+            stacks[1] = stacks[1]._replace(r1=stacks[0].r1.copy())
+        elif kind == "z1 = 0":
+            stacks[2] = stacks[2]._replace(r1=np.zeros_like(stacks[2].r1))
+        return stacks
+    d = eng.d
+    pool = [full(eng.random_l1(rng, 256)) for _ in range(count)]
+    value = ref_commutator(eng, pool[0], pool[1])
+    grade = slice(1 + d, 1 + d + d * d)
+    if count > 2:
+        value = ref_commutator(eng, value, pool[2])
+        grade = slice(1 + d + d * d, 1 + 2 * d + d * d)
+    keep = np.flatnonzero(value[:, grade].any(1))
+    assert keep.size
+    pick = rng.choice(keep, size)
+    return [Batch(*(x.astype(np.int32) for x in eng.from_coords(t[pick, 1:]))) for t in pool]
+
+
+@pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK + 1, 3 * BLOCK // 2])
+@pytest.mark.parametrize("form", ["hyperbolic", "dense"])
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_trivial_long_commutator_matches_the_value_path(p, form, size):
+    # The Monte Carlo mask settles rows by their lowest grade and runs the
+    # steps that read grade 2 only on the rest, on whole blocks or gathered;
+    # at 3 * BLOCK // 2 rows a later block mixes survivors with the rest.
+    params = AlgebraParams.hyperbolic(p, 2) if form == "hyperbolic" else dense_params(p, 3, p)
+    eng = BatchAlg(params)
+    rng = np.random.default_rng([p, size])
+    for count in range(2, 6):
+        for kind in ("uniform", "a1 = b1", "none") + (("z1 = 0",) if count > 2 else ()):
+            stacks = filter_stacks(eng, rng, count, size, kind)
+            mask = eng.trivial_long_commutator(iter(stacks).__next__, count)
+            assert mask.shape == (size,)
+            assert np.array_equal(mask, eng.is_identity(eng.long_commutator(stacks))), (count, kind)
+            if kind == "none" and count <= 3:
+                assert not mask.any()
+
+
+@pytest.mark.parametrize("form", ["hyperbolic", "dense"])
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_operations_take_drawn_int32_stacks(p, form):
+    # Drawn stacks reach the engine as they are (the benchmark's check passes
+    # `sample_batch` stacks to `commutator` and `coords`).
+    params = AlgebraParams.hyperbolic(p, 2) if form == "hyperbolic" else dense_params(p, 3, p)
+    eng = BatchAlg(params)
+    rng = np.random.default_rng(p)
+    a, b = eng.random_l1(rng, 300), eng.random_l1(rng, 300)
+    a64, b64 = (Batch(*(x.astype(np.int64) for x in s)) for s in (a, b))
+    for op in (eng.commutator, eng.grp_mul):
+        got, expect = op(a, b), op(a64, b64)
+        assert all(np.array_equal(x, y) for x, y in zip(got, expect))
+        assert eng.to_elements(got) == eng.to_elements(expect)
+    assert all(np.array_equal(x, y) for x, y in zip(eng.grp_inv(a), eng.grp_inv(a64)))
+    assert np.array_equal(eng.coords(a), eng.coords(a64))
+    assert eng.to_elements(a) == eng.to_elements(a64)
 
 
 def test_traced_batch_methods_are_own_attributes():

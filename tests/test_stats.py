@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -371,6 +372,19 @@ class TestMonteCarlo:
         key = lambda r: (r.value, r.ci_low, r.ci_high, r.samples, r.seed)
         assert key(a) == key(b)
         assert a.value == 0.5541614748887476    # the seeded draws stay fixed
+
+    @pytest.mark.parametrize("k,mib", [(1, 43.18), (2, 29.14), (3, 29.14)])
+    def test_chunk_peak_memory(self, family22, k, mib):
+        # One full chunk at (2,2) peaks no higher than when every stack was
+        # drawn as int64 and every row ran every step.
+        stats._mc_chunk_hits(family22, k, 64, np.random.default_rng(0))   # cached constants
+        tracemalloc.start()
+        try:
+            stats._mc_chunk_hits(family22, k, stats.MC_CHUNK, np.random.default_rng(k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2**20
 
     @pytest.mark.parametrize("p,n,chunks,hits", [(2, 2, 2, 27057), (3, 2, 1, 3543)])
     def test_family_seeded_hits_pinned(self, p, n, chunks, hits):
