@@ -73,9 +73,8 @@ grade-1 digits: C for a pair, c3' = lie3(a1, b1, z1) for a triple (the
 grade-2 part of a triple's value is 0).  So each block of rows is first
 settled by that grade, and only the rows where it vanishes go through the
 work that reads grade 2: `commutator` for a pair, step 1 and the grade-4
-half of step 2 for a triple.  When most rows of a block survive, that
-work runs on the whole block, which costs less than gathering the
-survivors.  Since z1 is read before step 1 runs, the three stacks of a
+half of step 2 for a triple, on the surviving rows gathered from the
+block.  Since z1 is read before step 1 runs, the three stacks of a
 triple are held at once; drawn as int32, they take less memory than two
 int64 stacks.
 
@@ -112,23 +111,20 @@ class Batch(NamedTuple):
         return self.c0.shape[0]
 
 
+def _take(x: np.ndarray, rows) -> np.ndarray:
+    """x[rows] for a slice or an index array of rows.  On 4096-row int32
+    stacks `np.take` gathers an index array 9-10x faster than x[rows] for
+    rows of 2 to 4 digits, and 1.5x faster for rows of 36."""
+    return x[rows] if isinstance(rows, slice) else np.take(x, rows, axis=0)
+
+
 def _rows(b: Batch, rows) -> Batch:
     """The rows of a stack at a slice or an index array."""
-    return Batch(*(x[rows] for x in b))
+    return Batch(*(_take(x, rows) for x in b))
 
 
 def _blocks(n: int) -> list[slice]:
     return [slice(i, min(i + BLOCK, n)) for i in range(0, n, BLOCK)]
-
-
-def _survivors(rows: slice, zero: np.ndarray) -> tuple:
-    """(in the block, in the stack): the rows of the block `rows` where
-    `zero` holds, as index arrays; or the whole block, as slices, when most
-    rows hold, since the steps then cost less than gathering the rows."""
-    if 2 * np.count_nonzero(zero) > len(zero):
-        return slice(None), rows
-    live = np.flatnonzero(zero)
-    return live, rows.start + live
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -150,7 +146,8 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _times(x: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """x K for an int64 stack x and a constant float64 matrix K.  numpy has
+    """x K for an integer (int32 or int64) stack x and a constant float64
+    matrix K.  numpy has
     no BLAS path for int64 products; the float64 one is exact here, since
     every entry and sum stays far below 2^53."""
     return (x @ K).astype(np.int64)
@@ -338,7 +335,7 @@ class BatchAlg:
         """Grade 4 of [[1+a, 1+b], 1+z] at `rows` of the stacks (a, b, z),
         given its grade-3 part c3 there: steps 1 and 2 on the grade-1 and
         grade-2 digits of those rows, the only ones they read."""
-        (a1, A), (b1, B), (z1, Z) = ((s.r1[rows], s.r2[rows]) for s in stacks)
+        (a1, A), (b1, B), (z1, Z) = ((_take(s.r1, rows), _take(s.r2, rows)) for s in stacks)
         return self._second_step(a1, b1, self._first_step(a1, A, b1, B), c3, z1, Z)
 
     def _chain(self, draw: Callable[[], Batch], count: int) -> Batch | tuple[np.ndarray, np.ndarray]:
@@ -391,13 +388,13 @@ class BatchAlg:
             r1 = [s.r1[rows] for s in stacks]
             if count == 2:
                 C = self._mod(_outer(*r1) - _outer(*r1[::-1]))
-                _, at = _survivors(rows, ~C.any((1, 2)))
+                at = rows.start + np.flatnonzero(~C.any((1, 2)))
                 trivial[at] = self.is_identity(self.commutator(*(_rows(s, at) for s in stacks)))
             else:
                 c3 = self.lie3(*r1)
-                zero = ~c3.any(1)
-                live, at = _survivors(rows, zero)
-                trivial[at] = zero[live] & (self._grade4(stacks, at, c3[live]) == 0)
+                live = np.flatnonzero(~c3.any(1))
+                at = rows.start + live
+                trivial[at] = self._grade4(stacks, at, c3[live]) == 0
         return trivial
 
     def conjugate(self, a: Batch, by: Batch) -> Batch:

@@ -363,7 +363,7 @@ def filter_stacks(eng, rng, count, size, kind):
 @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
 def test_trivial_long_commutator_matches_the_value_path(p, form, size):
     # The Monte Carlo mask settles rows by their lowest grade and runs the
-    # steps that read grade 2 only on the rest, on whole blocks or gathered;
+    # steps that read grade 2 only on the rest, gathered from each block;
     # at 3 * BLOCK // 2 rows a later block mixes survivors with the rest.
     params = AlgebraParams.hyperbolic(p, 2) if form == "hyperbolic" else dense_params(p, 3, p)
     eng = BatchAlg(params)
