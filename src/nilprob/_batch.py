@@ -38,45 +38,43 @@ and in the last two terms the rank-one part of U leaves
 -vec(A + B) M vec(C).  `commutator` evaluates these terms and no others:
 no U matrix and no general product.
 
-A commutator value has no grade-1 part.  For an a with a1 = 0, C = 0
-and u c is the one term -b1^T F c3, so [1+a, 1+b] has grades 1 and 2 zero
-and
+`long_commutator` folds `commutator` over its stacks, one at a time.  On
+three or more stacks it shares no step with the Monte Carlo mask below,
+which the tests check against it.
+
+A Monte Carlo tuple is decided by `trivial_long_commutator`, which builds
+no full output stack.  A commutator value has no grade-1 part.  For an a
+with a1 = 0, C = 0 and u c is the one term -b1^T F c3, so [1+a, 1+b] has
+grades 1 and 2 zero and
 
     c3 = A F b1 - b1^T F A
     c4 = a3^T (F - F^T) b1 + vec(A) M_A vec(B) - b1^T F c3,  M_A = M - M^T.
 
-`long_commutator` of two stacks is `commutator`, run in blocks of BLOCK
-rows like the steps below.  A longer chain computes only the grades its
-later steps read.  Step 2 reads of [1+a, 1+b] only C and the grade-3 part
-u3 = c3 + w3, where w3 = (b1^T F s) a1 - (a1^T F s) b1, so step 1 builds
-nothing else: no grade-4 terms and no d x d matrix.
-Since C = a1 b1^T - b1 a1^T has rank two, step 2, against 1+z, is
+A triple reads of [1+a, 1+b] only C and the grade-3 part u3 = c3 + w3,
+where w3 = (b1^T F s) a1 - (a1^T F s) b1, so its step 1 builds nothing
+else: no grade-4 terms and no d x d matrix.  Since
+C = a1 b1^T - b1 a1^T has rank two, step 2, against 1+z, is
 
     c3' = (b1^T F z1 + z1^T F b1) a1 - (a1^T F z1 + z1^T F a1) b1
         = lie3(a1, b1, z1)
     c4' = u3^T (F - F^T) z1 - z1^T F c3' + vec(C) M_A vec(Z),
 
 four dot products where the general step has two batched d x d products,
-and vec(C) is formed only on the rows of the cut M_A.  Its value lies in
-grades 3 and 4, so every later step has A = 0: c3 = 0 and
-c4 = c3_prev^T (F - F^T) w1, which makes every 5-fold commutator 1.  A
-chain of four or more stacks therefore reads only c3' = lie3(a1, b1, z1)
-and the later w1: it runs neither step 1 nor the grade-4 half of step 2,
-and reads no grade-2 digit.  `lie3` and the steps run in blocks of BLOCK
-rows, which keep their temporaries in cache and bounded.  The chain holds
-the first three stacks while it computes c3' (and, for three stacks, c4'),
-then only (c3, c4), d + 1 columns, while each later stack is drawn.
-
-A Monte Carlo tuple is decided by `trivial_long_commutator`, which builds
-no full output stack.  The lowest grade of a commutator needs only the
-grade-1 digits: C for a pair, c3' = lie3(a1, b1, z1) for a triple (the
-grade-2 part of a triple's value is 0).  So each block of rows is first
-settled by that grade, and only the rows where it vanishes go through the
+and vec(C) is formed only on the rows of the cut M_A.  The lowest grade
+of a pair's value is C, and of a triple's c3' (its grade 2 is 0): both
+need only grade-1 digits.  So each block of BLOCK rows, which keeps the
+temporaries in cache and bounded, is first settled by that grade, and
+only the rows where it vanishes, gathered from the block, go through the
 work that reads grade 2: `commutator` for a pair, step 1 and the grade-4
-half of step 2 for a triple, on the surviving rows gathered from the
-block.  Since z1 is read before step 1 runs, the three stacks of a
-triple are held at once; drawn as int32, they take less memory than two
-int64 stacks.
+half of step 2 for a triple.  Since z1 is read before step 1 runs, the
+three stacks of a triple are held at once; drawn as int32, they take
+less memory than two int64 stacks.
+
+The value of a triple lies in grades 3 and 4, so every later step has
+A = 0: c3 = 0 and c4 = c3_prev^T (F - F^T) w1, which makes every 5-fold
+commutator 1.  So a chain of four or more stacks computes c3' in blocks,
+frees the first three stacks and takes one dot per later w1: it reads
+no grade-2 digit.
 
 The independent oracle lives in the tests: the structure-constant tensor
 of R, built from the generating rules on basis vectors alone.
@@ -84,13 +82,15 @@ of R, built from the generating rules on basis vectors alone.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraParams
 
-BLOCK = 1 << 12   # rows per long_commutator step (see the module docstring)
+BLOCK = 1 << 12   # rows per block of the Monte Carlo mask and of the graded-d2 pair step
 
 
 class Batch(NamedTuple):
@@ -338,51 +338,33 @@ class BatchAlg:
         (a1, A), (b1, B), (z1, Z) = ((_take(s.r1, rows), _take(s.r2, rows)) for s in stacks)
         return self._second_step(a1, b1, self._first_step(a1, A, b1, B), c3, z1, Z)
 
-    def _chain(self, draw: Callable[[], Batch], count: int) -> Batch | tuple[np.ndarray, np.ndarray]:
-        """Left-normed [1+a_1, ..., 1+a_count] for count >= 2 stacks, each
-        taken from `draw()` (see the module docstring): the `commutator`
-        stack of two stacks, and the grades 3 and 4, (c3, c4), of more."""
+    def long_commutator(self, stacks: Iterable[Batch]) -> Batch:
+        """Left-normed [1+a_1, ..., 1+a_k] for k >= 2 stacks: `commutator`
+        folded over them, one stack at a time."""
+        stacks = iter(stacks)
+        head = list(islice(stacks, 2))
+        if len(head) < 2:
+            raise ValueError("long commutator needs at least 2 entries")
+        return reduce(self.commutator, stacks, self.commutator(*head))
+
+    def trivial_long_commutator(self, draw: Callable[[], Batch], count: int) -> np.ndarray:
+        """Which entries of the left-normed commutator of `count` stacks,
+        drawn one at a time by `draw()`, are the identity (see the module
+        docstring).  Pairs and triples settle each block of rows by its
+        lowest grade, from grade-1 digits, and run the steps that read grade
+        2 only where it vanishes; longer chains read no grade-2 digit."""
         if count < 2:
             raise ValueError("long commutator needs at least 2 entries")
         stacks = [draw() for _ in range(min(count, 3))]
         n = stacks[0].count
-        if count == 2:
-            out = self.zeros(n)
+        if count > 3:
+            c3 = np.empty((n, self.d), dtype=np.int64)
             for rows in _blocks(n):
-                for dst, src in zip(out, self.commutator(*(_rows(s, rows) for s in stacks))):
-                    dst[rows] = src
-            return out
-        c3, c4 = np.empty((n, self.d), dtype=np.int64), np.empty(n, dtype=np.int64)
-        for rows in _blocks(n):
-            c3[rows] = self.lie3(*(s.r1[rows] for s in stacks))
-            if count == 3:
-                c4[rows] = self._grade4(stacks, rows, c3[rows])
-        del stacks   # free them before the next stack is drawn
-        for _ in range(count - 3):
-            w1 = draw().r1
-            c3, c4 = np.zeros_like(c3), self._mod(_dot(c3, _times(w1, self.F.T - self.F)))
-        return c3, c4
-
-    def long_commutator(self, stacks: Iterable[Batch]) -> Batch:
-        """Left-normed [1+a_1, ..., 1+a_k] for k >= 2 stacks."""
-        stacks = list(stacks)
-        out = self._chain(iter(stacks).__next__, len(stacks))
-        if isinstance(out, Batch):
-            return out
-        c3, c4 = out
-        return self.zeros(len(c4))._replace(r3=c3, c4=c4)
-
-    def trivial_long_commutator(self, draw: Callable[[], Batch], count: int) -> np.ndarray:
-        """Which entries of the left-normed commutator of `count` stacks,
-        drawn one at a time by `draw()`, are the identity.  Each block of
-        rows is first settled by the lowest grade of its commutator, which
-        the grade-1 digits give (see the module docstring); only the rows
-        where that grade vanishes go on to the steps that read grade 2."""
-        if count not in (2, 3):
-            c3, c4 = self._chain(draw, count)
-            return ~c3.any(1) & (c4 == 0)
-        stacks = [draw() for _ in range(count)]
-        n = stacks[0].count
+                c3[rows] = self.lie3(*(s.r1[rows] for s in stacks))
+            del stacks   # free them before the next stack is drawn
+            for _ in range(count - 3):
+                c3, c4 = np.zeros_like(c3), self._mod(_dot(c3, _times(draw().r1, self.F.T - self.F)))
+            return c4 == 0
         trivial = np.zeros(n, dtype=bool)
         for rows in _blocks(n):
             r1 = [s.r1[rows] for s in stacks]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra import AlgebraParams
 from .errors import CapExceededError, DimensionMismatchError, ExpressionShapeError
-from .fieldlin import FpVector, all_vectors, check_prime, matrix_rank, rank_stack
+from .fieldlin import FpVector, all_vectors, check_prime, rank_stack
 from .stats import DEFAULT_SEED, StatReport, clopper_pearson
 
 BIAS_ENUM_CAP = 1 << 24
@@ -101,7 +101,7 @@ class MultilinearMap:
     def image_span_dim(self) -> int:
         """Dimension of the span of the image (the subgroup the image
         generates), computed from all basis tuples in one batch."""
-        return matrix_rank(self.eval_batch(_basis_tuples(self.dims)[1]).tolist(), self.p)
+        return int(rank_stack(self.eval_batch(_basis_tuples(self.dims)[1])[None], self.p)[0])
 
     def effective_cod_size(self) -> int:
         return self.p ** self.image_span_dim()

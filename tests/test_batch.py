@@ -306,8 +306,8 @@ def reference_chains(draw):
 
 @given(reference_chains())
 def test_long_commutator_matches_reference_chain(case):
-    # The chain computes only the grades its later steps read, and the Monte
-    # Carlo mask reads only the grades the chain computes.
+    # The value path folds the closed-form commutator over every grade; the
+    # Monte Carlo mask computes only the grades it reads, by its own steps.
     eng, stacks, expect = case
     assert np.array_equal(full(eng.long_commutator(stacks)), expect)
     mask = eng.trivial_long_commutator(iter(stacks).__next__, len(stacks))
@@ -393,6 +393,13 @@ def test_operations_take_drawn_int32_stacks(p, form):
         assert all(np.array_equal(x, y) for x, y in zip(got, expect))
         assert eng.to_elements(got) == eng.to_elements(expect)
     assert all(np.array_equal(x, y) for x, y in zip(eng.grp_inv(a), eng.grp_inv(a64)))
+    # The fold meets each commutator value, partly int64, with the next int32 draw.
+    drawn = [a, b] + [eng.random_l1(rng, 300) for _ in range(3)]
+    for k in range(2, 6):
+        got = eng.long_commutator(drawn[:k])
+        expect = eng.long_commutator([Batch(*(x.astype(np.int64) for x in s)) for s in drawn[:k]])
+        assert all(np.array_equal(x, y) for x, y in zip(got, expect))
+        assert eng.to_elements(got) == eng.to_elements(expect)
     assert np.array_equal(eng.coords(a), eng.coords(a64))
     assert eng.to_elements(a) == eng.to_elements(a64)
 
